@@ -3,6 +3,7 @@
 __version__ = "0.1.0"
 
 from .spectral import (  # noqa: E402
+    Field,
     ScalarField,
     TorusGrid,
     VectorField,
@@ -16,7 +17,6 @@ from .spectral import (  # noqa: E402
 
 from .dynamics import (  # noqa: E402
     B_CAMASSA_HOLM,
-    B_DEGASPERIS_PROCESI,
     BlowupError,
     EulerState,
     Trajectory,

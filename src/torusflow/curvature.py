@@ -26,9 +26,11 @@ from .dynamics import christoffel, validate_b
 from .flow import DiffeoMap, christoffel_conjugated
 from .spectral import (
     DEFAULT_PAD_FACTOR,
-    ScalarField,
+    TWO_PI,
+    Field,
     TorusGrid,
     VectorField,
+    dot,
     gradient,
     h1_inner,
     l2_inner,
@@ -46,9 +48,6 @@ __all__ = [
     "mode_field",
     "basis_field",
 ]
-
-TWO_PI = 2.0 * np.pi
-
 
 @dataclass(frozen=True)
 class CurvatureReport:
@@ -72,8 +71,8 @@ def _pairing(name: str):
     raise ValueError(f"unknown pairing {name!r}; use 'metric' or 'plain'")
 
 
-def d1_gamma(w: VectorField, u: VectorField, v: VectorField, b=2.0,
-             pad_factor: int = DEFAULT_PAD_FACTOR) -> VectorField:
+def d1_gamma(w: Field, u: Field, v: Field, b=2.0,
+             pad_factor: int = DEFAULT_PAD_FACTOR) -> Field:
     """Derivative of the conjugated connection with respect to the
     configuration, in direction v, at the identity:
 
@@ -83,22 +82,22 @@ def d1_gamma(w: VectorField, u: VectorField, v: VectorField, b=2.0,
     b = validate_b(b)
     gam = christoffel(w, u, b, pad_factor)
     return (
-        gradient(gam).dot(v, pad_factor)
-        - christoffel(gradient(w).dot(v, pad_factor), u, b, pad_factor)
-        - christoffel(gradient(u).dot(v, pad_factor), w, b, pad_factor)
+        dot(gradient(gam), v, pad_factor)
+        - christoffel(dot(gradient(w), v, pad_factor), u, b, pad_factor)
+        - christoffel(dot(gradient(u), v, pad_factor), w, b, pad_factor)
     )
 
 
-def d1_gamma_fd(w: VectorField, u: VectorField, v: VectorField, b=2.0,
-                eps: float = 1e-4, pad_factor: int = DEFAULT_PAD_FACTOR) -> VectorField:
+def d1_gamma_fd(w: Field, u: Field, v: Field, b=2.0,
+                eps: float = 1e-4, pad_factor: int = DEFAULT_PAD_FACTOR) -> Field:
     """Central finite difference of eps -> Gamma_{id + eps v}(w, u); oracle for d1_gamma."""
     plus = christoffel_conjugated(DiffeoMap(eps * v), w, u, b, pad_factor)
     minus = christoffel_conjugated(DiffeoMap((-eps) * v), w, u, b, pad_factor)
     return (1.0 / (2.0 * eps)) * (plus - minus)
 
 
-def curvature_tensor(u: VectorField, v: VectorField, w: VectorField, b=2.0,
-                     pad_factor: int = DEFAULT_PAD_FACTOR) -> VectorField:
+def curvature_tensor(u: Field, v: Field, w: Field, b=2.0,
+                     pad_factor: int = DEFAULT_PAD_FACTOR) -> Field:
     """Local curvature tensor R(u, v)w at the identity; antisymmetric in (u, v)."""
     b = validate_b(b)
     return (
@@ -109,13 +108,13 @@ def curvature_tensor(u: VectorField, v: VectorField, w: VectorField, b=2.0,
     )
 
 
-def sectional_direct(u: VectorField, v: VectorField, b=2.0,
+def sectional_direct(u: Field, v: Field, b=2.0,
                      pad_factor: int = DEFAULT_PAD_FACTOR) -> float:
     """Unnormalized sectional curvature <R(u,v)v, u> through the tensor route."""
     return h1_inner(curvature_tensor(u, v, v, b, pad_factor), u)
 
 
-def gamma_terms(u: VectorField, v: VectorField, b=2.0, pairing: str = "metric",
+def gamma_terms(u: Field, v: Field, b=2.0, pairing: str = "metric",
                 pad_factor: int = DEFAULT_PAD_FACTOR) -> float:
     """<Gamma(u,v), Gamma(u,v)> - <Gamma(u,u), Gamma(v,v)>."""
     inner = _pairing(pairing)
@@ -125,7 +124,7 @@ def gamma_terms(u: VectorField, v: VectorField, b=2.0, pairing: str = "metric",
     )
 
 
-def r_term(u: VectorField, v: VectorField, pairing: str = "metric",
+def r_term(u: Field, v: Field, pairing: str = "metric",
            pad_factor: int = DEFAULT_PAD_FACTOR) -> float:
     """The twelve-term residual part of the curvature formula.
 
@@ -134,28 +133,26 @@ def r_term(u: VectorField, v: VectorField, pairing: str = "metric",
     constant-slot case is asserted about its value.
     """
     inner = _pairing(pairing)
+    p = pad_factor
     ju, jv = gradient(u), gradient(v)
-    uu = ju.dot(u, pad_factor)
-    uv = ju.dot(v, pad_factor)
-    vu = jv.dot(u, pad_factor)
-    vv = jv.dot(v, pad_factor)
+    uu, uv, vu, vv = dot(ju, u, p), dot(ju, v, p), dot(jv, u, p), dot(jv, v, p)
     return (
         inner(uu, vv)
         - inner(uv, uv)
         + inner(vu, uv)
         - inner(vu, vu)
-        + inner(gradient(uu).dot(v, pad_factor), v)
-        - inner(gradient(uv).dot(v, pad_factor), u)
-        + inner(gradient(vu).dot(v, pad_factor), u)
-        - inner(gradient(vu).dot(u, pad_factor), v)
-        - inner(jv.dot(uu, pad_factor), v)
-        - inner(ju.dot(vv, pad_factor), u)
-        + inner(jv.dot(vu, pad_factor), u)
-        + inner(ju.dot(vu, pad_factor), v)
+        + inner(dot(gradient(uu), v, p), v)
+        - inner(dot(gradient(uv), v, p), u)
+        + inner(dot(gradient(vu), v, p), u)
+        - inner(dot(gradient(vu), u, p), v)
+        - inner(dot(jv, uu, p), v)
+        - inner(dot(ju, vv, p), u)
+        + inner(dot(jv, vu, p), u)
+        + inner(dot(ju, vu, p), v)
     )
 
 
-def sectional_formula(u: VectorField, v: VectorField, pairing: str = "metric",
+def sectional_formula(u: Field, v: Field, pairing: str = "metric",
                       pad_factor: int = DEFAULT_PAD_FACTOR) -> CurvatureReport:
     """Both curvature routes for the plane span{u, v}.
 
@@ -195,7 +192,7 @@ def closed_form_S(i: int, k1: float, k2: float) -> float:
     return 0.125 * (2.0 * k1**2 + k2**2) / (1.0 + k1**2 + k2**2)
 
 
-def basis_field(grid: TorusGrid, i: int) -> VectorField:
+def basis_field(grid: TorusGrid, i: int) -> Field:
     """Constant basis vector field e_i."""
     if i == 1:
         return VectorField.constant(grid, 1.0, 0.0)
@@ -204,12 +201,11 @@ def basis_field(grid: TorusGrid, i: int) -> VectorField:
     raise ValueError("basis index must be 1 or 2")
 
 
-def mode_field(grid: TorusGrid, k1: float, k2: float) -> VectorField:
+def mode_field(grid: TorusGrid, k1: float, k2: float) -> Field:
     """The product mode sin(k1 x) sin(k2 y) in both components."""
     j1, j2 = _mode_index(k1), _mode_index(k2)
     if j1 >= grid.nx // 2 or j2 >= grid.ny // 2:
         raise ValueError(f"mode ({j1}, {j2}) is not resolvable on grid {grid.shape}")
     X, Y = grid.mesh
     vals = np.sin(TWO_PI * j1 * X) * np.sin(TWO_PI * j2 * Y)
-    f = ScalarField(grid, vals)
-    return VectorField(f, f)
+    return VectorField.from_values(grid, vals, vals)

@@ -10,8 +10,9 @@ connection bilinear form; at b = 2 the flow is metric (the H^1-type energy
 is conserved), for other b it is not, and the checks in this module are
 built to see both facts numerically.
 
-Also included: a classical one-step integrator with a blow-up guard, and
-two independent one-dimensional oracles (the 1D b-family and the
+Also included: the classical RK4 step and fixed-step march loop that the
+deformation-map integrators in flow share, a blow-up guard, and two
+independent one-dimensional oracles (the 1D b-family and the
 two-component system it couples to) used to cross-check the planar code on
 y-independent data.
 """
@@ -24,9 +25,9 @@ import numpy as np
 
 from .spectral import (
     DEFAULT_PAD_FACTOR,
-    ScalarField,
-    VectorField,
+    Field,
     divergence,
+    dot,
     gradient,
     h1_inner,
     helmholtz,
@@ -34,17 +35,18 @@ from .spectral import (
     laplacian,
     partial_x,
     partial_y,
-    scale_field,
+    pointwise_product,
+    tdot,
 )
 
 __all__ = [
     "B_CAMASSA_HOLM",
-    "B_DEGASPERIS_PROCESI",
     "BlowupError",
     "EulerState",
     "Trajectory",
     "ConservationReport",
     "validate_b",
+    "momentum_transport",
     "b_operator",
     "christoffel",
     "euler_rhs",
@@ -54,6 +56,8 @@ __all__ = [
     "ad_star",
     "hamiltonian",
     "check_metric_compatibility",
+    "rk4",
+    "march",
     "rk4_step",
     "integrate",
     "conservation_report",
@@ -64,7 +68,6 @@ __all__ = [
 ]
 
 B_CAMASSA_HOLM = 2.0
-B_DEGASPERIS_PROCESI = 3.0
 
 DRIFT_FLOOR = 1e-14
 
@@ -86,10 +89,10 @@ class EulerState:
     """Velocity field at one instant; the momentum m = Au is derived on demand."""
 
     t: float
-    u: VectorField
+    u: Field
 
     @property
-    def m(self) -> VectorField:
+    def m(self) -> Field:
         return helmholtz(self.u)
 
 
@@ -143,108 +146,84 @@ def conservation_report(trajectory: Trajectory) -> ConservationReport:
     )
 
 
-def b_operator(u: VectorField, v: VectorField, b, pad_factor: int = DEFAULT_PAD_FACTOR) -> VectorField:
-    """Quadratic operator B(u, v) = -A^{-1}(grad(Au).v + (grad v)^T Au + (b-1) Au div v)."""
-    b = validate_b(b)
-    au = helmholtz(u)
-    total = (
-        gradient(au).dot(v, pad_factor)
-        + gradient(v).tdot(au, pad_factor)
-        + (b - 1.0) * scale_field(au, divergence(v), pad_factor)
+def momentum_transport(m: Field, v: Field, b: float, pad_factor: int = DEFAULT_PAD_FACTOR) -> Field:
+    """Transport of the momentum m by the velocity v: grad(m).v + (grad v)^T m + (b-1) m div v."""
+    return (
+        dot(gradient(m), v, pad_factor)
+        + tdot(gradient(v), m, pad_factor)
+        + (b - 1.0) * pointwise_product(m, divergence(v), pad_factor)
     )
-    return -helmholtz_inverse(total)
 
 
-def christoffel(u: VectorField, v: VectorField, b, pad_factor: int = DEFAULT_PAD_FACTOR) -> VectorField:
+def b_operator(u: Field, v: Field, b, pad_factor: int = DEFAULT_PAD_FACTOR) -> Field:
+    """Quadratic operator B(u, v) = -A^{-1}(grad(Au).v + (grad v)^T Au + (b-1) Au div v)."""
+    return -helmholtz_inverse(momentum_transport(helmholtz(u), v, validate_b(b), pad_factor))
+
+
+def christoffel(u: Field, v: Field, b, pad_factor: int = DEFAULT_PAD_FACTOR) -> Field:
     """Connection bilinear form Gamma(u, v), symmetric in its arguments.
 
-    Gamma(u, v) = (grad u . v + grad v . u + B(u, v) + B(v, u)) / 2, with the
-    B terms expanded inline so each momentum Au, Av is computed once.
+    Gamma(u, v) = (grad u . v + grad v . u + B(u, v) + B(v, u)) / 2.
     """
     b = validate_b(b)
-    ju, jv = gradient(u), gradient(v)
-    au, av = helmholtz(u), helmholtz(v)
-    sym = ju.dot(v, pad_factor) + jv.dot(u, pad_factor)
+    sym = dot(gradient(u), v, pad_factor) + dot(gradient(v), u, pad_factor)
     inner = (
-        gradient(au).dot(v, pad_factor)
-        + jv.tdot(au, pad_factor)
-        + (b - 1.0) * scale_field(au, divergence(v), pad_factor)
-        + gradient(av).dot(u, pad_factor)
-        + ju.tdot(av, pad_factor)
-        + (b - 1.0) * scale_field(av, divergence(u), pad_factor)
+        momentum_transport(helmholtz(u), v, b, pad_factor)
+        + momentum_transport(helmholtz(v), u, b, pad_factor)
     )
     return 0.5 * (sym - helmholtz_inverse(inner))
 
 
-def euler_rhs(u: VectorField, b, pad_factor: int = DEFAULT_PAD_FACTOR) -> VectorField:
+def euler_rhs(u: Field, b, pad_factor: int = DEFAULT_PAD_FACTOR) -> Field:
     """du/dt in the direct momentum form, i.e. B(u, u)."""
     return b_operator(u, u, b, pad_factor)
 
 
-def euler_rhs_geometric(u: VectorField, b, pad_factor: int = DEFAULT_PAD_FACTOR) -> VectorField:
+def euler_rhs_geometric(u: Field, b, pad_factor: int = DEFAULT_PAD_FACTOR) -> Field:
     """du/dt written as Gamma(u, u) - grad(u).u; agrees with euler_rhs to roundoff."""
-    return christoffel(u, u, b, pad_factor) - gradient(u).dot(u, pad_factor)
+    return christoffel(u, u, b, pad_factor) - dot(gradient(u), u, pad_factor)
 
 
-def _vector_laplacian(u: VectorField) -> VectorField:
-    return VectorField(laplacian(u.u1), laplacian(u.u2))
-
-
-def _vector_dx(u: VectorField) -> VectorField:
-    return VectorField(partial_x(u.u1), partial_x(u.u2))
-
-
-def _vector_dy(u: VectorField) -> VectorField:
-    return VectorField(partial_y(u.u1), partial_y(u.u2))
-
-
-def check_commuting_identity(u: VectorField, v: VectorField, pad_factor: int = DEFAULT_PAD_FACTOR) -> float:
+def check_commuting_identity(u: Field, v: Field, pad_factor: int = DEFAULT_PAD_FACTOR) -> float:
     """Residual of grad(Av).u - A(grad v . u) against its derivative expansion.
 
     The expansion is grad(v).Lap(u) + 2 grad(v_x).u_x + 2 grad(v_y).u_y.
     Returns the max-norm of the difference, which is pure roundoff whenever
     the pairwise products of u and v fit the padded grid.
     """
-    av = helmholtz(v)
-    lhs = gradient(av).dot(u, pad_factor) - helmholtz(gradient(v).dot(u, pad_factor))
+    gv = gradient(v)
+    lhs = dot(gradient(helmholtz(v)), u, pad_factor) - helmholtz(dot(gv, u, pad_factor))
     rhs = (
-        gradient(v).dot(_vector_laplacian(u), pad_factor)
-        + 2.0 * gradient(_vector_dx(v)).dot(_vector_dx(u), pad_factor)
-        + 2.0 * gradient(_vector_dy(v)).dot(_vector_dy(u), pad_factor)
+        dot(gv, laplacian(u), pad_factor)
+        + 2.0 * dot(gradient(partial_x(v)), partial_x(u), pad_factor)
+        + 2.0 * dot(gradient(partial_y(v)), partial_y(u), pad_factor)
     )
     return (lhs - rhs).sup_norm()
 
 
-def commutator(u: VectorField, v: VectorField, pad_factor: int = DEFAULT_PAD_FACTOR) -> VectorField:
+def commutator(u: Field, v: Field, pad_factor: int = DEFAULT_PAD_FACTOR) -> Field:
     """Vector field bracket [u, v] = grad(u).v - grad(v).u."""
-    return gradient(u).dot(v, pad_factor) - gradient(v).dot(u, pad_factor)
+    return dot(gradient(u), v, pad_factor) - dot(gradient(v), u, pad_factor)
 
 
-def ad_star(u: VectorField, w: VectorField, b=B_CAMASSA_HOLM, pad_factor: int = DEFAULT_PAD_FACTOR) -> VectorField:
+def ad_star(u: Field, w: Field, b=B_CAMASSA_HOLM, pad_factor: int = DEFAULT_PAD_FACTOR) -> Field:
     """Coadjoint action ad*_u w = A^{-1}((grad u)^T Aw + grad(Aw).u + (b-1) (div u) Aw).
 
     With the default b = 2 this is minus the right-hand side when w = u,
     which is what makes that case a geodesic flow.
     """
-    b = validate_b(b)
-    aw = helmholtz(w)
-    total = (
-        gradient(u).tdot(aw, pad_factor)
-        + gradient(aw).dot(u, pad_factor)
-        + (b - 1.0) * scale_field(aw, divergence(u), pad_factor)
-    )
-    return helmholtz_inverse(total)
+    return helmholtz_inverse(momentum_transport(helmholtz(w), u, validate_b(b), pad_factor))
 
 
-def hamiltonian(u: VectorField) -> float:
+def hamiltonian(u: Field) -> float:
     """Kinetic energy (1/2) integral(u . Au); nonnegative, zero only at u = 0."""
     return 0.5 * h1_inner(u, u)
 
 
 def check_metric_compatibility(
-    u: VectorField,
-    v: VectorField,
-    w: VectorField,
+    u: Field,
+    v: Field,
+    w: Field,
     b=B_CAMASSA_HOLM,
     pad_factor: int = DEFAULT_PAD_FACTOR,
 ) -> float:
@@ -255,26 +234,18 @@ def check_metric_compatibility(
     by 1 + |left side|.  Roundoff-small at b = 2; order one for b != 2 on
     generic data.
     """
-    jv, jw = gradient(v), gradient(w)
-    lhs = h1_inner(jv.dot(u, pad_factor), w) + h1_inner(jw.dot(u, pad_factor), v)
+    lhs = h1_inner(dot(gradient(v), u, pad_factor), w) + h1_inner(dot(gradient(w), u, pad_factor), v)
     rhs = h1_inner(christoffel(u, v, b, pad_factor), w) + h1_inner(christoffel(u, w, b, pad_factor), v)
     return abs(lhs - rhs) / (1.0 + abs(lhs))
 
 
-def _rk4_velocity(u: VectorField, dt: float, b: float, pad_factor: int) -> VectorField:
-    k1 = euler_rhs(u, b, pad_factor)
-    k2 = euler_rhs(u + (0.5 * dt) * k1, b, pad_factor)
-    k3 = euler_rhs(u + (0.5 * dt) * k2, b, pad_factor)
-    k4 = euler_rhs(u + dt * k3, b, pad_factor)
-    return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def rk4_step(state: EulerState, dt: float, b, pad_factor: int = DEFAULT_PAD_FACTOR) -> EulerState:
-    """One classical fourth-order step of du/dt = B(u, u)."""
-    b = validate_b(b)
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    return EulerState(state.t + dt, _rk4_velocity(state.u, dt, b, pad_factor))
+def rk4(rhs, t: float, y, dt: float):
+    """One classical fourth-order Runge-Kutta step of dy/dt = rhs(t, y)."""
+    k1 = rhs(t, y)
+    k2 = rhs(t + 0.5 * dt, y + (0.5 * dt) * k1)
+    k3 = rhs(t + 0.5 * dt, y + (0.5 * dt) * k2)
+    k4 = rhs(t + dt, y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _step_count(t_end: float, dt: float) -> int:
@@ -288,8 +259,49 @@ def _step_count(t_end: float, dt: float) -> int:
     return n
 
 
+def march(rhs, y0, t_end: float, dt: float, record_stride: int, guard, pack):
+    """Fixed RK4 steps of dy/dt = rhs(t, y) from y(0) = y0 up to t_end.
+
+    Records the start, every record_stride-th state and the final one, and
+    returns pack([(t, y), ...]).  guard(t, y) raises to reject a new state.
+    A RuntimeError from a step or its guard aborts the march; it leaves with
+    err.partial = pack(records), the records extended by the last accepted
+    state, so callers can emit partial output.
+    """
+    n_steps = _step_count(t_end, dt)
+    if record_stride < 1:
+        raise ValueError("record_stride must be >= 1")
+    t, y = 0.0, y0
+    records = [(t, y)]
+    for i in range(1, n_steps + 1):
+        try:
+            y_next = rk4(rhs, t, y, dt)
+            guard(i * dt, y_next)
+        except RuntimeError as err:
+            if records[-1][1] is not y:
+                records.append((t, y))
+            err.partial = pack(records)
+            raise
+        t, y = i * dt, y_next
+        if i % record_stride == 0 or i == n_steps:
+            records.append((t, y))
+    return pack(records)
+
+
+def _velocity_rhs(b: float, pad_factor: int):
+    return lambda t, u: euler_rhs(u, b, pad_factor)
+
+
+def rk4_step(state: EulerState, dt: float, b, pad_factor: int = DEFAULT_PAD_FACTOR) -> EulerState:
+    """One classical fourth-order step of du/dt = B(u, u)."""
+    b = validate_b(b)
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    return EulerState(state.t + dt, rk4(_velocity_rhs(b, pad_factor), state.t, state.u, dt))
+
+
 def integrate(
-    u0: VectorField,
+    u0: Field,
     b,
     t_end: float,
     dt: float,
@@ -301,36 +313,23 @@ def integrate(
 
     Aborts with BlowupError when the velocity goes non-finite or its sup norm
     exceeds blowup_factor times the initial one; the final state is always
-    recorded.
+    recorded, and on abort err.partial holds the trajectory up to the last
+    accepted state.
     """
     b = validate_b(b)
-    n_steps = _step_count(t_end, dt)
-    if record_stride < 1:
-        raise ValueError("record_stride must be >= 1")
     sup0 = u0.sup_norm()
-    state = EulerState(0.0, u0)
-    states = [state]
-    for i in range(1, n_steps + 1):
-        u_next = _rk4_velocity(state.u, dt, b, pad_factor)
-        state = EulerState(i * dt, u_next)
-        sup = u_next.sup_norm()
-        err = None
+
+    def guard(t: float, u: Field) -> None:
+        sup = u.sup_norm()
         if not np.isfinite(sup):
-            err = BlowupError(
-                f"non-finite velocity at t={state.t:.6g} (suspected blow-up or instability)"
-            )
-        elif sup > blowup_factor * sup0:
-            err = BlowupError(
-                f"sup|u|={sup:.3g} exceeds {blowup_factor:g} x initial {sup0:.3g} at t={state.t:.6g}"
-            )
-        if err is not None:
-            # States recorded before the abort stay available to callers
-            # that want to emit partial output.
-            err.partial = Trajectory(b=b, dt=float(dt), states=tuple(states))
-            raise err
-        if i % record_stride == 0 or i == n_steps:
-            states.append(state)
-    return Trajectory(b=b, dt=float(dt), states=tuple(states))
+            raise BlowupError(f"non-finite velocity at t={t:.6g} (suspected blow-up or instability)")
+        if sup > blowup_factor * sup0:
+            raise BlowupError(f"sup|u|={sup:.3g} exceeds {blowup_factor:g} x initial {sup0:.3g} at t={t:.6g}")
+
+    def pack(records) -> Trajectory:
+        return Trajectory(b=b, dt=float(dt), states=tuple(EulerState(t, u) for t, u in records))
+
+    return march(_velocity_rhs(b, pad_factor), u0, t_end, dt, record_stride, guard, pack)
 
 
 # ---------------------------------------------------------------------------

@@ -24,19 +24,20 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import _step_count, christoffel, validate_b
+from .dynamics import BlowupError, _step_count, christoffel, march, rk4, validate_b
 from .spectral import (
     DEFAULT_PAD_FACTOR,
-    JacobianField,
-    ScalarField,
+    Field,
     TorusGrid,
     VectorField,
+    det,
+    dot,
     eval_spectra,
-    eval_vector_offgrid,
     gradient,
     helmholtz,
-    partial_x,
-    partial_y,
+    pointwise_product,
+    stack,
+    tdot,
 )
 
 __all__ = [
@@ -84,7 +85,7 @@ class OrientationError(RuntimeError):
 class DiffeoMap:
     """Torus map phi(z) = z + displacement(z), coordinates taken mod 1."""
 
-    displacement: VectorField
+    displacement: Field
 
     @property
     def grid(self) -> TorusGrid:
@@ -99,33 +100,39 @@ class DiffeoMap:
         return cls(VectorField.constant(grid, a1, a2))
 
 
-def jacobian(phi: DiffeoMap) -> JacobianField:
-    """Full Jacobian grad(phi) = I + grad(d); the determinant is pointwise."""
-    jd = gradient(phi.displacement)
-    one = ScalarField(phi.grid, np.ones(phi.grid.shape))
-    return JacobianField(one + jd.d11, jd.d12, jd.d21, one + jd.d22)
+def jacobian(phi: DiffeoMap) -> Field:
+    """Full Jacobian grad(phi) = I + grad(d), entry [i, j] = d phi_i / d x_j."""
+    return Field(phi.grid, np.eye(2)[:, :, None, None] + gradient(phi.displacement).values)
 
 
-def _min_det(phi: DiffeoMap) -> float:
-    return float(np.min(jacobian(phi).det().values))
+def _checked_det(phi: DiffeoMap, det_floor: float, where: str = "on the grid") -> np.ndarray:
+    """Samples of det(grad phi); OrientationError unless all exceed det_floor."""
+    jdet = det(jacobian(phi)).values
+    if float(np.min(jdet)) <= det_floor:
+        raise OrientationError(f"det(grad phi) <= {det_floor:g} {where}")
+    return jdet
+
+
+def _inverse_jacobian(phi: DiffeoMap) -> Field:
+    """Pointwise matrix inverse (grad phi)^{-1}."""
+    inv = np.linalg.inv(np.moveaxis(jacobian(phi).values, (0, 1), (-2, -1)))
+    return Field(phi.grid, np.moveaxis(inv, (-2, -1), (0, 1)))
 
 
 def apply(phi: DiffeoMap, points: np.ndarray) -> np.ndarray:
     """Image of (x, y) points under phi, wrapped into [0, 1)."""
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-    d1, d2 = eval_vector_offgrid(phi.displacement, pts[:, 0], pts[:, 1])
-    out = np.column_stack([pts[:, 0] + d1, pts[:, 1] + d2])
-    return np.mod(out, 1.0).reshape(np.asarray(points, dtype=np.float64).shape)
+    shift = eval_spectra(phi.grid, phi.displacement.spectrum, pts[:, 0], pts[:, 1])
+    return np.mod(pts + shift.T, 1.0).reshape(np.shape(points))
 
 
-def compose_field(u: VectorField, phi: DiffeoMap) -> VectorField:
-    """Samples of u o phi, i.e. the interpolant of u evaluated at phi(z)."""
+def compose_field(u: Field, phi: DiffeoMap) -> Field:
+    """Samples of u o phi, i.e. the interpolant of every component of u at phi(z)."""
     if u.grid != phi.grid:
         raise ValueError("field and map live on different grids")
     X, Y = phi.grid.mesh
-    d = phi.displacement
-    v1, v2 = eval_vector_offgrid(u, X + d.u1.values, Y + d.u2.values)
-    return VectorField.from_values(phi.grid, v1, v2)
+    d = phi.displacement.values
+    return Field(phi.grid, eval_spectra(phi.grid, u.spectrum, X + d[0], Y + d[1]))
 
 
 def compose(phi: DiffeoMap, psi: DiffeoMap) -> DiffeoMap:
@@ -140,7 +147,7 @@ def invert(
     phi: DiffeoMap,
     tol: float = INVERT_TOL,
     max_iter: int = INVERT_MAX_ITER,
-    initial: VectorField | None = None,
+    initial: Field | None = None,
 ) -> DiffeoMap:
     """Inverse map via the contraction e(w) = -d(w + e(w)).
 
@@ -149,21 +156,17 @@ def invert(
     sup-norm update drops below tol.  Converges for maps in the contraction
     regime sup|grad d| < 1; raises InversionError otherwise.
     """
-    if _min_det(phi) <= 0.0:
-        raise OrientationError("map is not orientation preserving on the grid")
+    _checked_det(phi, 0.0)
     d = phi.displacement
     X, Y = phi.grid.mesh
-    if initial is None:
-        e1, e2 = -d.u1.values, -d.u2.values
-    else:
-        e1, e2 = initial.u1.values, initial.u2.values
+    e = -d.values if initial is None else initial.values
     update = np.inf
     for _ in range(max_iter):
-        f1, f2 = eval_vector_offgrid(d, X + e1, Y + e2)
-        update = max(float(np.max(np.abs(f1 + e1))), float(np.max(np.abs(f2 + e2))))
-        e1, e2 = -f1, -f2
+        f = eval_spectra(phi.grid, d.spectrum, X + e[0], Y + e[1])
+        update = float(np.max(np.abs(f + e)))
+        e = -f
         if update < tol:
-            return DiffeoMap(VectorField.from_values(phi.grid, e1, e2))
+            return DiffeoMap(Field(phi.grid, e))
     raise InversionError(f"inversion stalled at update {update:.3e} after {max_iter} iterations")
 
 
@@ -180,7 +183,7 @@ class FlowTrajectory:
         return self.maps[-1]
 
 
-def trajectory_velocity(trajectory) -> Callable[[float], VectorField]:
+def trajectory_velocity(trajectory) -> Callable[[float], Field]:
     """Lookup t -> u(t) for a velocity trajectory recorded at every step.
 
     The label integrator samples u at step midpoints, so drive it with a
@@ -189,7 +192,7 @@ def trajectory_velocity(trajectory) -> Callable[[float], VectorField]:
     dt = trajectory.dt
     states = trajectory.states
 
-    def u_at(t: float) -> VectorField:
+    def u_at(t: float) -> Field:
         idx = int(round(t / dt))
         if idx < 0 or idx >= len(states) or abs(idx * dt - t) > 1e-9 * max(1.0, abs(t)):
             raise ValueError(f"velocity not recorded at t={t}")
@@ -199,7 +202,7 @@ def trajectory_velocity(trajectory) -> Callable[[float], VectorField]:
 
 
 def flow_from_velocity(
-    u_at: Callable[[float], VectorField],
+    u_at: Callable[[float], Field],
     t_end: float,
     dt: float,
     record_stride: int = 1,
@@ -211,68 +214,38 @@ def flow_from_velocity(
     stage evaluates the interpolant of u at the displaced labels.  Aborts
     with OrientationError when det(grad phi) falls to det_floor.
     """
-    n_steps = _step_count(t_end, dt)
-    if record_stride < 1:
-        raise ValueError("record_stride must be >= 1")
     grid = u_at(0.0).grid
-    X, Y = grid.mesh
-    d1 = np.zeros(grid.shape)
-    d2 = np.zeros(grid.shape)
-    times = [0.0]
-    maps = [DiffeoMap.identity(grid)]
-    for i in range(1, n_steps + 1):
-        t = (i - 1) * dt
 
-        def stage(s, a1, a2):
-            return eval_vector_offgrid(u_at(s), X + a1, Y + a2)
+    def pack(records) -> FlowTrajectory:
+        return FlowTrajectory(dt=float(dt), times=np.array([t for t, _ in records]),
+                              maps=tuple(DiffeoMap(d) for _, d in records))
 
-        k11, k12 = stage(t, d1, d2)
-        k21, k22 = stage(t + 0.5 * dt, d1 + 0.5 * dt * k11, d2 + 0.5 * dt * k12)
-        k31, k32 = stage(t + 0.5 * dt, d1 + 0.5 * dt * k21, d2 + 0.5 * dt * k22)
-        k41, k42 = stage(t + dt, d1 + dt * k31, d2 + dt * k32)
-        d1 = d1 + (dt / 6.0) * (k11 + 2.0 * k21 + 2.0 * k31 + k41)
-        d2 = d2 + (dt / 6.0) * (k12 + 2.0 * k22 + 2.0 * k32 + k42)
-        phi = DiffeoMap(VectorField.from_values(grid, d1, d2))
-        if _min_det(phi) <= det_floor:
-            raise OrientationError(f"det(grad phi) <= {det_floor:g} at t={i * dt:.6g}")
-        if i % record_stride == 0 or i == n_steps:
-            times.append(i * dt)
-            maps.append(phi)
-    return FlowTrajectory(dt=float(dt), times=np.array(times), maps=tuple(maps))
+    def guard(t: float, d: Field) -> None:
+        _checked_det(DiffeoMap(d), det_floor, f"at t={t:.6g}")
+
+    return march(lambda t, d: compose_field(u_at(t), DiffeoMap(d)), VectorField.zero(grid),
+                 t_end, dt, record_stride, guard, pack)
 
 
 def christoffel_conjugated(
     phi: DiffeoMap,
-    U: VectorField,
-    V: VectorField,
+    U: Field,
+    V: Field,
     b,
     pad_factor: int = DEFAULT_PAD_FACTOR,
     phi_inv: DiffeoMap | None = None,
-) -> VectorField:
+) -> Field:
     """Conjugated connection Gamma_phi(U, V) = Gamma(U o phi^{-1}, V o phi^{-1}) o phi.
 
     Pass phi_inv to reuse an inverse computed elsewhere (the geodesic stepper
     does, to warm start consecutive inversions).
     """
     b = validate_b(b)
-    grid = phi.grid
-    if U.grid != grid or V.grid != grid:
+    if U.grid != phi.grid or V.grid != phi.grid:
         raise ValueError("fields and map live on different grids")
     psi = invert(phi) if phi_inv is None else phi_inv
-    X, Y = grid.mesh
-    e = psi.displacement
-    xi, yi = X + e.u1.values, Y + e.u2.values
-    if V is U:
-        u1, u2 = eval_vector_offgrid(U, xi, yi)
-        Uc = VectorField.from_values(grid, u1, u2)
-        Vc = Uc
-    else:
-        stack = np.stack([U.u1.spectrum, U.u2.spectrum, V.u1.spectrum, V.u2.spectrum])
-        vals = eval_spectra(grid, stack, xi, yi)
-        Uc = VectorField.from_values(grid, vals[0].reshape(grid.shape), vals[1].reshape(grid.shape))
-        Vc = VectorField.from_values(grid, vals[2].reshape(grid.shape), vals[3].reshape(grid.shape))
-    gam = christoffel(Uc, Vc, b, pad_factor)
-    return compose_field(gam, phi)
+    Uc, Vc = compose_field(stack([U, V]), psi).components
+    return compose_field(christoffel(Uc, Vc, b, pad_factor), phi)
 
 
 @dataclass(frozen=True)
@@ -281,7 +254,7 @@ class GeodesicState:
 
     t: float
     phi: DiffeoMap
-    phi_t: VectorField
+    phi_t: Field
 
 
 @dataclass(frozen=True)
@@ -299,25 +272,25 @@ class GeodesicTrajectory:
         return self.states[-1]
 
 
-def _conjugated_rhs(d: VectorField, w: VectorField, b: float, pad_factor: int, warm):
-    phi = DiffeoMap(d)
-    psi = invert(phi, initial=warm)
-    gam = christoffel_conjugated(phi, w, w, b, pad_factor, phi_inv=psi)
-    return gam, psi.displacement
+def _geodesic_state(t: float, y: Field) -> GeodesicState:
+    return GeodesicState(t, DiffeoMap(y[0]), y[1])
 
 
-def _advance_geodesic(state: GeodesicState, dt: float, b: float, pad_factor: int, warm):
-    d, w = state.phi.displacement, state.phi_t
-    a1, warm = _conjugated_rhs(d, w, b, pad_factor, warm)
-    w2 = w + (0.5 * dt) * a1
-    a2, warm = _conjugated_rhs(d + (0.5 * dt) * w, w2, b, pad_factor, warm)
-    w3 = w + (0.5 * dt) * a2
-    a3, warm = _conjugated_rhs(d + (0.5 * dt) * w2, w3, b, pad_factor, warm)
-    w4 = w + dt * a3
-    a4, warm = _conjugated_rhs(d + dt * w3, w4, b, pad_factor, warm)
-    d_new = d + (dt / 6.0) * (w + 2.0 * w2 + 2.0 * w3 + w4)
-    w_new = w + (dt / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-    return GeodesicState(state.t + dt, DiffeoMap(d_new), w_new), warm
+def _geodesic_rhs(b: float, pad_factor: int):
+    """rhs (d, w) -> (w, Gamma_phi(w, w)) of the label equation, phi = id + d.
+
+    Every inversion is warm started from the previous call's inverse.
+    """
+    warm = None
+
+    def rhs(t: float, y: Field) -> Field:
+        nonlocal warm
+        phi, w = DiffeoMap(y[0]), y[1]
+        psi = invert(phi, initial=warm)
+        warm = psi.displacement
+        return stack([w, christoffel_conjugated(phi, w, w, b, pad_factor, phi_inv=psi)])
+
+    return rhs
 
 
 def geodesic_step(state: GeodesicState, dt: float, b, pad_factor: int = DEFAULT_PAD_FACTOR) -> GeodesicState:
@@ -325,12 +298,12 @@ def geodesic_step(state: GeodesicState, dt: float, b, pad_factor: int = DEFAULT_
     b = validate_b(b)
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    new, _ = _advance_geodesic(state, dt, b, pad_factor, None)
-    return new
+    y = stack([state.phi.displacement, state.phi_t])
+    return _geodesic_state(state.t + dt, rk4(_geodesic_rhs(b, pad_factor), state.t, y, dt))
 
 
 def geodesic_integrate(
-    u0: VectorField,
+    u0: Field,
     b,
     t_end: float,
     dt: float,
@@ -341,51 +314,48 @@ def geodesic_integrate(
     """Geodesic from the identity with initial material velocity u0.
 
     States are recorded every record_stride steps (plus the final one);
-    each accepted step is guarded by the orientation floor.
+    each accepted step is guarded by the orientation floor.  On abort
+    (BlowupError for a non-finite velocity, OrientationError, or
+    InversionError) err.partial holds the trajectory up to the last
+    accepted state.
     """
     b = validate_b(b)
-    n_steps = _step_count(t_end, dt)
-    if record_stride < 1:
-        raise ValueError("record_stride must be >= 1")
-    grid = u0.grid
-    state = GeodesicState(0.0, DiffeoMap.identity(grid), u0)
-    states = [state]
-    warm = None
-    for i in range(1, n_steps + 1):
-        state, warm = _advance_geodesic(state, dt, b, pad_factor, warm)
-        state = GeodesicState(i * dt, state.phi, state.phi_t)
-        if not np.isfinite(state.phi_t.sup_norm()):
-            raise InversionError(f"non-finite material velocity at t={state.t:.6g}")
-        if _min_det(state.phi) <= det_floor:
-            raise OrientationError(f"det(grad phi) <= {det_floor:g} at t={state.t:.6g}")
-        if i % record_stride == 0 or i == n_steps:
-            states.append(state)
-    return GeodesicTrajectory(b=b, dt=float(dt), states=tuple(states))
+
+    def guard(t: float, y: Field) -> None:
+        if not np.isfinite(y[1].sup_norm()):
+            raise BlowupError(f"non-finite material velocity at t={t:.6g}")
+        _checked_det(DiffeoMap(y[0]), det_floor, f"at t={t:.6g}")
+
+    def pack(records) -> GeodesicTrajectory:
+        return GeodesicTrajectory(b=b, dt=float(dt), states=tuple(_geodesic_state(t, y) for t, y in records))
+
+    y0 = stack([VectorField.zero(u0.grid), u0])
+    return march(_geodesic_rhs(b, pad_factor), y0, t_end, dt, record_stride, guard, pack)
 
 
-def eulerian_velocity(state: GeodesicState, phi_inv: DiffeoMap | None = None) -> VectorField:
+def eulerian_velocity(state: GeodesicState, phi_inv: DiffeoMap | None = None) -> Field:
     """Readback u = phi_t o phi^{-1} of the velocity field on the torus."""
     psi = invert(state.phi) if phi_inv is None else phi_inv
     return compose_field(state.phi_t, psi)
 
 
-def exp_map(u0: VectorField, b=2.0, dt: float = 5e-3, pad_factor: int = DEFAULT_PAD_FACTOR) -> DiffeoMap:
+def exp_map(u0: Field, b=2.0, dt: float = 5e-3, pad_factor: int = DEFAULT_PAD_FACTOR) -> DiffeoMap:
     """Geodesic exponential: the time-1 map of the geodesic with phi_t(0) = u0."""
     n_steps = _step_count(1.0, dt)
     traj = geodesic_integrate(u0, b, 1.0, dt, record_stride=n_steps, pad_factor=pad_factor)
     return traj.final.phi
 
 
-def adjoint(phi: DiffeoMap, v: VectorField, phi_inv: DiffeoMap | None = None) -> VectorField:
+def adjoint(phi: DiffeoMap, v: Field, phi_inv: DiffeoMap | None = None) -> Field:
     """Inner automorphism Ad_phi v = (grad(phi) . v) o phi^{-1}."""
     if v.grid != phi.grid:
         raise ValueError("field and map live on different grids")
-    pushed = v + gradient(phi.displacement).dot(v)
+    pushed = v + dot(gradient(phi.displacement), v)
     psi = invert(phi) if phi_inv is None else phi_inv
     return compose_field(pushed, psi)
 
 
-def coadjoint(phi: DiffeoMap, w: VectorField) -> VectorField:
+def coadjoint(phi: DiffeoMap, w: Field) -> Field:
     """Dual action Ad*_phi w = (grad phi)^T (w o phi) det(grad phi).
 
     No inversion is needed; products are plain grid products since the
@@ -394,30 +364,20 @@ def coadjoint(phi: DiffeoMap, w: VectorField) -> VectorField:
     if w.grid != phi.grid:
         raise ValueError("field and map live on different grids")
     j = jacobian(phi)
-    wphi = compose_field(w, phi)
-    det = j.det().values
-    o1 = (j.d11.values * wphi.u1.values + j.d21.values * wphi.u2.values) * det
-    o2 = (j.d12.values * wphi.u1.values + j.d22.values * wphi.u2.values) * det
-    return VectorField.from_values(phi.grid, o1, o2)
+    return pointwise_product(tdot(j, compose_field(w, phi), pad_factor=1), det(j), pad_factor=1)
 
 
 @dataclass(frozen=True)
 class BodyMomentum:
     """Momentum pulled to the body frame; constant along b = 2 geodesics."""
 
-    m0: VectorField
+    m0: Field
 
 
-def body_velocity(state: GeodesicState, det_floor: float = DET_FLOOR) -> VectorField:
+def body_velocity(state: GeodesicState, det_floor: float = DET_FLOOR) -> Field:
     """Body velocity U = (grad phi)^{-1} phi_t, solved pointwise."""
-    j = jacobian(state.phi)
-    det = j.det().values
-    if float(np.min(det)) <= det_floor:
-        raise OrientationError("grad(phi) is singular to working precision")
-    w1, w2 = state.phi_t.u1.values, state.phi_t.u2.values
-    u1 = (j.d22.values * w1 - j.d12.values * w2) / det
-    u2 = (-j.d21.values * w1 + j.d11.values * w2) / det
-    return VectorField.from_values(state.phi.grid, u1, u2)
+    _checked_det(state.phi, det_floor)
+    return dot(_inverse_jacobian(state.phi), state.phi_t, pad_factor=1)
 
 
 def body_momentum(state: GeodesicState, phi_inv: DiffeoMap | None = None) -> BodyMomentum:
@@ -426,7 +386,7 @@ def body_momentum(state: GeodesicState, phi_inv: DiffeoMap | None = None) -> Bod
     return BodyMomentum(coadjoint(state.phi, helmholtz(u)))
 
 
-def metric_at(phi: DiffeoMap, U: VectorField, V: VectorField) -> float:
+def metric_at(phi: DiffeoMap, U: Field, V: Field) -> float:
     """Right-invariant metric at configuration phi.
 
     Evaluates sum_i integral( U_i V_i + [grad(U_i) (grad phi)^{-1}] .
@@ -435,22 +395,11 @@ def metric_at(phi: DiffeoMap, U: VectorField, V: VectorField) -> float:
     """
     if U.grid != phi.grid or V.grid != phi.grid:
         raise ValueError("fields and map live on different grids")
-    j = jacobian(phi)
-    det = j.det().values
-    if float(np.min(det)) <= 0.0:
-        raise OrientationError("map is not orientation preserving on the grid")
-    # Inverse Jacobian entries, pointwise.
-    i11 = j.d22.values / det
-    i12 = -j.d12.values / det
-    i21 = -j.d21.values / det
-    i22 = j.d11.values / det
-    integrand = np.zeros(phi.grid.shape)
-    for Ui, Vi in zip(U.components, V.components):
-        gux, guy = partial_x(Ui).values, partial_y(Ui).values
-        gvx, gvy = partial_x(Vi).values, partial_y(Vi).values
-        au1 = gux * i11 + guy * i21
-        au2 = gux * i12 + guy * i22
-        av1 = gvx * i11 + gvy * i21
-        av2 = gvx * i12 + gvy * i22
-        integrand += Ui.values * Vi.values + au1 * av1 + au2 * av2
-    return float(np.mean(integrand * det))
+    jdet = _checked_det(phi, 0.0)
+    inv = _inverse_jacobian(phi).values
+
+    def pulled(f: Field) -> np.ndarray:
+        return np.einsum("ik...,kl...->il...", gradient(f).values, inv)
+
+    integrand = np.sum(U.values * V.values, axis=0) + np.sum(pulled(U) * pulled(V), axis=(0, 1))
+    return float(np.mean(integrand * jdet))

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 from . import __version__
 from .flow import DiffeoMap
-from .spectral import VectorField
+from .spectral import Field
 
 __all__ = [
     "config_digest",
@@ -81,12 +81,15 @@ def write_json(path, payload: dict, digest: str) -> None:
     _atomic_write_text(Path(path), json.dumps(body, indent=2, sort_keys=True) + "\n")
 
 
-def write_field_csv(path, u: VectorField, digest: str) -> None:
+def _write_vector_csv(path, u: Field, names: tuple[str, str], digest: str) -> None:
+    pts = u.grid.points
+    rows = zip(pts[:, 0], pts[:, 1], *u.values.reshape(2, -1))
+    write_csv(path, ("x", "y") + names, rows, digest)
+
+
+def write_field_csv(path, u: Field, digest: str) -> None:
     """Velocity snapshot as x,y,u1,u2 rows over the grid, row-major."""
-    grid = u.grid
-    pts = grid.points
-    rows = zip(pts[:, 0], pts[:, 1], u.u1.values.ravel(), u.u2.values.ravel())
-    write_csv(path, ("x", "y", "u1", "u2"), rows, digest)
+    _write_vector_csv(path, u, ("u1", "u2"), digest)
 
 
 def write_trajectory_csv(path, report, digest: str) -> None:
@@ -97,10 +100,7 @@ def write_trajectory_csv(path, report, digest: str) -> None:
 
 def write_diffeo_csv(path, phi: DiffeoMap, digest: str) -> None:
     """Deformation snapshot as x,y,d1,d2 rows over the grid, row-major."""
-    d = phi.displacement
-    pts = d.grid.points
-    rows = zip(pts[:, 0], pts[:, 1], d.u1.values.ravel(), d.u2.values.ravel())
-    write_csv(path, ("x", "y", "d1", "d2"), rows, digest)
+    _write_vector_csv(path, phi.displacement, ("d1", "d2"), digest)
 
 
 def write_curvature_csv(path, rows: Iterable[dict], digest: str) -> None:

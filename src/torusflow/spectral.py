@@ -1,8 +1,8 @@
 """Spectral fields on the flat torus (R/Z)^2.
 
 Everything downstream (dynamics, flows, curvature) is built on the small
-set of primitives in this module: uniform grids, real scalar/vector fields
-with cached Fourier spectra, exact differentiation, the Helmholtz operator
+set of primitives in this module: uniform grids, one real field type with a
+cached Fourier spectrum, exact differentiation, the Helmholtz operator
 1 - Laplacian and its inverse, Parseval inner products, dealiased pointwise
 products, and direct trigonometric evaluation at off-grid points.
 
@@ -10,6 +10,9 @@ Conventions
 -----------
 * The period is 1 in each direction; mode (j1, j2) has physical wavenumber
   (2*pi*j1, 2*pi*j2).
+* A Field holds samples of shape (*components, nx, ny): components () for a
+  scalar, (2,) for a vector, (2, 2) for a matrix such as a Jacobian.  Every
+  operator acts on the last two axes and broadcasts over the others.
 * Spectra are normalized so the (0, 0) coefficient is the field mean:
   spectrum = fft2(values) / (nx * ny).
 * First derivatives zero the unpaired Nyquist mode so real fields stay
@@ -18,17 +21,20 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 __all__ = [
+    "TWO_PI",
     "TorusGrid",
+    "Field",
     "ScalarField",
     "VectorField",
-    "JacobianField",
     "make_grid",
+    "stack",
     "transform",
     "inverse_transform",
     "partial_x",
@@ -41,9 +47,16 @@ __all__ = [
     "l2_inner",
     "h1_inner",
     "pointwise_product",
+    "dot",
+    "tdot",
+    "det",
+    "eval_spectra",
     "eval_offgrid",
+    "cosine_mode",
     "random_bandlimited",
 ]
+
+TWO_PI = 2.0 * np.pi
 
 DEFAULT_PAD_FACTOR = 2
 
@@ -89,30 +102,17 @@ class TorusGrid:
         return np.fft.fftfreq(self.ny, d=1.0 / self.ny)
 
     @cached_property
-    def kx(self) -> np.ndarray:
-        """Physical wavenumbers 2*pi*j1 as an (nx, 1) column."""
-        return (2.0 * np.pi * self.modes_x)[:, None]
-
-    @cached_property
-    def ky(self) -> np.ndarray:
-        return (2.0 * np.pi * self.modes_y)[None, :]
-
-    @cached_property
     def ksq(self) -> np.ndarray:
-        return self.kx**2 + self.ky**2
+        """|k|^2 on the spectral grid, k = 2*pi*(j1, j2)."""
+        return (TWO_PI * self.modes_x[:, None]) ** 2 + (TWO_PI * self.modes_y[None, :]) ** 2
 
     @cached_property
-    def dx_symbol(self) -> np.ndarray:
-        """Multiplier of d/dx; the Nyquist column is zeroed."""
-        jx = self.modes_x.copy()
+    def grad_symbol(self) -> np.ndarray:
+        """Multipliers of (d/dx, d/dy) stacked as (2, nx, ny); Nyquist modes zeroed."""
+        jx, jy = self.modes_x.copy(), self.modes_y.copy()
         jx[self.nx // 2] = 0.0
-        return (2j * np.pi * jx)[:, None]
-
-    @cached_property
-    def dy_symbol(self) -> np.ndarray:
-        jy = self.modes_y.copy()
         jy[self.ny // 2] = 0.0
-        return (2j * np.pi * jy)[None, :]
+        return np.stack(np.broadcast_arrays((1j * TWO_PI * jx)[:, None], (1j * TWO_PI * jy)[None, :]))
 
     @cached_property
     def helmholtz_symbol(self) -> np.ndarray:
@@ -128,279 +128,201 @@ def make_grid(nx: int, ny: int) -> TorusGrid:
     return TorusGrid(int(nx), int(ny))
 
 
-def _as_values(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
-    values = np.asarray(values, dtype=np.float64)
-    if values.shape != grid.shape:
-        raise ValueError(f"field shape {values.shape} does not match grid {grid.shape}")
-    out = values.copy()
-    out.flags.writeable = False
-    return out
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """Read-only version of array; arrays that are read-only already are shared."""
+    if array.flags.writeable:
+        array = array.copy()
+        array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True, eq=False)
-class ScalarField:
-    """Real periodic scalar field given by point samples on a TorusGrid."""
+class Field:
+    """Real periodic field: samples of shape (*components, nx, ny) on a TorusGrid.
+
+    The samples are read-only and the spectrum over the last two axes is
+    computed once, on first use.  Sums, differences and real multiples act
+    on the whole stack.  Indexing selects components: u[0] is u1 and
+    J[0, 1] is d u1 / dy.
+    """
 
     grid: TorusGrid
     values: np.ndarray
 
+    # Makes numpy scalars defer to the Field operators below.
+    __array_ufunc__ = None
+
     def __post_init__(self):
-        object.__setattr__(self, "values", _as_values(self.grid, self.values))
+        values = np.asarray(self.values, dtype=np.float64)
+        if values.shape[-2:] != self.grid.shape:
+            raise ValueError(f"field shape {values.shape} does not match grid {self.grid.shape}")
+        object.__setattr__(self, "values", _frozen(values))
 
     @classmethod
-    def from_spectrum(cls, grid: TorusGrid, spectrum: np.ndarray) -> "ScalarField":
-        values = np.fft.ifft2(spectrum * (grid.nx * grid.ny)).real
+    def _with_spectrum(cls, grid: TorusGrid, values: np.ndarray, spectrum) -> "Field":
         f = cls(grid, values)
-        spec = np.asarray(spectrum, dtype=np.complex128).copy()
-        spec.flags.writeable = False
-        f.__dict__["spectrum"] = spec
+        if spectrum is not None:
+            f.__dict__["spectrum"] = _frozen(np.asarray(spectrum, dtype=np.complex128))
         return f
+
+    @classmethod
+    def from_spectrum(cls, grid: TorusGrid, spectrum: np.ndarray) -> "Field":
+        """Real field synthesized from coefficients (imaginary residue discarded)."""
+        return cls._with_spectrum(grid, np.fft.ifft2(spectrum, norm="forward").real, spectrum)
 
     @cached_property
     def spectrum(self) -> np.ndarray:
-        spec = np.fft.fft2(self.values) / (self.grid.nx * self.grid.ny)
-        spec.flags.writeable = False
-        return spec
+        return _frozen(np.fft.fft2(self.values, norm="forward"))
+
+    def __getitem__(self, index) -> "Field":
+        spec = self.__dict__.get("spectrum")
+        return Field._with_spectrum(self.grid, self.values[index],
+                                    None if spec is None else spec[index])
+
+    @property
+    def u1(self) -> "Field":
+        return self[0]
+
+    @property
+    def u2(self) -> "Field":
+        return self[1]
+
+    @property
+    def components(self) -> tuple["Field", ...]:
+        return tuple(self[i] for i in range(self.values.shape[0]))
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
 
-    def mean(self) -> float:
-        return float(np.mean(self.values))
-
-    def _check_same_grid(self, other: "ScalarField"):
+    def _combine(self, other: "Field", op) -> "Field":
+        if not isinstance(other, Field):
+            return NotImplemented
         if self.grid != other.grid:
             raise ValueError("fields live on different grids")
+        return Field(self.grid, op(self.values, other.values))
 
-    def __add__(self, other):
-        if isinstance(other, ScalarField):
-            self._check_same_grid(other)
-            return ScalarField(self.grid, self.values + other.values)
-        return ScalarField(self.grid, self.values + float(other))
+    def __add__(self, other: "Field") -> "Field":
+        return self._combine(other, operator.add)
 
-    __radd__ = __add__
+    def __sub__(self, other: "Field") -> "Field":
+        return self._combine(other, operator.sub)
 
-    def __sub__(self, other):
-        if isinstance(other, ScalarField):
-            self._check_same_grid(other)
-            return ScalarField(self.grid, self.values - other.values)
-        return ScalarField(self.grid, self.values - float(other))
-
-    def __mul__(self, c):
-        return ScalarField(self.grid, self.values * float(c))
+    def __mul__(self, c) -> "Field":
+        return Field(self.grid, self.values * float(c))
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return ScalarField(self.grid, -self.values)
+    def __neg__(self) -> "Field":
+        return self * -1.0
 
 
-@dataclass(frozen=True, eq=False)
+# A scalar field is a Field with no component axes.
+ScalarField = Field
+
+
+def stack(fields) -> Field:
+    """Fields of one grid and one component shape, stacked on a new first axis."""
+    grid = fields[0].grid
+    if any(f.grid != grid for f in fields):
+        raise ValueError("fields live on different grids")
+    return Field(grid, np.stack([f.values for f in fields]))
+
+
 class VectorField:
-    """Pair of scalar fields (u1, u2) on a common grid."""
+    """Constructors of two-component Fields; VectorField(u1, u2) stacks two scalars."""
 
-    u1: ScalarField
-    u2: ScalarField
+    def __new__(cls, u1: Field, u2: Field) -> Field:
+        return stack([u1, u2])
 
-    def __post_init__(self):
-        if self.u1.grid != self.u2.grid:
-            raise ValueError("vector field components live on different grids")
+    @staticmethod
+    def from_values(grid: TorusGrid, v1: np.ndarray, v2: np.ndarray) -> Field:
+        return Field(grid, np.stack([v1, v2]))
 
-    @classmethod
-    def from_values(cls, grid: TorusGrid, v1: np.ndarray, v2: np.ndarray) -> "VectorField":
-        return cls(ScalarField(grid, v1), ScalarField(grid, v2))
+    @staticmethod
+    def constant(grid: TorusGrid, c1: float, c2: float) -> Field:
+        return VectorField.from_values(grid, np.full(grid.shape, float(c1)), np.full(grid.shape, float(c2)))
 
-    @classmethod
-    def constant(cls, grid: TorusGrid, c1: float, c2: float) -> "VectorField":
-        return cls.from_values(grid, np.full(grid.shape, float(c1)), np.full(grid.shape, float(c2)))
-
-    @classmethod
-    def zero(cls, grid: TorusGrid) -> "VectorField":
-        return cls.constant(grid, 0.0, 0.0)
-
-    @property
-    def grid(self) -> TorusGrid:
-        return self.u1.grid
-
-    @property
-    def components(self) -> tuple[ScalarField, ScalarField]:
-        return (self.u1, self.u2)
-
-    def sup_norm(self) -> float:
-        return max(self.u1.sup_norm(), self.u2.sup_norm())
-
-    def __add__(self, other: "VectorField") -> "VectorField":
-        return VectorField(self.u1 + other.u1, self.u2 + other.u2)
-
-    def __sub__(self, other: "VectorField") -> "VectorField":
-        return VectorField(self.u1 - other.u1, self.u2 - other.u2)
-
-    def __mul__(self, c) -> "VectorField":
-        return VectorField(self.u1 * c, self.u2 * c)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "VectorField":
-        return VectorField(-self.u1, -self.u2)
+    @staticmethod
+    def zero(grid: TorusGrid) -> Field:
+        return Field(grid, np.zeros((2,) + grid.shape))
 
 
-@dataclass(frozen=True)
-class JacobianField:
-    """Matrix field with entry (i, j) = d u_i / d x_j."""
-
-    d11: ScalarField
-    d12: ScalarField
-    d21: ScalarField
-    d22: ScalarField
-
-    @property
-    def grid(self) -> TorusGrid:
-        return self.d11.grid
-
-    def dot(self, v: VectorField, pad_factor: int = DEFAULT_PAD_FACTOR) -> VectorField:
-        """Matrix-vector product (J v)_i = sum_j J_ij v_j with dealiased products."""
-        return VectorField(
-            pointwise_product(self.d11, v.u1, pad_factor) + pointwise_product(self.d12, v.u2, pad_factor),
-            pointwise_product(self.d21, v.u1, pad_factor) + pointwise_product(self.d22, v.u2, pad_factor),
-        )
-
-    def tdot(self, w: VectorField, pad_factor: int = DEFAULT_PAD_FACTOR) -> VectorField:
-        """Transposed product (J^T w)_i = sum_j J_ji w_j with dealiased products."""
-        return VectorField(
-            pointwise_product(self.d11, w.u1, pad_factor) + pointwise_product(self.d21, w.u2, pad_factor),
-            pointwise_product(self.d12, w.u1, pad_factor) + pointwise_product(self.d22, w.u2, pad_factor),
-        )
-
-    def dot_pointwise(self, v: VectorField) -> VectorField:
-        """Plain grid-sample matrix-vector product (no dealiasing)."""
-        g = self.grid
-        return VectorField.from_values(
-            g,
-            self.d11.values * v.u1.values + self.d12.values * v.u2.values,
-            self.d21.values * v.u1.values + self.d22.values * v.u2.values,
-        )
-
-    def tdot_pointwise(self, w: VectorField) -> VectorField:
-        g = self.grid
-        return VectorField.from_values(
-            g,
-            self.d11.values * w.u1.values + self.d21.values * w.u2.values,
-            self.d12.values * w.u1.values + self.d22.values * w.u2.values,
-        )
-
-    def det(self) -> ScalarField:
-        return ScalarField(
-            self.grid,
-            self.d11.values * self.d22.values - self.d12.values * self.d21.values,
-        )
-
-
-def transform(f: ScalarField) -> np.ndarray:
+def transform(f: Field) -> np.ndarray:
     """Fourier coefficients of f, normalized so mode (0,0) is the mean."""
     return f.spectrum
 
 
-def inverse_transform(grid: TorusGrid, spectrum: np.ndarray) -> ScalarField:
+def inverse_transform(grid: TorusGrid, spectrum: np.ndarray) -> Field:
     """Synthesize a real field from coefficients (imaginary residue discarded)."""
     spectrum = np.asarray(spectrum, dtype=np.complex128)
-    if spectrum.shape != grid.shape:
+    if spectrum.shape[-2:] != grid.shape:
         raise ValueError(f"spectrum shape {spectrum.shape} does not match grid {grid.shape}")
-    return ScalarField.from_spectrum(grid, spectrum)
+    return Field.from_spectrum(grid, spectrum)
 
 
-def _multiply_symbol(f: ScalarField, symbol: np.ndarray) -> ScalarField:
-    return ScalarField.from_spectrum(f.grid, f.spectrum * symbol)
+def _multiply_symbol(f: Field, symbol: np.ndarray) -> Field:
+    return Field.from_spectrum(f.grid, f.spectrum * symbol)
 
 
-def partial_x(f: ScalarField) -> ScalarField:
-    return _multiply_symbol(f, f.grid.dx_symbol)
+def partial_x(f: Field) -> Field:
+    return _multiply_symbol(f, f.grid.grad_symbol[0])
 
 
-def partial_y(f: ScalarField) -> ScalarField:
-    return _multiply_symbol(f, f.grid.dy_symbol)
+def partial_y(f: Field) -> Field:
+    return _multiply_symbol(f, f.grid.grad_symbol[1])
 
 
-def gradient(u: VectorField) -> JacobianField:
-    return JacobianField(
-        partial_x(u.u1), partial_y(u.u1),
-        partial_x(u.u2), partial_y(u.u2),
-    )
+def gradient(u: Field) -> Field:
+    """First derivatives on a new last component axis: entry [..., j] = d/dx_j.
+
+    For a vector field entry [i, j] is d u_i / d x_j; for a scalar it is the
+    gradient vector.
+    """
+    return Field.from_spectrum(u.grid, u.spectrum[..., None, :, :] * u.grid.grad_symbol)
 
 
-def gradient_scalar(f: ScalarField) -> VectorField:
-    return VectorField(partial_x(f), partial_y(f))
+def divergence(u: Field) -> Field:
+    """Contraction of the last component axis with the gradient: sum_j d u_j / d x_j."""
+    return Field.from_spectrum(u.grid, np.sum(u.spectrum * u.grid.grad_symbol, axis=-3))
 
 
-def divergence(u: VectorField) -> ScalarField:
-    return partial_x(u.u1) + partial_y(u.u2)
-
-
-def laplacian(f: ScalarField) -> ScalarField:
+def laplacian(f: Field) -> Field:
     return _multiply_symbol(f, -f.grid.ksq)
 
 
-def helmholtz_scalar(f: ScalarField) -> ScalarField:
-    return _multiply_symbol(f, f.grid.helmholtz_symbol)
-
-
-def helmholtz_inverse_scalar(f: ScalarField) -> ScalarField:
-    return _multiply_symbol(f, 1.0 / f.grid.helmholtz_symbol)
-
-
-def helmholtz(u: VectorField) -> VectorField:
+def helmholtz(u: Field) -> Field:
     """Momentum map m = (1 - Laplacian) u, applied componentwise."""
-    return VectorField(helmholtz_scalar(u.u1), helmholtz_scalar(u.u2))
+    return _multiply_symbol(u, u.grid.helmholtz_symbol)
 
 
-def helmholtz_inverse(m: VectorField) -> VectorField:
+def helmholtz_inverse(m: Field) -> Field:
     """Velocity u with (1 - Laplacian) u = m, applied componentwise."""
-    return VectorField(helmholtz_inverse_scalar(m.u1), helmholtz_inverse_scalar(m.u2))
+    return _multiply_symbol(m, 1.0 / m.grid.helmholtz_symbol)
 
 
-def _l2_inner_scalar(f: ScalarField, g: ScalarField) -> float:
-    if f.grid != g.grid:
-        raise ValueError("fields live on different grids")
-    return float(np.real(np.sum(f.spectrum * np.conj(g.spectrum))))
+def _pairing(f: Field, g: Field, weight) -> float:
+    if f.grid != g.grid or f.values.shape != g.values.shape:
+        raise ValueError("fields live on different grids or have different components")
+    return float(np.real(np.sum(weight * f.spectrum * np.conj(g.spectrum))))
 
 
-def l2_inner(u: VectorField, v: VectorField) -> float:
+def l2_inner(u: Field, v: Field) -> float:
     """L^2 pairing sum_i integral(u_i v_i), computed via Parseval."""
-    return _l2_inner_scalar(u.u1, v.u1) + _l2_inner_scalar(u.u2, v.u2)
+    return _pairing(u, v, 1.0)
 
 
-def _h1_inner_scalar(f: ScalarField, g: ScalarField) -> float:
-    if f.grid != g.grid:
-        raise ValueError("fields live on different grids")
-    w = f.grid.helmholtz_symbol
-    return float(np.real(np.sum(w * f.spectrum * np.conj(g.spectrum))))
-
-
-def h1_inner(u: VectorField, v: VectorField) -> float:
+def h1_inner(u: Field, v: Field) -> float:
     """Metric pairing integral(u . (1 - Laplacian) v), computed via Parseval."""
-    return _h1_inner_scalar(u.u1, v.u1) + _h1_inner_scalar(u.u2, v.u2)
+    return _pairing(u, v, u.grid.helmholtz_symbol)
 
 
-def _pad_spectrum(spec: np.ndarray, px: int, py: int) -> np.ndarray:
-    nx, ny = spec.shape
-    out = np.zeros((px, py), dtype=np.complex128)
-    sx, sy = px // 2 - nx // 2, py // 2 - ny // 2
-    shifted = np.fft.fftshift(spec)
-    out[sx:sx + nx, sy:sy + ny] = shifted
-    return np.fft.ifftshift(out)
-
-
-def _truncate_spectrum(spec: np.ndarray, nx: int, ny: int) -> np.ndarray:
-    px, py = spec.shape
-    sx, sy = px // 2 - nx // 2, py // 2 - ny // 2
-    shifted = np.fft.fftshift(spec)
-    return np.fft.ifftshift(shifted[sx:sx + nx, sy:sy + ny])
-
-
-def pointwise_product(f: ScalarField, g: ScalarField, pad_factor: int = DEFAULT_PAD_FACTOR) -> ScalarField:
+def pointwise_product(f: Field, g: Field, pad_factor: int = DEFAULT_PAD_FACTOR) -> Field:
     """Product fg evaluated on a pad_factor-times finer grid, then truncated.
 
-    Exact whenever the combined bandwidth of f and g fits the padded grid;
-    pad_factor=1 is the plain aliased grid product.
+    Component axes broadcast.  Exact whenever the combined bandwidth of f and
+    g fits the padded grid; pad_factor=1 is the plain aliased grid product.
+    Each output component is formed from one pair of scalar slices, so only
+    two lifted slices are alive at a time.
     """
     if f.grid != g.grid:
         raise ValueError("fields live on different grids")
@@ -408,55 +330,79 @@ def pointwise_product(f: ScalarField, g: ScalarField, pad_factor: int = DEFAULT_
         raise ValueError("pad_factor must be >= 1")
     grid = f.grid
     if pad_factor == 1:
-        return ScalarField(grid, f.values * g.values)
-    px, py = pad_factor * grid.nx, pad_factor * grid.ny
-    scale = px * py
-    fv = np.fft.ifft2(_pad_spectrum(f.spectrum, px, py) * scale).real
-    gv = np.fft.ifft2(_pad_spectrum(g.spectrum, px, py) * scale).real
-    prod_spec = np.fft.fft2(fv * gv) / scale
-    return ScalarField.from_spectrum(grid, _truncate_spectrum(prod_spec, grid.nx, grid.ny))
+        return Field(grid, f.values * g.values)
+    comps = np.broadcast_shapes(f.values.shape[:-2], g.values.shape[:-2])
+    fs = np.broadcast_to(f.spectrum, comps + grid.shape)
+    gs = np.broadcast_to(g.spectrum, comps + grid.shape)
+    # Mode j sits at index j mod p on the padded grid.
+    kept = np.ix_(grid.modes_x.astype(np.intp) % (pad_factor * grid.nx),
+                  grid.modes_y.astype(np.intp) % (pad_factor * grid.ny))
+    lifted = np.zeros((pad_factor * grid.nx, pad_factor * grid.ny), dtype=np.complex128)
+    out = np.empty(comps + grid.shape, dtype=np.complex128)
+    for k in np.ndindex(comps):
+        lifted[kept] = fs[k]
+        fv = np.fft.ifft2(lifted, norm="forward").real
+        lifted[kept] = gs[k]
+        gv = np.fft.ifft2(lifted, norm="forward").real
+        out[k] = np.fft.fft2(fv * gv, norm="forward")[kept]
+    return Field.from_spectrum(grid, out)
 
 
-def scale_field(w: VectorField, s: ScalarField, pad_factor: int = DEFAULT_PAD_FACTOR) -> VectorField:
-    """Vector field scaled by a scalar field, components dealiased."""
-    return VectorField(
-        pointwise_product(w.u1, s, pad_factor),
-        pointwise_product(w.u2, s, pad_factor),
-    )
+def dot(J: Field, v: Field, pad_factor: int = DEFAULT_PAD_FACTOR) -> Field:
+    """Matrix-vector product (J v)_i = sum_j J_ij v_j with dealiased products."""
+    p = pointwise_product(J, v[None], pad_factor)
+    return p[:, 0] + p[:, 1]
+
+
+def tdot(J: Field, w: Field, pad_factor: int = DEFAULT_PAD_FACTOR) -> Field:
+    """Transposed product (J^T w)_i = sum_j J_ji w_j with dealiased products."""
+    p = pointwise_product(J, w[:, None], pad_factor)
+    return p[0] + p[1]
+
+
+def det(J: Field) -> Field:
+    """Pointwise determinant of a 2x2 matrix field."""
+    v = J.values
+    return Field(J.grid, v[0, 0] * v[1, 1] - v[0, 1] * v[1, 0])
 
 
 def eval_spectra(grid: TorusGrid, spectra: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Direct trigonometric summation of stacked spectra at arbitrary points.
+    """Direct trigonometric summation of a stack of spectra at arbitrary points.
 
-    spectra has shape (nf, nx, ny); returns real values of shape (nf, npoints).
-    The basis matrices are shared across the stack, so evaluating several
-    fields at one point set costs little more than evaluating one.
+    spectra has shape (*components, nx, ny) and xs, ys share one shape;
+    returns real values of shape (*components, *xs.shape).  The basis
+    matrices are shared across the stack, so evaluating several fields at
+    one point set costs little more than evaluating one.
     """
-    spectra = np.atleast_3d(np.asarray(spectra, dtype=np.complex128))
+    spectra = np.asarray(spectra, dtype=np.complex128)
+    shape = np.shape(xs)
     xs = np.asarray(xs, dtype=np.float64).ravel()
     ys = np.asarray(ys, dtype=np.float64).ravel()
     ex = np.exp((2j * np.pi) * np.outer(xs, grid.modes_x))
     ey = np.exp((2j * np.pi) * np.outer(ys, grid.modes_y))
-    partial = np.tensordot(ex, spectra, axes=([1], [1]))  # (npts, nf, ny)
-    return np.einsum("pfy,py->fp", partial, ey).real
+    partial = np.tensordot(ex, spectra.reshape((-1,) + grid.shape), axes=([1], [1]))  # (npts, nf, ny)
+    vals = np.einsum("pfy,py->fp", partial, ey).real
+    return vals.reshape(spectra.shape[:-2] + shape)
 
 
-def eval_offgrid(f: ScalarField, points: np.ndarray) -> np.ndarray:
+def eval_offgrid(f: Field, points: np.ndarray) -> np.ndarray:
     """Evaluate the trigonometric interpolant of f at (x, y) points."""
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-    return eval_spectra(f.grid, f.spectrum[None, :, :], pts[:, 0], pts[:, 1])[0]
+    return eval_spectra(f.grid, f.spectrum, pts[:, 0], pts[:, 1])
 
 
-def eval_vector_offgrid(u: VectorField, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate both components of u at the given coordinates (shared basis)."""
-    spectra = np.stack([u.u1.spectrum, u.u2.spectrum])
-    shape = np.asarray(xs).shape
-    vals = eval_spectra(u.grid, spectra, xs, ys)
-    return vals[0].reshape(shape), vals[1].reshape(shape)
+def cosine_mode(grid: TorusGrid, j1: int, j2: int, amplitude: float = 1.0,
+                direction=(1.0, 1.0)) -> Field:
+    """Vector field amplitude * cos(2*pi*(j1 x + j2 y)) * direction."""
+    if abs(j1) >= grid.nx // 2 or abs(j2) >= grid.ny // 2:
+        raise ValueError(f"mode ({j1}, {j2}) is not resolvable on grid {grid.shape}")
+    X, Y = grid.mesh
+    wave = amplitude * np.cos(TWO_PI * (j1 * X + j2 * Y))
+    return Field(grid, np.multiply.outer(np.asarray(direction, dtype=np.float64), wave))
 
 
-def random_bandlimited(grid: TorusGrid, seed: int, kmax: int, amplitude: float) -> VectorField:
-    """Reproducible random real field with modes |j1|, |j2| <= kmax.
+def random_bandlimited(grid: TorusGrid, seed: int, kmax: int, amplitude: float) -> Field:
+    """Reproducible random real vector field with modes |j1|, |j2| <= kmax.
 
     The sup-norm over both components is scaled to `amplitude`.
     """
@@ -464,12 +410,8 @@ def random_bandlimited(grid: TorusGrid, seed: int, kmax: int, amplitude: float) 
         raise ValueError(f"kmax={kmax} too large for grid {grid.shape}")
     rng = np.random.default_rng(seed)
     mask = (np.abs(grid.modes_x)[:, None] <= kmax) & (np.abs(grid.modes_y)[None, :] <= kmax)
-    comps = []
-    for _ in range(2):
-        raw = rng.standard_normal(grid.shape)
-        spec = np.fft.fft2(raw) / (grid.nx * grid.ny)
-        comps.append(ScalarField.from_spectrum(grid, np.where(mask, spec, 0.0)))
-    u = VectorField(comps[0], comps[1])
+    spec = np.fft.fft2(rng.standard_normal((2,) + grid.shape), norm="forward")
+    u = Field.from_spectrum(grid, np.where(mask, spec, 0.0))
     sup = u.sup_norm()
     if sup == 0.0 or amplitude == 0.0:
         return VectorField.zero(grid)

@@ -22,18 +22,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dynamics import validate_b
+from .dynamics import momentum_transport, validate_b
 from .spectral import (
     DEFAULT_PAD_FACTOR,
-    ScalarField,
+    TWO_PI,
+    Field,
     TorusGrid,
-    VectorField,
-    divergence,
-    gradient,
+    cosine_mode,
     helmholtz,
     helmholtz_inverse,
     make_grid,
-    scale_field,
 )
 
 __all__ = [
@@ -49,8 +47,6 @@ __all__ = [
     "verify_theorem",
     "mode_velocity",
 ]
-
-TWO_PI = 2.0 * np.pi
 
 DEFAULT_TOLERANCE = 1e-11
 
@@ -148,29 +144,17 @@ class MultiplierOperator:
             )
         return vals
 
-    def apply(self, u: VectorField, inverse: bool = False) -> VectorField:
+    def apply(self, u: Field, inverse: bool = False) -> Field:
         vals = self.values(u.grid)
         if inverse:
             vals = 1.0 / vals
-        return VectorField(
-            ScalarField.from_spectrum(u.grid, u.u1.spectrum * vals),
-            ScalarField.from_spectrum(u.grid, u.u2.spectrum * vals),
-        )
+        return Field.from_spectrum(u.grid, u.spectrum * vals)
 
 
 HELMHOLTZ_OPERATOR = MultiplierOperator("helmholtz", lambda ksq: 1.0 + ksq)
 
 
-def _momentum_transport(u: VectorField, m: VectorField, div_coeff: float,
-                        pad_factor: int) -> VectorField:
-    du = divergence(u)
-    out = gradient(m).dot(u, pad_factor) + gradient(u).tdot(m, pad_factor)
-    if div_coeff != 0.0:
-        out = out + div_coeff * scale_field(m, du, pad_factor)
-    return out
-
-
-def gl1_residual(u: VectorField, b, a_spec: MultiplierOperator = HELMHOLTZ_OPERATOR,
+def gl1_residual(u: Field, b, a_spec: MultiplierOperator = HELMHOLTZ_OPERATOR,
                  pad_factor: int = DEFAULT_PAD_FACTOR) -> float:
     """Sup-norm gap between the metric Euler equation for the operator a_spec
     and the b-family momentum equation for the Helmholtz operator.
@@ -181,23 +165,17 @@ def gl1_residual(u: VectorField, b, a_spec: MultiplierOperator = HELMHOLTZ_OPERA
     b = validate_b(b)
     if not isinstance(a_spec, MultiplierOperator):
         raise TypeError("unsupported operator descriptor")
-    au = a_spec.apply(u)
+    # The metric Euler equation is the b = 2 transport of the momentum a_spec(u).
     metric_side = a_spec.apply(
-        _momentum_transport(u, au, 1.0, pad_factor), inverse=True
+        momentum_transport(a_spec.apply(u), u, 2.0, pad_factor), inverse=True
     )
-    lu = helmholtz(u)
-    family_side = helmholtz_inverse(
-        _momentum_transport(u, lu, b - 1.0, pad_factor)
-    )
+    family_side = helmholtz_inverse(momentum_transport(helmholtz(u), u, b, pad_factor))
     return (metric_side - family_side).sup_norm()
 
 
-def mode_velocity(grid: TorusGrid, mode: ModeIndex, amplitude: float = 1.0) -> VectorField:
+def mode_velocity(grid: TorusGrid, mode: ModeIndex, amplitude: float = 1.0) -> Field:
     """Real part of amplitude * e^{i n.z} (1,1) sampled on the grid."""
-    X, Y = grid.mesh
-    vals = amplitude * np.cos(TWO_PI * (mode.n1 * X + mode.n2 * Y))
-    f = ScalarField(grid, vals)
-    return VectorField(f, f)
+    return cosine_mode(grid, mode.n1, mode.n2, amplitude)
 
 
 @dataclass(frozen=True)

@@ -58,6 +58,21 @@ class TestConfigHandling:
         cfg = write_config(tmp_path, {"initial_condition": {"type": "vortex"}})
         assert run("simulate", "--config", cfg, "--out", str(tmp_path / "out")) == 1
 
+    @pytest.mark.parametrize("change", [
+        {"pad_factor": 1.7},
+        {"grid": [16.5, 16]},
+        {"b": True},
+        {"dt": "0.001"},
+        {"initial_condition": {"type": "random", "seed": 0, "kmax": -1, "amplitude": 0.02}},
+        {"initial_condition": {"type": "random", "seed": 0, "kmax": 2, "amplitude": float("nan")}},
+    ], ids=["fractional-pad", "fractional-grid", "bool-b", "string-dt", "negative-kmax", "nan-amplitude"])
+    def test_bad_values_rejected_before_compute(self, tmp_path, capsys, change):
+        cfg = write_config(tmp_path, dict(FAST_SIM, **change))
+        assert run("simulate", "--config", cfg, "--out", str(tmp_path / "out")) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: ")
+        assert not (tmp_path / "out").exists()
+
     def test_unresolvable_mode_rejected(self, tmp_path):
         cfg = write_config(tmp_path, dict(FAST_SIM, initial_condition={
             "type": "modes", "modes": [{"j1": 12, "j2": 0, "amplitude": 0.1}],
@@ -142,6 +157,24 @@ class TestGeodesic:
         assert body["body_momentum_drift"] <= 1e-6
         header = (out / "diffeo_final.csv").read_text().splitlines()[2]
         assert header == "x,y,d1,d2"
+
+    def test_orientation_abort_keeps_partial_outputs(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "grid": [16, 16],
+            "t_end": 0.02,
+            "dt": 5e-3,
+            "det_floor": 0.9999,
+            "initial_condition": {"type": "random", "seed": 0, "kmax": 2, "amplitude": 0.02},
+        })
+        out = tmp_path / "out"
+        assert run("geodesic", "--config", cfg, "--out", str(out)) == 2
+        assert "runtime abort" in capsys.readouterr().err
+        body = json.loads((out / "geodesic.json").read_text())
+        assert body["aborted"] is True
+        assert 0.0 <= body["recorded_until"] < 0.02
+        lines = (out / "diffeo_final.csv").read_text().splitlines()
+        assert lines[2] == "x,y,d1,d2"
+        assert len(lines) == 3 + 16 * 16
 
 
 class TestCurvature:

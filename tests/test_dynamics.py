@@ -23,6 +23,7 @@ from torusflow.dynamics import (
     integrate_1d,
     mch2_rhs,
     rhs_1d_b,
+    rk4,
     rk4_step,
     validate_b,
 )
@@ -30,6 +31,7 @@ from torusflow.spectral import (
     ScalarField,
     VectorField,
     divergence,
+    dot,
     gradient,
     helmholtz,
     helmholtz_inverse,
@@ -201,7 +203,7 @@ class TestAdStar:
         c = VectorField.constant(grid64, 0.3, -0.2)
         w = random_bandlimited(grid64, seed=62, kmax=3, amplitude=0.5)
         aw = helmholtz(w)
-        expected = helmholtz_inverse(gradient(aw).dot(c))
+        expected = helmholtz_inverse(dot(gradient(aw), c))
         assert (ad_star(c, w) - expected).sup_norm() < 1e-12
 
     @pytest.mark.parametrize("b", [2.0, 2.7])
@@ -311,6 +313,22 @@ class TestIntegration:
         )
         assert report.hamiltonian_drift == pytest.approx(0.5)
         assert report.h1_drift == pytest.approx(0.5)
+
+
+class TestRK4:
+    def test_linear_ode_step_is_the_quartic_taylor_polynomial(self, grid16):
+        u = random_bandlimited(grid16, seed=86, kmax=3, amplitude=0.7)
+        lam, dt = -2.5, 0.1
+        z = lam * dt
+        got = rk4(lambda t, y: lam * y, 0.0, u, dt)
+        expected = u.values * (1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0)
+        assert np.max(np.abs(got.values - expected)) <= 8 * np.finfo(float).eps * u.sup_norm()
+
+    def test_stages_see_their_times(self):
+        # dy/dt = t is integrated exactly: y(t0 + dt) - y(t0) = dt (t0 + dt / 2)
+        t0, dt = 0.3, 0.25
+        got = rk4(lambda t, y: t, t0, 1.0, dt)
+        assert got == pytest.approx(1.0 + dt * (t0 + dt / 2.0), rel=1e-15)
 
 
 class TestOneDimensional:
