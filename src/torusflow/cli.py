@@ -3,24 +3,25 @@
 Subcommands: simulate, geodesic, curvature, verify, reduce1d.
 Exit codes: 0 pass, 1 config error, 2 runtime abort (blow-up or loss of
 invertibility, partial outputs retained where possible), 3 a tolerance gate
-failed.  Identical config and seed give byte-identical outputs; unknown
-config keys are rejected rather than ignored.
+failed.  Identical config and seed give byte-identical outputs.  Each
+subcommand's config is checked in full against its schema, unknown keys
+included, before any compute or output; exit 1 means only that check failed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
-from .curvature import basis_field, closed_form_S, mode_field, sectional_formula
+from .curvature import PAIRINGS, basis_field, closed_form_S, mode_field, sectional_formula
 from .dynamics import (
     BlowupError,
+    _step_count,
     check_commuting_identity,
     check_metric_compatibility,
     conservation_report,
@@ -29,6 +30,7 @@ from .dynamics import (
     integrate,
     integrate_1d,
     mch2_rhs,
+    profile_1d,
 )
 from .flow import (
     InversionError,
@@ -54,7 +56,7 @@ from .spectral import (
     make_grid,
     random_bandlimited,
 )
-from .uniqueness import verify_theorem
+from .uniqueness import ModeIndex, verify_theorem
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -70,180 +72,278 @@ class ConfigError(Exception):
 
 
 # --------------------------------------------------------------------------
-# Configuration plumbing.
+# Config schema.
+#
+# A schema maps each key to (default, check), or to a nested schema for an
+# object with fixed keys.  A check takes (value, name) and returns the typed
+# value or raises ConfigError.  Checking a config yields the typed values the
+# handlers use and the echo: the supplied config over the defaults, which is
+# what the digest and the reports record.
+
+
+def _int(minimum: int | None = None):
+    """Ints and integral floats pass, bools, strings and fractions do not."""
+    def check(value, name: str) -> int:
+        integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+        if isinstance(value, bool) or not integral:
+            raise ConfigError(f"{name} must be an integer, not {value!r}")
+        if minimum is not None and value < minimum:
+            raise ConfigError(f"{name} must be >= {minimum}, not {value!r}")
+        return int(value)
+    return check
+
+
+def _float(minimum: float | None = None, strict: bool = False, nullable: bool = False):
+    """A finite number >= minimum (> minimum if strict); None passes if nullable."""
+    def check(value, name: str) -> float | None:
+        if value is None and nullable:
+            return None
+        if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or not abs(value) <= sys.float_info.max:  # NaN, infinities, ints past float range
+            raise ConfigError(f"{name} must be a finite number{' or null' if nullable else ''}, not {value!r}")
+        if minimum is not None and (value <= minimum if strict else value < minimum):
+            raise ConfigError(f"{name} must be {'>' if strict else '>='} {minimum:g}, not {value!r}")
+        return float(value)
+    return check
+
+
+def _bool(value, name: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, not {value!r}")
+    return value
+
+
+def _choice(*options):
+    def check(value, name: str):
+        if value not in options:
+            raise ConfigError(f"{name} must be one of {', '.join(options)}, not {value!r}")
+        return value
+    return check
+
+
+def _list(item, length: int | None = None, nonempty: bool = False):
+    """A list whose entries all pass item."""
+    def check(value, name: str) -> list:
+        size = f" of {length} entries" if length is not None else ""
+        if not isinstance(value, list) or size and len(value) != length or nonempty and not value:
+            raise ConfigError(f"{name} must be a{' non-empty' if nonempty else ''} list{size}, not {value!r}")
+        return [item(v, f"{name}[{i}]") for i, v in enumerate(value)]
+    return check
+
+
+class _Union:
+    """An object whose "type" entry picks its schema; its echo is its checked form."""
+
+    def __init__(self, **variants):
+        self.variants = variants
+        self.pick = _choice(*variants)
+
+    def __call__(self, value, name: str) -> dict:
+        if not isinstance(value, dict):
+            raise ConfigError(f"{name} must be an object")
+        kind = self.pick(value.get("type"), f"{name}.type")
+        return _check_object({"type": (kind, self.pick), **self.variants[kind]}, value, name)[0]
+
+
+def _check_object(schema: dict, value, name: str = "") -> tuple[dict, dict]:
+    """Typed values and echo of one config object; name is empty at the root."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be an object")
+    unknown = sorted(set(value) - set(schema))
+    if unknown:
+        where = f" in {name}" if name else ""
+        raise ConfigError(f"unknown config key(s){where}: {', '.join(unknown)}")
+    typed, echo = {}, {}
+    for key, spec in schema.items():
+        where = f"{name}.{key}" if name else key
+        if isinstance(spec, dict):
+            typed[key], echo[key] = _check_object(spec, value.get(key, {}), where)
+            continue
+        default, check = spec
+        raw = value.get(key, default)
+        typed[key] = check(raw, where)
+        echo[key] = typed[key] if isinstance(check, _Union) else raw
+    return typed, echo
+
+
+GRID = _list(_int(), length=2)
+FLOATS = _list(_float())
+COUNT = _int(minimum=0)
+TOLERANCE = _float(minimum=0.0)
+GATE = _float(minimum=0.0, nullable=True)  # a tolerance that null switches off
+B = (2.0, _float())
+PAD_FACTOR = (2, _int(minimum=1))
+RECORD_STRIDE = (1, _int(minimum=1))
+SNAPSHOTS = (False, _bool)
+MODE = {
+    "j1": (0, _int()),
+    "j2": (0, _int()),
+    "amplitude": (0.0, _float()),
+    "component": ("both", _choice(*MODE_DIRECTIONS)),
+}
+INITIAL_CONDITION = ({"type": "random"}, _Union(
+    random={"seed": (0, COUNT), "kmax": (2, COUNT), "amplitude": (0.02, _float())},
+    modes={"modes": (None, _list(lambda v, name: _check_object(MODE, v, name)[0], nonempty=True))},
+))
+
+SIMULATE = {
+    "grid": ([32, 32], GRID),
+    "b": B,
+    "initial_condition": INITIAL_CONDITION,
+    "dt": (1e-3, _float()),
+    "t_end": (0.1, _float()),
+    "record_stride": RECORD_STRIDE,
+    "pad_factor": PAD_FACTOR,
+    "blowup_factor": (1e3, _float(minimum=0.0, strict=True)),
+    "snapshots": SNAPSHOTS,
+    "tolerances": {"hamiltonian_drift": (None, GATE)},
+}
+
+GEODESIC = {
+    "grid": ([32, 32], GRID),
+    "b": B,
+    "initial_condition": INITIAL_CONDITION,
+    "dt": (5e-3, _float()),
+    "t_end": (0.2, _float()),
+    "record_stride": RECORD_STRIDE,
+    "pad_factor": PAD_FACTOR,
+    "det_floor": (1e-3, _float()),
+    "snapshots": SNAPSHOTS,
+    "tolerances": {"body_momentum_drift": (None, GATE)},
+}
+
+CURVATURE = {
+    "grid": ([64, 64], GRID),
+    "k_range": ([1, 2, 3], _list(_int())),
+    "basis": ([1], _list(_int())),
+    "pairing": ("metric", _choice(*PAIRINGS)),
+    "pad_factor": PAD_FACTOR,
+    "tolerances": {"two_route": (1e-7, GATE)},
+}
+
+VERIFY = {
+    "grid": ([32, 32], GRID),
+    "b_list": ([2.0, 3.0, 4.0], FLOATS),
+    "mode_list": ([[1, 0], [0, 1], [1, 1], [2, 1]], _list(_list(_int(), length=2), nonempty=True)),
+    "identity_samples": (5, COUNT),
+    "kmax": (3, COUNT),
+    "amplitude": (0.5, _float()),
+    "seed": (0, COUNT),
+    "pad_factor": PAD_FACTOR,
+    "tolerances": {
+        "identity": (1e-10, TOLERANCE),
+        "uniqueness_zero": (1e-11, TOLERANCE),
+        "uniqueness_nonzero": (1e-3, TOLERANCE),
+    },
+}
+
+REDUCE1D = {
+    "n": (64, _int()),
+    "ny": (8, _int()),
+    "b_list": ([2.0, 3.0], FLOATS),
+    "dt": (1e-3, _float()),
+    "t_end": (0.05, _float()),
+    "mch2_steps": (5, COUNT),
+    "seed": (0, COUNT),
+    "kmax": (3, COUNT),
+    "amplitude": (0.1, _float()),
+    "pad_factor": PAD_FACTOR,
+    "tolerances": {"reduction": (1e-9, TOLERANCE), "mch2": (1e-10, TOLERANCE)},
+}
+
+
+# Cross-field rules, each enforced by the library code that owns it.  They
+# replace the grid pair with a TorusGrid and the initial condition with its
+# field.
+
+
+def _build_initial(grid, ic: dict):
+    if ic["type"] == "random":
+        return random_bandlimited(grid, ic["seed"], ic["kmax"], ic["amplitude"])
+    return sum((cosine_mode(grid, m["j1"], m["j2"], m["amplitude"], MODE_DIRECTIONS[m["component"]])
+                for m in ic["modes"]), VectorField.zero(grid))
+
+
+def _march_rules(p: dict) -> None:
+    p["grid"] = make_grid(*p["grid"])
+    _step_count(p["t_end"], p["dt"])
+    p["initial_condition"] = _build_initial(p["grid"], p["initial_condition"])
+
+
+def _curvature_rules(p: dict) -> None:
+    grid = p["grid"] = make_grid(*p["grid"])
+    for j in p["k_range"]:
+        mode_field(grid, TWO_PI * j, TWO_PI * j)
+    for i in p["basis"]:
+        basis_field(grid, i)
+
+
+def _verify_rules(p: dict) -> None:
+    p["grid"] = make_grid(*p["grid"])
+    for pair in p["mode_list"]:
+        ModeIndex(*pair)
+    random_bandlimited(p["grid"], p["seed"], p["kmax"], p["amplitude"])
+
+
+def _reduce1d_rules(p: dict) -> None:
+    p["grid"] = make_grid(p["n"], p["ny"])
+    _step_count(p["t_end"], p["dt"])
+
+
+def _parse(schema: dict, rules, raw: dict, seed: int | None) -> tuple[dict, dict]:
+    """Typed values and echo of a subcommand config, with --seed applied."""
+    if seed is not None and "seed" in schema:
+        raw = dict(raw, seed=seed)
+    elif seed is not None and "initial_condition" in schema:
+        ic = raw.get("initial_condition", INITIAL_CONDITION[0])
+        if isinstance(ic, dict) and ic.get("type") == "random":
+            raw = dict(raw, initial_condition=dict(ic, seed=seed))
+    params, echo = _check_object(schema, raw)
+    try:
+        rules(params)
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
+    return params, echo
 
 
 def _load_config(path) -> dict:
     if path is None:
         return {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        cfg = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}")
-    try:
-        cfg = json.loads(text)
-    except json.JSONDecodeError as err:
+    except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise ConfigError(f"malformed JSON in {path}: {err}")
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
     return cfg
 
 
-def _int(value, name: str, minimum: int | None = None) -> int:
-    """A config integer: ints and integral floats pass, bools, strings and fractions do not."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not float(value).is_integer():
-        raise ConfigError(f"{name} must be an integer, not {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{name} must be >= {minimum}, not {value!r}")
-    return int(value)
+# --------------------------------------------------------------------------
+# Handlers take the typed values p, the echo cfg, the output directory and
+# the thread count.  A runtime abort writes partial outputs and re-raises.
 
 
-def _float(value, name: str) -> float:
-    """A finite config number; bools and strings are rejected."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ConfigError(f"{name} must be a finite number, not {value!r}")
-    return float(value)
-
-
-def _tolerances(cfg: dict, required: bool = False) -> dict:
-    """The config's tolerance gates as floats; None switches a gate off unless required."""
-    return {name: None if value is None and not required else _float(value, f"tolerances.{name}")
-            for name, value in cfg["tolerances"].items()}
-
-
-def _merge(defaults: dict, supplied: dict, context: str = "") -> dict:
-    unknown = sorted(set(supplied) - set(defaults))
-    if unknown:
-        where = f" in {context}" if context else ""
-        raise ConfigError(f"unknown config key(s){where}: {', '.join(unknown)}")
-    out = {}
-    for key, default in defaults.items():
-        if key not in supplied:
-            out[key] = json.loads(json.dumps(default))  # deep copy via JSON
-            continue
-        value = supplied[key]
-        if isinstance(default, dict) and key != "initial_condition":
-            if not isinstance(value, dict):
-                raise ConfigError(f"config key {key!r} must be an object")
-            out[key] = _merge(default, value, context=key)
-        else:
-            out[key] = value
-    return out
-
-
-def _normalize_ic(spec, seed_override) -> dict:
-    if not isinstance(spec, dict):
-        raise ConfigError("initial_condition must be an object")
-    kind = spec.get("type")
-    if kind == "random":
-        unknown = sorted(set(spec) - {"type", "seed", "kmax", "amplitude"})
-        if unknown:
-            raise ConfigError(f"unknown initial_condition key(s): {', '.join(unknown)}")
-        out = {
-            "type": "random",
-            "seed": _int(spec.get("seed", 0), "initial_condition.seed"),
-            "kmax": _int(spec.get("kmax", 2), "initial_condition.kmax", minimum=0),
-            "amplitude": _float(spec.get("amplitude", 0.02), "initial_condition.amplitude"),
-        }
-        if seed_override is not None:
-            out["seed"] = int(seed_override)
-        return out
-    if kind == "modes":
-        unknown = sorted(set(spec) - {"type", "modes"})
-        if unknown:
-            raise ConfigError(f"unknown initial_condition key(s): {', '.join(unknown)}")
-        modes = spec.get("modes")
-        if not isinstance(modes, list) or not modes:
-            raise ConfigError("initial_condition.modes must be a non-empty list")
-        normalized = []
-        for entry in modes:
-            if not isinstance(entry, dict):
-                raise ConfigError("each mode must be an object")
-            unknown = sorted(set(entry) - {"j1", "j2", "amplitude", "component"})
-            if unknown:
-                raise ConfigError(f"unknown mode key(s): {', '.join(unknown)}")
-            component = entry.get("component", "both")
-            if component not in MODE_DIRECTIONS:
-                raise ConfigError(f"mode component must be u1, u2, or both, not {component!r}")
-            normalized.append({
-                "j1": _int(entry.get("j1", 0), "mode j1"),
-                "j2": _int(entry.get("j2", 0), "mode j2"),
-                "amplitude": _float(entry.get("amplitude", 0.0), "mode amplitude"),
-                "component": component,
-            })
-        return {"type": "modes", "modes": normalized}
-    raise ConfigError(f"unknown initial_condition type {kind!r}")
-
-
-def _build_initial(grid, ic: dict):
-    if ic["type"] == "random":
-        return random_bandlimited(
-            grid, seed=ic["seed"], kmax=ic["kmax"], amplitude=ic["amplitude"]
-        )
-    u = VectorField.zero(grid)
-    for mode in ic["modes"]:
-        u = u + cosine_mode(grid, mode["j1"], mode["j2"], mode["amplitude"],
-                            MODE_DIRECTIONS[mode["component"]])
-    return u
-
-
-def _grid_from(cfg):
-    spec = cfg["grid"]
-    if (not isinstance(spec, (list, tuple))) or len(spec) != 2:
-        raise ConfigError("grid must be [nx, ny]")
-    return make_grid(_int(spec[0], "grid"), _int(spec[1], "grid"))
-
-
-def _pad_factor(cfg) -> int:
-    return _int(cfg["pad_factor"], "pad_factor", minimum=1)
-
-
-def _bandlimited_profile(n: int, seed: int, kmax: int, amplitude: float) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    x = np.arange(n) / n
-    vals = np.zeros(n)
-    for j in range(1, kmax + 1):
-        a, b = rng.standard_normal(2)
-        vals += a * np.cos(TWO_PI * j * x) + b * np.sin(TWO_PI * j * x)
-    sup = np.max(np.abs(vals))
-    if sup == 0.0:
-        return vals
-    return amplitude / sup * vals
+def _gate_failed(what: str) -> int:
+    print(f"tolerance gate failed: {what}", file=sys.stderr)
+    return EXIT_TOLERANCE
 
 
 # --------------------------------------------------------------------------
 # simulate
 
 
-SIMULATE_DEFAULTS = {
-    "grid": [32, 32],
-    "b": 2.0,
-    "initial_condition": {"type": "random", "seed": 0, "kmax": 2, "amplitude": 0.02},
-    "dt": 1e-3,
-    "t_end": 0.1,
-    "record_stride": 1,
-    "pad_factor": 2,
-    "blowup_factor": 1e3,
-    "snapshots": False,
-    "tolerances": {"hamiltonian_drift": None},
-}
-
-
-def _cmd_simulate(cfg: dict, out: Path, threads: int) -> int:
-    grid = _grid_from(cfg)
-    b = _float(cfg["b"], "b")
-    t_end, dt = _float(cfg["t_end"], "t_end"), _float(cfg["dt"], "dt")
-    stride = _int(cfg["record_stride"], "record_stride", minimum=1)
-    blowup_factor = _float(cfg["blowup_factor"], "blowup_factor")
-    pad = _pad_factor(cfg)
-    tol = _tolerances(cfg)["hamiltonian_drift"]
-    u0 = _build_initial(grid, cfg["initial_condition"])
+def _cmd_simulate(p: dict, cfg: dict, out: Path, threads: int) -> int:
+    """integrate the momentum equation and report conservation"""
+    u0, b = p["initial_condition"], p["b"]
+    tol = p["tolerances"]["hamiltonian_drift"]
     digest = config_digest(cfg)
-    if cfg["snapshots"]:
+    if p["snapshots"]:
         write_field_csv(out / "field_initial.csv", u0, digest)
     try:
-        traj = integrate(u0, b, t_end, dt, record_stride=stride,
-                         blowup_factor=blowup_factor, pad_factor=pad)
+        traj = integrate(u0, b, p["t_end"], p["dt"], record_stride=p["record_stride"],
+                         blowup_factor=p["blowup_factor"], pad_factor=p["pad_factor"])
     except BlowupError as err:
         report = conservation_report(err.partial)
         write_trajectory_csv(out / "trajectory.csv", report, digest)
@@ -254,8 +354,7 @@ def _cmd_simulate(cfg: dict, out: Path, threads: int) -> int:
             "dt": cfg["dt"],
             "recorded_until": report.times[-1],
         }, digest)
-        print(f"runtime abort: {err}", file=sys.stderr)
-        return EXIT_RUNTIME
+        raise
     report = conservation_report(traj)
     write_trajectory_csv(out / "trajectory.csv", report, digest)
     write_json(out / "conservation.json", {
@@ -267,14 +366,10 @@ def _cmd_simulate(cfg: dict, out: Path, threads: int) -> int:
         "h1_drift": report.h1_drift,
         "final_sup_u": traj.final.u.sup_norm(),
     }, digest)
-    if cfg["snapshots"]:
+    if p["snapshots"]:
         write_field_csv(out / "field_final.csv", traj.final.u, digest)
     if tol is not None and report.hamiltonian_drift > tol:
-        print(
-            f"tolerance gate failed: hamiltonian drift {report.hamiltonian_drift:.3g} > {tol:g}",
-            file=sys.stderr,
-        )
-        return EXIT_TOLERANCE
+        return _gate_failed(f"hamiltonian drift {report.hamiltonian_drift:.3g} > {tol:g}")
     return EXIT_OK
 
 
@@ -282,33 +377,15 @@ def _cmd_simulate(cfg: dict, out: Path, threads: int) -> int:
 # geodesic
 
 
-GEODESIC_DEFAULTS = {
-    "grid": [32, 32],
-    "b": 2.0,
-    "initial_condition": {"type": "random", "seed": 0, "kmax": 2, "amplitude": 0.02},
-    "dt": 5e-3,
-    "t_end": 0.2,
-    "record_stride": 1,
-    "pad_factor": 2,
-    "det_floor": 1e-3,
-    "snapshots": False,
-    "tolerances": {"body_momentum_drift": None},
-}
-
-
-def _cmd_geodesic(cfg: dict, out: Path, threads: int) -> int:
-    grid = _grid_from(cfg)
-    b = _float(cfg["b"], "b")
-    t_end, dt = _float(cfg["t_end"], "t_end"), _float(cfg["dt"], "dt")
-    stride = _int(cfg["record_stride"], "record_stride", minimum=1)
-    det_floor = _float(cfg["det_floor"], "det_floor")
-    pad = _pad_factor(cfg)
-    tol = _tolerances(cfg)["body_momentum_drift"]
-    u0 = _build_initial(grid, cfg["initial_condition"])
+def _cmd_geodesic(p: dict, cfg: dict, out: Path, threads: int) -> int:
+    """integrate the deformation-map form and report body momentum"""
+    b = p["b"]
+    tol = p["tolerances"]["body_momentum_drift"]
     digest = config_digest(cfg)
     try:
-        traj = geodesic_integrate(u0, b, t_end, dt, record_stride=stride,
-                                  det_floor=det_floor, pad_factor=pad)
+        traj = geodesic_integrate(p["initial_condition"], b, p["t_end"], p["dt"],
+                                  record_stride=p["record_stride"], det_floor=p["det_floor"],
+                                  pad_factor=p["pad_factor"])
     except (BlowupError, InversionError, OrientationError) as err:
         last = err.partial.final
         write_diffeo_csv(out / "diffeo_final.csv", last.phi, digest)
@@ -319,8 +396,7 @@ def _cmd_geodesic(cfg: dict, out: Path, threads: int) -> int:
             "dt": cfg["dt"],
             "recorded_until": last.t,
         }, digest)
-        print(f"runtime abort: {err}", file=sys.stderr)
-        return EXIT_RUNTIME
+        raise
     # One inversion per recorded state, warm started from the previous
     # state's inverse shifted by minus the change in displacement (the
     # inverse of z + d is about z - d); the first inverse serves the
@@ -337,7 +413,7 @@ def _cmd_geodesic(cfg: dict, out: Path, threads: int) -> int:
     final = traj.final
     u_final = eulerian_velocity(final, psi)
     write_diffeo_csv(out / "diffeo_final.csv", final.phi, digest)
-    if cfg["snapshots"]:
+    if p["snapshots"]:
         write_field_csv(out / "velocity_final.csv", u_final, digest)
     write_json(out / "geodesic.json", {
         "aborted": False,
@@ -349,26 +425,12 @@ def _cmd_geodesic(cfg: dict, out: Path, threads: int) -> int:
         "final_velocity_sup": u_final.sup_norm(),
     }, digest)
     if tol is not None and drift > tol:
-        print(
-            f"tolerance gate failed: body momentum drift {drift:.3g} > {tol:g}",
-            file=sys.stderr,
-        )
-        return EXIT_TOLERANCE
+        return _gate_failed(f"body momentum drift {drift:.3g} > {tol:g}")
     return EXIT_OK
 
 
 # --------------------------------------------------------------------------
 # curvature
-
-
-CURVATURE_DEFAULTS = {
-    "grid": [64, 64],
-    "k_range": [1, 2, 3],
-    "basis": [1],
-    "pairing": "metric",
-    "pad_factor": 2,
-    "tolerances": {"two_route": 1e-7},
-}
 
 
 def _curvature_case(grid, i: int, j1: int, j2: int, pairing: str, pad_factor: int) -> dict:
@@ -385,21 +447,15 @@ def _curvature_case(grid, i: int, j1: int, j2: int, pairing: str, pad_factor: in
     }
 
 
-def _cmd_curvature(cfg: dict, out: Path, threads: int) -> int:
-    grid = _grid_from(cfg)
-    k_range = [_int(j, "k_range") for j in cfg["k_range"]]
-    basis = [_int(i, "basis") for i in cfg["basis"]]
-    pad = _pad_factor(cfg)
-    tol = _tolerances(cfg)["two_route"]
-    if any(i not in (1, 2) for i in basis):
-        raise ConfigError("basis entries must be 1 or 2")
-    if any(j < 1 or j >= min(grid.nx, grid.ny) // 2 for j in k_range):
-        raise ConfigError("k_range entries must sit inside the grid's resolvable band")
+def _cmd_curvature(p: dict, cfg: dict, out: Path, threads: int) -> int:
+    """sweep closed-form curvature planes through both routes"""
+    k_range = p["k_range"]
+    tol = p["tolerances"]["two_route"]
     digest = config_digest(cfg)
-    cases = [(i, j1, j2) for i in basis for j1 in k_range for j2 in k_range]
+    cases = [(i, j1, j2) for i in p["basis"] for j1 in k_range for j2 in k_range]
     with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
         rows = list(pool.map(
-            lambda c: _curvature_case(grid, *c, cfg["pairing"], pad),
+            lambda c: _curvature_case(p["grid"], *c, p["pairing"], p["pad_factor"]),
             cases,
         ))
     write_curvature_csv(out / "curvature.csv", rows, digest)
@@ -411,11 +467,7 @@ def _cmd_curvature(cfg: dict, out: Path, threads: int) -> int:
     }
     write_json(out / "curvature_summary.json", summary, digest)
     if tol is not None and max_gap > tol:
-        print(
-            f"tolerance gate failed: two-route disagreement {max_gap:.3g} > {tol:g}",
-            file=sys.stderr,
-        )
-        return EXIT_TOLERANCE
+        return _gate_failed(f"two-route disagreement {max_gap:.3g} > {tol:g}")
     return EXIT_OK
 
 
@@ -423,43 +475,17 @@ def _cmd_curvature(cfg: dict, out: Path, threads: int) -> int:
 # verify
 
 
-VERIFY_DEFAULTS = {
-    "grid": [32, 32],
-    "b_list": [2.0, 3.0, 4.0],
-    "mode_list": [[1, 0], [0, 1], [1, 1], [2, 1]],
-    "identity_samples": 5,
-    "kmax": 3,
-    "amplitude": 0.5,
-    "seed": 0,
-    "pad_factor": 2,
-    "tolerances": {
-        "identity": 1e-10,
-        "uniqueness_zero": 1e-11,
-        "uniqueness_nonzero": 1e-3,
-    },
-}
-
-
-def _cmd_verify(cfg: dict, out: Path, threads: int) -> int:
-    grid = _grid_from(cfg)
-    pad = _pad_factor(cfg)
-    tol = _tolerances(cfg, required=True)
-    b_list = [_float(b, "b_list") for b in cfg["b_list"]]
-    mode_list = [tuple(_int(v, "mode_list") for v in m) for m in cfg["mode_list"]]
-    seed = _int(cfg["seed"], "seed")
-    n = _int(cfg["identity_samples"], "identity_samples", minimum=0)
-    kmax = _int(cfg["kmax"], "kmax", minimum=0)
-    amp = _float(cfg["amplitude"], "amplitude")
+def _cmd_verify(p: dict, cfg: dict, out: Path, threads: int) -> int:
+    """run the identity and uniqueness residual suites"""
+    pad, tol, b_list, n = p["pad_factor"], p["tolerances"], p["b_list"], p["identity_samples"]
     digest = config_digest(cfg)
 
-    report = verify_theorem(b_list, mode_list, tolerance=tol["uniqueness_zero"])
-    rows = []
-    for row in report.as_rows():
-        row["expected_fail"] = row["b"] != 2.0
-        rows.append(row)
+    report = verify_theorem(b_list, p["mode_list"], tolerance=tol["uniqueness_zero"])
+    rows = [dict(row, expected_fail=row["b"] != 2.0) for row in report.as_rows()]
 
     def sample(offset):
-        return random_bandlimited(grid, seed=seed + offset, kmax=kmax, amplitude=amp)
+        return random_bandlimited(p["grid"], seed=p["seed"] + offset, kmax=p["kmax"],
+                                  amplitude=p["amplitude"])
 
     commuting = [
         check_commuting_identity(sample(3 * k), sample(3 * k + 1), pad)
@@ -500,9 +526,7 @@ def _cmd_verify(cfg: dict, out: Path, threads: int) -> int:
         "pass": ok,
     }, digest)
     if not ok:
-        failed = ", ".join(name for name, good in gates.items() if not good)
-        print(f"tolerance gate failed: {failed}", file=sys.stderr)
-        return EXIT_TOLERANCE
+        return _gate_failed(", ".join(name for name, good in gates.items() if not good))
     return EXIT_OK
 
 
@@ -510,56 +534,30 @@ def _cmd_verify(cfg: dict, out: Path, threads: int) -> int:
 # reduce1d
 
 
-REDUCE1D_DEFAULTS = {
-    "n": 64,
-    "ny": 8,
-    "b_list": [2.0, 3.0],
-    "dt": 1e-3,
-    "t_end": 0.05,
-    "mch2_steps": 5,
-    "seed": 0,
-    "kmax": 3,
-    "amplitude": 0.1,
-    "pad_factor": 2,
-    "tolerances": {"reduction": 1e-9, "mch2": 1e-10},
-}
-
-
 def _lift(grid, profile: np.ndarray) -> np.ndarray:
     return np.tile(profile[:, None], (1, grid.ny))
 
 
-def _cmd_reduce1d(cfg: dict, out: Path, threads: int) -> int:
-    n, ny = _int(cfg["n"], "n"), _int(cfg["ny"], "ny")
-    grid = make_grid(n, ny)
-    pad = _pad_factor(cfg)
-    dt, t_end = _float(cfg["dt"], "dt"), _float(cfg["t_end"], "t_end")
-    seed = _int(cfg["seed"], "seed")
-    kmax = _int(cfg["kmax"], "kmax", minimum=0)
-    amp = _float(cfg["amplitude"], "amplitude")
-    b_list = [_float(b, "b_list") for b in cfg["b_list"]]
-    steps = _int(cfg["mch2_steps"], "mch2_steps", minimum=0)
-    tol = _tolerances(cfg, required=True)
+def _cmd_reduce1d(p: dict, cfg: dict, out: Path, threads: int) -> int:
+    """check the y-independent 1D and two-component reductions"""
+    grid, pad, dt, t_end, tol = p["grid"], p["pad_factor"], p["dt"], p["t_end"], p["tolerances"]
     digest = config_digest(cfg)
-    g0 = _bandlimited_profile(n, seed, kmax, amp)
-    w0 = _bandlimited_profile(n, seed + 1, kmax, amp)
+    g0 = profile_1d(p["n"], p["seed"], p["kmax"], p["amplitude"])
+    w0 = profile_1d(p["n"], p["seed"] + 1, p["kmax"], p["amplitude"])
 
     rows = []
-    all_ok = True
     n_steps = int(round(t_end / dt))
     u0 = VectorField.from_values(grid, _lift(grid, g0), np.zeros(grid.shape))
-    for b in b_list:
+    for b in p["b_list"]:
         traj = integrate(u0, b, t_end, dt, record_stride=max(1, n_steps), pad_factor=pad)
         final_1d = integrate_1d(g0, b, t_end, dt, pad_factor=pad)
         gap = float(np.max(np.abs(traj.final.u.values[0, :, 0] - final_1d)))
-        row_ok = gap <= tol["reduction"]
-        rows.append({"b": b, "reduction_residual": gap, "pass": row_ok})
-        all_ok = all_ok and row_ok
+        rows.append({"b": b, "reduction_residual": gap, "pass": gap <= tol["reduction"]})
 
     # y-independent two-component embedding: compare planar momentum rates
     # against the coupled 1D system along a short b = 2 run.
     u_embed = VectorField.from_values(grid, _lift(grid, g0), _lift(grid, w0))
-    traj = integrate(u_embed, 2.0, steps * dt, dt, record_stride=1, pad_factor=pad)
+    traj = integrate(u_embed, 2.0, p["mch2_steps"] * dt, dt, record_stride=1, pad_factor=pad)
     mch2_worst = 0.0
     for state in traj.states:
         v, w = state.u.values[:, :, 0]
@@ -568,7 +566,7 @@ def _cmd_reduce1d(cfg: dict, out: Path, threads: int) -> int:
         gap = float(np.max(np.abs(m_t - np.stack([q_t, rho_t]))))
         mch2_worst = max(mch2_worst, gap)
     mch2_ok = mch2_worst <= tol["mch2"]
-    all_ok = all_ok and mch2_ok
+    all_ok = mch2_ok and all(row["pass"] for row in rows)
 
     write_json(out / "reduction.json", {
         "rows": rows,
@@ -577,8 +575,7 @@ def _cmd_reduce1d(cfg: dict, out: Path, threads: int) -> int:
         "pass": all_ok,
     }, digest)
     if not all_ok:
-        print("tolerance gate failed: 1D reduction residuals", file=sys.stderr)
-        return EXIT_TOLERANCE
+        return _gate_failed("1D reduction residuals")
     return EXIT_OK
 
 
@@ -587,11 +584,11 @@ def _cmd_reduce1d(cfg: dict, out: Path, threads: int) -> int:
 
 
 COMMANDS = {
-    "simulate": (_cmd_simulate, SIMULATE_DEFAULTS),
-    "geodesic": (_cmd_geodesic, GEODESIC_DEFAULTS),
-    "curvature": (_cmd_curvature, CURVATURE_DEFAULTS),
-    "verify": (_cmd_verify, VERIFY_DEFAULTS),
-    "reduce1d": (_cmd_reduce1d, REDUCE1D_DEFAULTS),
+    "simulate": (_cmd_simulate, SIMULATE, _march_rules),
+    "geodesic": (_cmd_geodesic, GEODESIC, _march_rules),
+    "curvature": (_cmd_curvature, CURVATURE, _curvature_rules),
+    "verify": (_cmd_verify, VERIFY, _verify_rules),
+    "reduce1d": (_cmd_reduce1d, REDUCE1D, _reduce1d_rules),
 }
 
 
@@ -604,15 +601,8 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="torusflow", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    help_lines = {
-        "simulate": "integrate the momentum equation and report conservation",
-        "geodesic": "integrate the deformation-map form and report body momentum",
-        "curvature": "sweep closed-form curvature planes through both routes",
-        "verify": "run the identity and uniqueness residual suites",
-        "reduce1d": "check the y-independent 1D and two-component reductions",
-    }
-    for name, line in help_lines.items():
-        sp = sub.add_parser(name, help=line)
+    for name, (handler, _, _) in COMMANDS.items():
+        sp = sub.add_parser(name, help=handler.__doc__)
         sp.add_argument("--config", default=None, help="JSON config file")
         sp.add_argument("--out", default="out", help="output directory")
         sp.add_argument("--seed", type=int, default=None,
@@ -626,20 +616,13 @@ def entry(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        raw = _load_config(args.config)
-        handler, defaults = COMMANDS[args.command]
-        cfg = _merge(defaults, raw)
-        if "initial_condition" in defaults:
-            cfg["initial_condition"] = _normalize_ic(cfg["initial_condition"], args.seed)
-        elif args.seed is not None and "seed" in defaults:
-            cfg["seed"] = int(args.seed)
-        return handler(cfg, Path(args.out), int(args.threads))
+        handler, schema, rules = COMMANDS[args.command]
+        params, cfg = _parse(schema, rules, _load_config(args.config), args.seed)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except ValueError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+    try:
+        return handler(params, cfg, Path(args.out), args.threads)
     except (BlowupError, InversionError, OrientationError) as err:
         print(f"runtime abort: {err}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -37,6 +37,7 @@ from .spectral import (
 )
 
 __all__ = [
+    "PAIRINGS",
     "CurvatureReport",
     "d1_gamma",
     "curvature_tensor",
@@ -63,12 +64,13 @@ class CurvatureReport:
         return abs(self.s_formula - self.s_direct)
 
 
+PAIRINGS = {"metric": h1_inner, "plain": l2_inner}
+
+
 def _pairing(name: str):
-    if name == "metric":
-        return h1_inner
-    if name == "plain":
-        return l2_inner
-    raise ValueError(f"unknown pairing {name!r}; use 'metric' or 'plain'")
+    if name not in PAIRINGS:
+        raise ValueError(f"unknown pairing {name!r}; use 'metric' or 'plain'")
+    return PAIRINGS[name]
 
 
 def d1_gamma(w: Field, u: Field, v: Field, b=2.0,

@@ -61,6 +61,7 @@ __all__ = [
     "rk4_step",
     "integrate",
     "conservation_report",
+    "profile_1d",
     "rhs_1d_b",
     "helmholtz_1d",
     "integrate_1d",
@@ -381,6 +382,18 @@ def _product_1d(f: np.ndarray, g: np.ndarray, pad_factor: int) -> np.ndarray:
     s = p // 2 - n // 2
     kept = np.fft.ifftshift(np.fft.fftshift(spec)[s:s + n])
     return np.fft.ifft(kept * n).real
+
+
+def profile_1d(n: int, seed: int, kmax: int, amplitude: float) -> np.ndarray:
+    """Reproducible random profile with modes 1..kmax, sup-norm scaled to amplitude."""
+    rng = np.random.default_rng(seed)
+    x = np.arange(n) / n
+    vals = np.zeros(n)
+    for j in range(1, kmax + 1):
+        a, b = rng.standard_normal(2)
+        vals += a * np.cos(2.0 * np.pi * j * x) + b * np.sin(2.0 * np.pi * j * x)
+    sup = np.max(np.abs(vals))
+    return vals if sup == 0.0 else amplitude / sup * vals
 
 
 def rhs_1d_b(g, b, pad_factor: int = DEFAULT_PAD_FACTOR) -> np.ndarray:

@@ -31,6 +31,7 @@ from torusflow.dynamics import (
     integrate,
     integrate_1d,
     mch2_rhs,
+    profile_1d,
 )
 from torusflow.flow import body_momentum, eulerian_velocity, geodesic_integrate
 from torusflow.spectral import (
@@ -65,17 +66,6 @@ def announce(num: int, name: str, ok: bool, detail: str = "") -> None:
     else:
         sys.__stdout__.write(line + "\n")
         sys.__stdout__.flush()
-
-
-def profile_1d(n: int, seed: int, kmax: int = 3, amplitude: float = 0.1) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    x = np.arange(n) / n
-    vals = np.zeros(n)
-    for j in range(1, kmax + 1):
-        a, b = rng.standard_normal(2)
-        vals += a * np.cos(TWO_PI * j * x) + b * np.sin(TWO_PI * j * x)
-    sup = np.max(np.abs(vals))
-    return vals if sup == 0.0 else amplitude / sup * vals
 
 
 @pytest.fixture(scope="module")
@@ -250,7 +240,7 @@ def test_08_body_momentum_conservation(geodesic_runs):
 
 def test_09_one_dimensional_reductions():
     grid = make_grid(64, 16)
-    g0 = profile_1d(64, seed=11)
+    g0 = profile_1d(64, seed=11, kmax=3, amplitude=0.1)
     lifted = ScalarField(grid, np.tile(g0[:, None], (1, grid.ny)))
     zero = ScalarField(grid, np.zeros(grid.shape))
     worst = 0.0
@@ -259,7 +249,7 @@ def test_09_one_dimensional_reductions():
         final_1d = integrate_1d(g0, b, 0.1, 1e-3)
         worst = max(worst, float(np.max(np.abs(traj.final.u.u1.values[:, 0] - final_1d))))
 
-    w0 = profile_1d(64, seed=12)
+    w0 = profile_1d(64, seed=12, kmax=3, amplitude=0.1)
     embedded = VectorField(lifted, ScalarField(grid, np.tile(w0[:, None], (1, grid.ny))))
     traj = integrate(embedded, 2.0, 5e-3, 1e-3, record_stride=1)
     worst_mch2 = 0.0

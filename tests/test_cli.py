@@ -58,17 +58,30 @@ class TestConfigHandling:
         cfg = write_config(tmp_path, {"initial_condition": {"type": "vortex"}})
         assert run("simulate", "--config", cfg, "--out", str(tmp_path / "out")) == 1
 
-    @pytest.mark.parametrize("change", [
-        {"pad_factor": 1.7},
-        {"grid": [16.5, 16]},
-        {"b": True},
-        {"dt": "0.001"},
-        {"initial_condition": {"type": "random", "seed": 0, "kmax": -1, "amplitude": 0.02}},
-        {"initial_condition": {"type": "random", "seed": 0, "kmax": 2, "amplitude": float("nan")}},
-    ], ids=["fractional-pad", "fractional-grid", "bool-b", "string-dt", "negative-kmax", "nan-amplitude"])
-    def test_bad_values_rejected_before_compute(self, tmp_path, capsys, change):
-        cfg = write_config(tmp_path, dict(FAST_SIM, **change))
-        assert run("simulate", "--config", cfg, "--out", str(tmp_path / "out")) == 1
+    @pytest.mark.parametrize("command, config", [
+        ("simulate", dict(FAST_SIM, pad_factor=1.7)),
+        ("simulate", dict(FAST_SIM, grid=[16.5, 16])),
+        ("simulate", dict(FAST_SIM, b=True)),
+        ("simulate", dict(FAST_SIM, dt="0.001")),
+        ("simulate", dict(FAST_SIM, initial_condition={
+            "type": "random", "seed": 0, "kmax": -1, "amplitude": 0.02})),
+        ("simulate", dict(FAST_SIM, initial_condition={
+            "type": "random", "seed": 0, "kmax": 2, "amplitude": float("nan")})),
+        ("simulate", dict(FAST_SIM, snapshots=True, t_end=0.0105)),
+        ("simulate", dict(FAST_SIM, snapshots="false")),
+        ("simulate", dict(FAST_SIM, blowup_factor=-1)),
+        ("simulate", dict(FAST_SIM, tolerances={"hamiltonian_drift": -1})),
+        ("simulate", dict(FAST_SIM, b=10**400)),
+        ("verify", {"grid": [16, 16], "mode_list": [[1, 2, 3]]}),
+        ("verify", {"grid": [16, 16], "mode_list": [[0, 0]]}),
+        ("curvature", {"grid": [16, 16], "pairing": "bogus"}),
+    ], ids=["fractional-pad", "fractional-grid", "bool-b", "string-dt", "negative-kmax",
+            "nan-amplitude", "partial-step-with-snapshots", "string-snapshots",
+            "negative-blowup-factor", "negative-tolerance", "int-past-float-range", "mode-triple",
+            "zero-mode", "unknown-pairing"])
+    def test_bad_values_rejected_before_compute(self, tmp_path, capsys, command, config):
+        cfg = write_config(tmp_path, config)
+        assert run(command, "--config", cfg, "--out", str(tmp_path / "out")) == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("config error: ")
         assert not (tmp_path / "out").exists()
@@ -78,6 +91,43 @@ class TestConfigHandling:
             "type": "modes", "modes": [{"j1": 12, "j2": 0, "amplitude": 0.1}],
         }))
         assert run("simulate", "--config", cfg, "--out", str(tmp_path / "out")) == 1
+
+    def test_compute_errors_are_not_config_errors(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("boom")
+
+        monkeypatch.setattr("torusflow.cli.integrate", broken)
+        cfg = write_config(tmp_path, FAST_SIM)
+        with pytest.raises(ValueError, match="boom"):
+            run("simulate", "--config", cfg, "--out", str(tmp_path / "out"))
+
+    # Pinned config_sha256 values: integral floats, filled-in initial-condition
+    # defaults and the --seed override must keep digesting to these.
+    @pytest.mark.parametrize("command, config, extra, report, digest", [
+        ("simulate", {"grid": [16, 16], "t_end": 0, "initial_condition": {
+            "type": "modes", "modes": [{"j1": 1, "j2": 0, "amplitude": 0.1}]}}, [],
+         "conservation.json", "e1ad91f29fe8622b208c644d438b582992457318cafeb1ba2a1b53248139a8a8"),
+        ("simulate", FAST_SIM, ["--seed", "5"],
+         "conservation.json", "66b3f8f630fdfe691370303da229a63aa0363be25cc69aeed700dd8e8de3b589"),
+        ("simulate", dict(FAST_SIM, grid=[16.0, 16]), [],
+         "conservation.json", "7207dd79403ee168535d13d0e94cf9a75104192f1b6d18609fa1e7eafec43e43"),
+        ("geodesic", {"grid": [16, 16], "t_end": 0}, [],
+         "geodesic.json", "2b01b016ac285fd8da271a861bc40d40b9947175e653ac8d02bfd38cb0b348ec"),
+        ("curvature", {"grid": [16, 16], "k_range": []}, [],
+         "curvature_summary.json", "d52cf60862552f82dc9ca5a0eb5b1511956fef3ec7340089ea27a4fd2f23e8da"),
+        ("verify", {"grid": [16, 16], "identity_samples": 0, "mode_list": [[1, 0]]}, [],
+         "verification.json", "7e6c29beafe33486b57934dea6267b8755a91ff35887973c26b768ad7f1e39ad"),
+        ("reduce1d", {"n": 16, "t_end": 0.002, "mch2_steps": 1}, [],
+         "reduction.json", "52e503e67925e67517d660d64a031e663d76e100b2dbcfb7641dd7cfcdf6953b"),
+        ("reduce1d", {"n": 16, "t_end": 0.002, "mch2_steps": 1}, ["--seed", "2"],
+         "reduction.json", "b508e6e0929fbf5993cfcb293025efacbb32e69b77e3ac0e6f74a9051b6d3c11"),
+    ], ids=["simulate-modes", "simulate-seed", "simulate-float-grid", "geodesic", "curvature",
+            "verify", "reduce1d", "reduce1d-seed"])
+    def test_config_digest_pinned(self, tmp_path, command, config, extra, report, digest):
+        cfg = write_config(tmp_path, config)
+        out = tmp_path / "out"
+        assert run(command, "--config", cfg, "--out", str(out), *extra) == 0
+        assert json.loads((out / report).read_text())["meta"]["config_sha256"] == digest
 
 
 class TestSimulate:
