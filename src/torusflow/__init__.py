@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .spectral import (  # noqa: E402
     Field,
-    ScalarField,
     TorusGrid,
     VectorField,
     h1_inner,
@@ -31,7 +30,6 @@ from .dynamics import (  # noqa: E402
 from .flow import (  # noqa: E402
     DiffeoMap,
     GeodesicState,
-    GeodesicTrajectory,
     InversionError,
     OrientationError,
     adjoint,

@@ -5,7 +5,8 @@ Exit codes: 0 pass, 1 config error, 2 runtime abort (blow-up or loss of
 invertibility, partial outputs retained where possible), 3 a tolerance gate
 failed.  Identical config and seed give byte-identical outputs.  Each
 subcommand's config is checked in full against its schema, unknown keys
-included, before any compute or output; exit 1 means only that check failed.
+included, then --threads and the output directory, before any compute or
+output; exit 1 means only that a check failed.
 """
 
 from __future__ import annotations
@@ -397,17 +398,15 @@ def _cmd_geodesic(p: dict, cfg: dict, out: Path, threads: int) -> int:
             "recorded_until": last.t,
         }, digest)
         raise
-    # One inversion per recorded state, warm started from the previous
-    # state's inverse shifted by minus the change in displacement (the
-    # inverse of z + d is about z - d); the first inverse serves the
-    # reference state, the last the velocity readback.
-    psi, prev = None, None
+    # One inversion per recorded state, warm started near the previous one;
+    # the first inverse serves the reference state, the last the velocity
+    # readback.
+    near = None
     momenta = []
     for state in traj.states:
-        d = state.phi.displacement
-        psi = invert(state.phi, initial=None if psi is None else psi.displacement - (d - prev))
-        prev = d
-        momenta.append(body_momentum(state, psi).m0)
+        psi = invert(state.phi, near=near)
+        near = (state.phi, psi)
+        momenta.append(body_momentum(state, psi))
     ref_sup = max(momenta[0].sup_norm(), 1e-14)
     drift = max((m - momenta[0]).sup_norm() / ref_sup for m in momenta)
     final = traj.final
@@ -453,7 +452,7 @@ def _cmd_curvature(p: dict, cfg: dict, out: Path, threads: int) -> int:
     tol = p["tolerances"]["two_route"]
     digest = config_digest(cfg)
     cases = [(i, j1, j2) for i in p["basis"] for j1 in k_range for j2 in k_range]
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         rows = list(pool.map(
             lambda c: _curvature_case(p["grid"], *c, p["pairing"], p["pad_factor"]),
             cases,
@@ -546,7 +545,7 @@ def _cmd_reduce1d(p: dict, cfg: dict, out: Path, threads: int) -> int:
     w0 = profile_1d(p["n"], p["seed"] + 1, p["kmax"], p["amplitude"])
 
     rows = []
-    n_steps = int(round(t_end / dt))
+    n_steps = _step_count(t_end, dt)
     u0 = VectorField.from_values(grid, _lift(grid, g0), np.zeros(grid.shape))
     for b in p["b_list"]:
         traj = integrate(u0, b, t_end, dt, record_stride=max(1, n_steps), pad_factor=pad)
@@ -617,12 +616,18 @@ def entry(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         handler, schema, rules = COMMANDS[args.command]
+        threads = _int(minimum=1)(args.threads, "--threads")
         params, cfg = _parse(schema, rules, _load_config(args.config), args.seed)
+        out = Path(args.out)
+        try:  # now, so an unusable --out costs no compute
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as err:
+            raise ConfigError(f"cannot create output directory {out}: {err}") from None
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        return handler(params, cfg, Path(args.out), args.threads)
+        return handler(params, cfg, out, threads)
     except (BlowupError, InversionError, OrientationError) as err:
         print(f"runtime abort: {err}", file=sys.stderr)
         return EXIT_RUNTIME

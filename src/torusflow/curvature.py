@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .dynamics import christoffel, validate_b
 from .flow import DiffeoMap, christoffel_conjugated
 from .spectral import (
@@ -30,6 +28,7 @@ from .spectral import (
     Field,
     TorusGrid,
     VectorField,
+    cosine_mode,
     dot,
     gradient,
     h1_inner,
@@ -204,10 +203,7 @@ def basis_field(grid: TorusGrid, i: int) -> Field:
 
 
 def mode_field(grid: TorusGrid, k1: float, k2: float) -> Field:
-    """The product mode sin(k1 x) sin(k2 y) in both components."""
+    """The product mode sin(k1 x) sin(k2 y) in both components, as a difference of cosine modes."""
     j1, j2 = _mode_index(k1), _mode_index(k2)
-    if j1 >= grid.nx // 2 or j2 >= grid.ny // 2:
-        raise ValueError(f"mode ({j1}, {j2}) is not resolvable on grid {grid.shape}")
-    X, Y = grid.mesh
-    vals = np.sin(TWO_PI * j1 * X) * np.sin(TWO_PI * j2 * Y)
-    return VectorField.from_values(grid, vals, vals)
+    plus = cosine_mode(grid, j1, j2, 0.5)
+    return cosine_mode(grid, j1, -j2, 0.5) - plus

@@ -99,18 +99,18 @@ class EulerState:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded states of one integrate() run, in increasing time order."""
+    """Recorded states of one integrate() or flow.geodesic_integrate() run, in time order."""
 
     b: float
     dt: float
-    states: tuple[EulerState, ...]
+    states: tuple
 
     @property
     def times(self) -> np.ndarray:
         return np.array([s.t for s in self.states])
 
     @property
-    def final(self) -> EulerState:
+    def final(self):
         return self.states[-1]
 
 

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import BlowupError, _step_count, christoffel, march, rk4, validate_b
+from .dynamics import BlowupError, Trajectory, _step_count, christoffel, march, rk4, validate_b
 from .spectral import (
     DEFAULT_PAD_FACTOR,
     Field,
@@ -44,9 +44,7 @@ __all__ = [
     "DET_FLOOR",
     "DiffeoMap",
     "GeodesicState",
-    "GeodesicTrajectory",
     "FlowTrajectory",
-    "BodyMomentum",
     "InversionError",
     "OrientationError",
     "apply",
@@ -147,19 +145,25 @@ def invert(
     phi: DiffeoMap,
     tol: float = INVERT_TOL,
     max_iter: int = INVERT_MAX_ITER,
-    initial: Field | None = None,
+    near: tuple[DiffeoMap, DiffeoMap] | None = None,
 ) -> DiffeoMap:
     """Inverse map via the contraction e(w) = -d(w + e(w)).
 
-    Starts from e = -d (or the supplied displacement, which lets callers warm
-    start consecutive inversions along a trajectory) and iterates until the
-    sup-norm update drops below tol.  Converges for maps in the contraction
-    regime sup|grad d| < 1; raises InversionError otherwise.
+    Starts from e = -d, or, given near = (a nearby map, its inverse), from
+    that inverse's displacement shifted by minus the change in displacement
+    (the inverse of z + d is about z - d), which warm starts consecutive
+    inversions along a trajectory.  Iterates until the sup-norm update drops
+    below tol.  Converges for maps in the contraction regime sup|grad d| < 1;
+    raises InversionError otherwise.
     """
     _checked_det(phi, 0.0)
     d = phi.displacement
     X, Y = phi.grid.mesh
-    e = -d.values if initial is None else initial.values
+    if near is None:
+        e = -d.values
+    else:
+        prev, prev_inv = near
+        e = prev_inv.displacement.values - (d.values - prev.displacement.values)
     update = np.inf
     for _ in range(max_iter):
         f = eval_spectra(phi.grid, d.spectrum, X + e[0], Y + e[1])
@@ -244,8 +248,8 @@ def christoffel_conjugated(
     if U.grid != phi.grid or V.grid != phi.grid:
         raise ValueError("fields and map live on different grids")
     psi = invert(phi) if phi_inv is None else phi_inv
-    Uc, Vc = compose_field(stack([U, V]), psi).components
-    return compose_field(christoffel(Uc, Vc, b, pad_factor), phi)
+    UVc = compose_field(stack([U, V]), psi)
+    return compose_field(christoffel(UVc[0], UVc[1], b, pad_factor), phi)
 
 
 @dataclass(frozen=True)
@@ -257,21 +261,6 @@ class GeodesicState:
     phi_t: Field
 
 
-@dataclass(frozen=True)
-class GeodesicTrajectory:
-    b: float
-    dt: float
-    states: tuple[GeodesicState, ...]
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.states])
-
-    @property
-    def final(self) -> GeodesicState:
-        return self.states[-1]
-
-
 def _geodesic_state(t: float, y: Field) -> GeodesicState:
     return GeodesicState(t, DiffeoMap(y[0]), y[1])
 
@@ -279,15 +268,15 @@ def _geodesic_state(t: float, y: Field) -> GeodesicState:
 def _geodesic_rhs(b: float, pad_factor: int):
     """rhs (d, w) -> (w, Gamma_phi(w, w)) of the label equation, phi = id + d.
 
-    Every inversion is warm started from the previous call's inverse.
+    Every inversion is warm started near the previous call's map and inverse.
     """
-    warm = None
+    near = None
 
     def rhs(t: float, y: Field) -> Field:
-        nonlocal warm
+        nonlocal near
         phi, w = DiffeoMap(y[0]), y[1]
-        psi = invert(phi, initial=warm)
-        warm = psi.displacement
+        psi = invert(phi, near=near)
+        near = (phi, psi)
         return stack([w, christoffel_conjugated(phi, w, w, b, pad_factor, phi_inv=psi)])
 
     return rhs
@@ -310,7 +299,7 @@ def geodesic_integrate(
     record_stride: int = 1,
     det_floor: float = DET_FLOOR,
     pad_factor: int = DEFAULT_PAD_FACTOR,
-) -> GeodesicTrajectory:
+) -> Trajectory:
     """Geodesic from the identity with initial material velocity u0.
 
     States are recorded every record_stride steps (plus the final one);
@@ -326,8 +315,8 @@ def geodesic_integrate(
             raise BlowupError(f"non-finite material velocity at t={t:.6g}")
         _checked_det(DiffeoMap(y[0]), det_floor, f"at t={t:.6g}")
 
-    def pack(records) -> GeodesicTrajectory:
-        return GeodesicTrajectory(b=b, dt=float(dt), states=tuple(_geodesic_state(t, y) for t, y in records))
+    def pack(records) -> Trajectory:
+        return Trajectory(b=b, dt=float(dt), states=tuple(_geodesic_state(t, y) for t, y in records))
 
     y0 = stack([VectorField.zero(u0.grid), u0])
     return march(_geodesic_rhs(b, pad_factor), y0, t_end, dt, record_stride, guard, pack)
@@ -367,23 +356,16 @@ def coadjoint(phi: DiffeoMap, w: Field) -> Field:
     return pointwise_product(tdot(j, compose_field(w, phi), pad_factor=1), det(j), pad_factor=1)
 
 
-@dataclass(frozen=True)
-class BodyMomentum:
-    """Momentum pulled to the body frame; constant along b = 2 geodesics."""
-
-    m0: Field
-
-
 def body_velocity(state: GeodesicState, det_floor: float = DET_FLOOR) -> Field:
     """Body velocity U = (grad phi)^{-1} phi_t, solved pointwise."""
     _checked_det(state.phi, det_floor)
     return dot(_inverse_jacobian(state.phi), state.phi_t, pad_factor=1)
 
 
-def body_momentum(state: GeodesicState, phi_inv: DiffeoMap | None = None) -> BodyMomentum:
-    """Body momentum m0 = Ad*_phi m with m = A(phi_t o phi^{-1})."""
+def body_momentum(state: GeodesicState, phi_inv: DiffeoMap | None = None) -> Field:
+    """Body momentum m0 = Ad*_phi m with m = A(phi_t o phi^{-1}); constant along b = 2 geodesics."""
     u = eulerian_velocity(state, phi_inv)
-    return BodyMomentum(coadjoint(state.phi, helmholtz(u)))
+    return coadjoint(state.phi, helmholtz(u))
 
 
 def metric_at(phi: DiffeoMap, U: Field, V: Field) -> float:

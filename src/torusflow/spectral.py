@@ -31,12 +31,9 @@ __all__ = [
     "TWO_PI",
     "TorusGrid",
     "Field",
-    "ScalarField",
     "VectorField",
     "make_grid",
     "stack",
-    "transform",
-    "inverse_transform",
     "partial_x",
     "partial_y",
     "gradient",
@@ -51,7 +48,6 @@ __all__ = [
     "tdot",
     "det",
     "eval_spectra",
-    "eval_offgrid",
     "cosine_mode",
     "random_bandlimited",
 ]
@@ -179,18 +175,6 @@ class Field:
         return Field._with_spectrum(self.grid, self.values[index],
                                     None if spec is None else spec[index])
 
-    @property
-    def u1(self) -> "Field":
-        return self[0]
-
-    @property
-    def u2(self) -> "Field":
-        return self[1]
-
-    @property
-    def components(self) -> tuple["Field", ...]:
-        return tuple(self[i] for i in range(self.values.shape[0]))
-
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
 
@@ -216,10 +200,6 @@ class Field:
         return self * -1.0
 
 
-# A scalar field is a Field with no component axes.
-ScalarField = Field
-
-
 def stack(fields) -> Field:
     """Fields of one grid and one component shape, stacked on a new first axis."""
     grid = fields[0].grid
@@ -229,10 +209,7 @@ def stack(fields) -> Field:
 
 
 class VectorField:
-    """Constructors of two-component Fields; VectorField(u1, u2) stacks two scalars."""
-
-    def __new__(cls, u1: Field, u2: Field) -> Field:
-        return stack([u1, u2])
+    """Constructors of two-component Fields."""
 
     @staticmethod
     def from_values(grid: TorusGrid, v1: np.ndarray, v2: np.ndarray) -> Field:
@@ -245,19 +222,6 @@ class VectorField:
     @staticmethod
     def zero(grid: TorusGrid) -> Field:
         return Field(grid, np.zeros((2,) + grid.shape))
-
-
-def transform(f: Field) -> np.ndarray:
-    """Fourier coefficients of f, normalized so mode (0,0) is the mean."""
-    return f.spectrum
-
-
-def inverse_transform(grid: TorusGrid, spectrum: np.ndarray) -> Field:
-    """Synthesize a real field from coefficients (imaginary residue discarded)."""
-    spectrum = np.asarray(spectrum, dtype=np.complex128)
-    if spectrum.shape[-2:] != grid.shape:
-        raise ValueError(f"spectrum shape {spectrum.shape} does not match grid {grid.shape}")
-    return Field.from_spectrum(grid, spectrum)
 
 
 def _multiply_symbol(f: Field, symbol: np.ndarray) -> Field:
@@ -383,12 +347,6 @@ def eval_spectra(grid: TorusGrid, spectra: np.ndarray, xs: np.ndarray, ys: np.nd
     partial = np.tensordot(ex, spectra.reshape((-1,) + grid.shape), axes=([1], [1]))  # (npts, nf, ny)
     vals = np.einsum("pfy,py->fp", partial, ey).real
     return vals.reshape(spectra.shape[:-2] + shape)
-
-
-def eval_offgrid(f: Field, points: np.ndarray) -> np.ndarray:
-    """Evaluate the trigonometric interpolant of f at (x, y) points."""
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-    return eval_spectra(f.grid, f.spectrum, pts[:, 0], pts[:, 1])
 
 
 def cosine_mode(grid: TorusGrid, j1: int, j2: int, amplitude: float = 1.0,

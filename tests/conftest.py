@@ -1,18 +1,18 @@
 import numpy as np
 import pytest
 
-from torusflow.spectral import ScalarField, VectorField, make_grid
+from torusflow.spectral import Field, make_grid, stack
 
 TWO_PI = 2.0 * np.pi
 
 
 def sample_scalar(grid, fn):
     X, Y = grid.mesh
-    return ScalarField(grid, fn(X, Y))
+    return Field(grid, fn(X, Y))
 
 
 def sample_vector(grid, f1, f2):
-    return VectorField(sample_scalar(grid, f1), sample_scalar(grid, f2))
+    return stack([sample_scalar(grid, f1), sample_scalar(grid, f2)])
 
 
 @pytest.fixture(scope="session")

@@ -35,11 +35,11 @@ from torusflow.dynamics import (
 )
 from torusflow.flow import body_momentum, eulerian_velocity, geodesic_integrate
 from torusflow.spectral import (
-    ScalarField,
-    VectorField,
+    Field,
     helmholtz,
     make_grid,
     random_bandlimited,
+    stack,
 )
 from torusflow.uniqueness import verify_theorem
 
@@ -225,10 +225,10 @@ def test_08_body_momentum_conservation(geodesic_runs):
     drifts = {}
     for b in (2.0, 3.0):
         traj = geodesic_runs[b]
-        m_ref = body_momentum(traj.states[0]).m0
+        m_ref = body_momentum(traj.states[0])
         ref_sup = max(m_ref.sup_norm(), 1e-14)
         drifts[b] = max(
-            (body_momentum(s).m0 - m_ref).sup_norm() / ref_sup
+            (body_momentum(s) - m_ref).sup_norm() / ref_sup
             for s in traj.states
         )
     ok = drifts[2.0] <= 1e-6 and drifts[3.0] > 1e-3
@@ -241,27 +241,27 @@ def test_08_body_momentum_conservation(geodesic_runs):
 def test_09_one_dimensional_reductions():
     grid = make_grid(64, 16)
     g0 = profile_1d(64, seed=11, kmax=3, amplitude=0.1)
-    lifted = ScalarField(grid, np.tile(g0[:, None], (1, grid.ny)))
-    zero = ScalarField(grid, np.zeros(grid.shape))
+    lifted = Field(grid, np.tile(g0[:, None], (1, grid.ny)))
+    zero = Field(grid, np.zeros(grid.shape))
     worst = 0.0
     for b in (2.0, 3.0):
-        traj = integrate(VectorField(lifted, zero), b, 0.1, 1e-3, record_stride=100)
+        traj = integrate(stack([lifted, zero]), b, 0.1, 1e-3, record_stride=100)
         final_1d = integrate_1d(g0, b, 0.1, 1e-3)
-        worst = max(worst, float(np.max(np.abs(traj.final.u.u1.values[:, 0] - final_1d))))
+        worst = max(worst, float(np.max(np.abs(traj.final.u[0].values[:, 0] - final_1d))))
 
     w0 = profile_1d(64, seed=12, kmax=3, amplitude=0.1)
-    embedded = VectorField(lifted, ScalarField(grid, np.tile(w0[:, None], (1, grid.ny))))
+    embedded = stack([lifted, Field(grid, np.tile(w0[:, None], (1, grid.ny)))])
     traj = integrate(embedded, 2.0, 5e-3, 1e-3, record_stride=1)
     worst_mch2 = 0.0
     for state in traj.states:
-        v = state.u.u1.values[:, 0].copy()
-        w = state.u.u2.values[:, 0].copy()
+        v = state.u[0].values[:, 0].copy()
+        w = state.u[1].values[:, 0].copy()
         q_t, rho_t = mch2_rhs(v, helmholtz_1d(w))
         m_t = helmholtz(euler_rhs(state.u, 2.0))
         worst_mch2 = max(
             worst_mch2,
-            float(np.max(np.abs(m_t.u1.values[:, 0] - q_t))),
-            float(np.max(np.abs(m_t.u2.values[:, 0] - rho_t))),
+            float(np.max(np.abs(m_t[0].values[:, 0] - q_t))),
+            float(np.max(np.abs(m_t[1].values[:, 0] - rho_t))),
         )
     ok = worst <= 1e-9 and worst_mch2 <= 1e-10
     announce(9, "y-independent trajectories match the 1D and two-component systems",
@@ -306,8 +306,8 @@ def test_11_robust_small_data_and_reproducibility(grid32, tmp_path):
                 failures.append((seed, b, str(err)))
                 continue
             same = (
-                np.array_equal(first.final.u.u1.values, second.final.u.u1.values)
-                and np.array_equal(first.final.u.u2.values, second.final.u.u2.values)
+                np.array_equal(first.final.u[0].values, second.final.u[0].values)
+                and np.array_equal(first.final.u[1].values, second.final.u[1].values)
             )
             if not same:
                 mismatch.append((seed, b))

@@ -58,33 +58,53 @@ class TestConfigHandling:
         cfg = write_config(tmp_path, {"initial_condition": {"type": "vortex"}})
         assert run("simulate", "--config", cfg, "--out", str(tmp_path / "out")) == 1
 
-    @pytest.mark.parametrize("command, config", [
-        ("simulate", dict(FAST_SIM, pad_factor=1.7)),
-        ("simulate", dict(FAST_SIM, grid=[16.5, 16])),
-        ("simulate", dict(FAST_SIM, b=True)),
-        ("simulate", dict(FAST_SIM, dt="0.001")),
+    @pytest.mark.parametrize("command, config, extra", [
+        ("simulate", dict(FAST_SIM, pad_factor=1.7), []),
+        ("simulate", dict(FAST_SIM, grid=[16.5, 16]), []),
+        ("simulate", dict(FAST_SIM, b=True), []),
+        ("simulate", dict(FAST_SIM, dt="0.001"), []),
         ("simulate", dict(FAST_SIM, initial_condition={
-            "type": "random", "seed": 0, "kmax": -1, "amplitude": 0.02})),
+            "type": "random", "seed": 0, "kmax": -1, "amplitude": 0.02}), []),
         ("simulate", dict(FAST_SIM, initial_condition={
-            "type": "random", "seed": 0, "kmax": 2, "amplitude": float("nan")})),
-        ("simulate", dict(FAST_SIM, snapshots=True, t_end=0.0105)),
-        ("simulate", dict(FAST_SIM, snapshots="false")),
-        ("simulate", dict(FAST_SIM, blowup_factor=-1)),
-        ("simulate", dict(FAST_SIM, tolerances={"hamiltonian_drift": -1})),
-        ("simulate", dict(FAST_SIM, b=10**400)),
-        ("verify", {"grid": [16, 16], "mode_list": [[1, 2, 3]]}),
-        ("verify", {"grid": [16, 16], "mode_list": [[0, 0]]}),
-        ("curvature", {"grid": [16, 16], "pairing": "bogus"}),
+            "type": "random", "seed": 0, "kmax": 2, "amplitude": float("nan")}), []),
+        ("simulate", dict(FAST_SIM, snapshots=True, t_end=0.0105), []),
+        ("simulate", dict(FAST_SIM, snapshots="false"), []),
+        ("simulate", dict(FAST_SIM, blowup_factor=-1), []),
+        ("simulate", dict(FAST_SIM, tolerances={"hamiltonian_drift": -1}), []),
+        ("simulate", dict(FAST_SIM, b=10**400), []),
+        ("verify", {"grid": [16, 16], "mode_list": [[1, 2, 3]]}, []),
+        ("verify", {"grid": [16, 16], "mode_list": [[0, 0]]}, []),
+        ("curvature", {"grid": [16, 16], "pairing": "bogus"}, []),
+        ("simulate", FAST_SIM, ["--threads", "0"]),
+        ("simulate", FAST_SIM, ["--threads", "-3"]),
+        ("curvature", {"grid": [16, 16], "k_range": [1]}, ["--threads", "0"]),
+        ("curvature", {"grid": [16, 16], "k_range": [1]}, ["--threads", "-3"]),
     ], ids=["fractional-pad", "fractional-grid", "bool-b", "string-dt", "negative-kmax",
             "nan-amplitude", "partial-step-with-snapshots", "string-snapshots",
             "negative-blowup-factor", "negative-tolerance", "int-past-float-range", "mode-triple",
-            "zero-mode", "unknown-pairing"])
-    def test_bad_values_rejected_before_compute(self, tmp_path, capsys, command, config):
+            "zero-mode", "unknown-pairing", "zero-threads-simulate", "negative-threads-simulate",
+            "zero-threads-curvature", "negative-threads-curvature"])
+    def test_bad_values_rejected_before_compute(self, tmp_path, capsys, command, config, extra):
         cfg = write_config(tmp_path, config)
-        assert run(command, "--config", cfg, "--out", str(tmp_path / "out")) == 1
+        assert run(command, "--config", cfg, "--out", str(tmp_path / "out"), *extra) == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("config error: ")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("under", [False, True], ids=["existing-file", "path-under-a-file"])
+    def test_unusable_out_rejected_before_compute(self, tmp_path, capsys, monkeypatch, under):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("compute ran")
+
+        monkeypatch.setattr("torusflow.cli.integrate", forbidden)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept")
+        cfg = write_config(tmp_path, FAST_SIM)
+        out = blocker / "out" if under else blocker
+        assert run("simulate", "--config", cfg, "--out", str(out)) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: ")
+        assert blocker.read_text() == "kept"
 
     def test_unresolvable_mode_rejected(self, tmp_path):
         cfg = write_config(tmp_path, dict(FAST_SIM, initial_condition={

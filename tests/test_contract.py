@@ -8,6 +8,7 @@ setup stamp, so the names are checked here against the package itself.
 import importlib
 import importlib.util
 import inspect
+import pkgutil
 from pathlib import Path
 
 import pytest
@@ -47,3 +48,28 @@ def test_geodesic_check_imports_resolve():
     torusflow = importlib.import_module("torusflow")
     for name in ("DiffeoMap", "VectorField", "coadjoint", "helmholtz", "integrate", "make_grid"):
         assert hasattr(torusflow, name), name
+
+
+# The modules that declare __all__.  One name per object keeps aliases such
+# as a second name for Field from creeping back in.
+PACKAGE = importlib.import_module("torusflow")
+MODULES = [name for _, name, _ in pkgutil.iter_modules(PACKAGE.__path__, "torusflow.")
+           if hasattr(importlib.import_module(name), "__all__")]
+
+
+@pytest.mark.parametrize("modname", MODULES)
+def test_public_names_are_one_name_per_object(modname):
+    module = importlib.import_module(modname)
+    objects = {}
+    for name in module.__all__:
+        assert hasattr(module, name), f"{modname}.{name} is listed but not defined"
+        obj = getattr(module, name)
+        assert id(obj) not in objects, f"{modname}.{name} aliases {objects[id(obj)]}"
+        objects[id(obj)] = name
+
+
+def test_package_reexports_only_listed_names():
+    listed = {name for modname in MODULES for name in importlib.import_module(modname).__all__}
+    exported = {name for name, obj in vars(PACKAGE).items()
+                if not name.startswith("_") and not inspect.ismodule(obj)}
+    assert exported <= listed, sorted(exported - listed)

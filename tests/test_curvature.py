@@ -192,7 +192,7 @@ class TestClosedForm:
         with pytest.raises(ValueError):
             mode_field(grid, 4 * TWO_PI, TWO_PI)
         v = mode_field(grid, TWO_PI, 3 * TWO_PI)
-        np.testing.assert_array_equal(v.u1.values, v.u2.values)
+        np.testing.assert_array_equal(v[0].values, v[1].values)
 
 
 class TestGammaTerms:

@@ -28,7 +28,7 @@ from torusflow.dynamics import (
     validate_b,
 )
 from torusflow.spectral import (
-    ScalarField,
+    Field,
     VectorField,
     divergence,
     dot,
@@ -39,6 +39,7 @@ from torusflow.spectral import (
     partial_x,
     partial_y,
     random_bandlimited,
+    stack,
 )
 
 from conftest import TWO_PI, sample_scalar, sample_vector
@@ -85,15 +86,15 @@ class TestBOperator:
     def test_right_slot_constant_is_transport(self, grid64, b):
         v = random_bandlimited(grid64, seed=11, kmax=3, amplitude=0.5)
         got = b_operator(v, e1(grid64), b)
-        expected = -VectorField(partial_x(v.u1), partial_x(v.u2))
+        expected = -stack([partial_x(v[0]), partial_x(v[1])])
         assert (got - expected).sup_norm() < 1e-11
 
     def test_left_slot_constant_reduction(self, grid64):
         v = random_bandlimited(grid64, seed=12, kmax=3, amplitude=0.5)
         got = b_operator(e1(grid64), v, 2.0)
-        zero = ScalarField(grid64, np.zeros(grid64.shape))
+        zero = Field(grid64, np.zeros(grid64.shape))
         expected = -helmholtz_inverse(
-            VectorField(partial_x(v.u1), partial_y(v.u1)) + VectorField(divergence(v), zero)
+            stack([partial_x(v[0]), partial_y(v[0])]) + stack([divergence(v), zero])
         )
         assert (got - expected).sup_norm() < 1e-12
 
@@ -119,9 +120,9 @@ class TestChristoffel:
     def test_left_slot_constant_reduction(self, grid64):
         v = random_bandlimited(grid64, seed=21, kmax=3, amplitude=0.5)
         got = christoffel(e1(grid64), v, 2.0)
-        zero = ScalarField(grid64, np.zeros(grid64.shape))
+        zero = Field(grid64, np.zeros(grid64.shape))
         expected = -0.5 * helmholtz_inverse(
-            VectorField(partial_x(v.u1), partial_y(v.u1)) + VectorField(divergence(v), zero)
+            stack([partial_x(v[0]), partial_y(v[0])]) + stack([divergence(v), zero])
         )
         assert (got - expected).sup_norm() < 1e-11
 
@@ -145,9 +146,9 @@ class TestEulerRhs:
         u = VectorField.from_values(grid, lift_x(grid, g), np.zeros(grid.shape))
         for b in (2.0, 3.0):
             du = euler_rhs(u, b)
-            assert du.u2.sup_norm() == 0.0
+            assert du[1].sup_norm() == 0.0
             expected = rhs_1d_b(g, b)
-            assert_allclose(du.u1.values, lift_x(grid, expected), atol=1e-11)
+            assert_allclose(du[0].values, lift_x(grid, expected), atol=1e-11)
 
 
 class TestCommutingIdentity:
@@ -174,7 +175,7 @@ class TestCommutator:
     def test_constant_left_slot(self, grid64):
         v = random_bandlimited(grid64, seed=52, kmax=3, amplitude=0.5)
         got = commutator(e1(grid64), v)
-        expected = -VectorField(partial_x(v.u1), partial_x(v.u2))
+        expected = -stack([partial_x(v[0]), partial_x(v[1])])
         assert (got - expected).sup_norm() < 1e-12
 
     def test_antisymmetric(self, grid32):
@@ -343,8 +344,8 @@ class TestOneDimensional:
         for b in (2.0, 2.5):
             final_2d = integrate(u0, b, t_end=0.02, dt=1e-3).final.u
             final_1d = integrate_1d(g0, b, t_end=0.02, dt=1e-3)
-            assert final_2d.u2.sup_norm() < 1e-14
-            assert_allclose(final_2d.u1.values, lift_x(grid, final_1d), atol=1e-11)
+            assert final_2d[1].sup_norm() < 1e-14
+            assert_allclose(final_2d[0].values, lift_x(grid, final_1d), atol=1e-11)
 
     def test_helmholtz_1d_round_trip(self):
         g = bandlimited_1d(64, seed=10, kmax=5, amplitude=1.0)
@@ -378,8 +379,8 @@ class TestMCH2:
         )
         du = euler_rhs(u, 2.0)
         q_t, rho_t = mch2_rhs(v, rho)
-        got_q_t = helmholtz(du).u1.values
-        got_rho_t = helmholtz(du).u2.values
+        got_q_t = helmholtz(du)[0].values
+        got_rho_t = helmholtz(du)[1].values
         assert np.max(np.ptp(got_q_t, axis=1)) < 1e-12
         assert_allclose(got_q_t[:, 0], q_t, atol=1e-10)
         assert_allclose(got_rho_t[:, 0], rho_t, atol=1e-10)

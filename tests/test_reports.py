@@ -87,7 +87,7 @@ class TestFieldWriters:
         assert len(lines) == 3 + 8 * 6
         x0, y0, u1, _ = (float(v) for v in lines[3].split(","))
         assert (x0, y0) == (0.0, 0.0)
-        assert u1 == u.u1.values[0, 0]
+        assert u1 == u[0].values[0, 0]
 
     def test_diffeo_csv_header(self, tmp_path):
         grid = make_grid(8, 8)

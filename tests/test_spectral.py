@@ -5,15 +5,14 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from torusflow.spectral import (
-    ScalarField,
+    Field,
     VectorField,
     divergence,
-    eval_offgrid,
+    eval_spectra,
     gradient,
     h1_inner,
     helmholtz,
     helmholtz_inverse,
-    inverse_transform,
     l2_inner,
     laplacian,
     make_grid,
@@ -21,7 +20,7 @@ from torusflow.spectral import (
     partial_y,
     pointwise_product,
     random_bandlimited,
-    transform,
+    stack,
 )
 
 from conftest import TWO_PI, sample_scalar, sample_vector
@@ -46,8 +45,8 @@ class TestGrid:
 
 class TestTransform:
     def test_constant_spectrum(self, grid32):
-        f = ScalarField(grid32, np.ones(grid32.shape))
-        spec = transform(f)
+        f = Field(grid32, np.ones(grid32.shape))
+        spec = f.spectrum
         assert abs(spec[0, 0] - 1.0) < 1e-14
         assert np.max(np.abs(spec)) == pytest.approx(1.0)
         off = spec.copy()
@@ -58,7 +57,7 @@ class TestTransform:
     def test_single_mode(self):
         g = make_grid(16, 16)
         f = sample_scalar(g, lambda x, y: np.sin(TWO_PI * x))
-        spec = np.array(transform(f))
+        spec = np.array(f.spectrum)
         assert abs(spec[1, 0] - (-0.5j)) < 1e-14
         assert abs(spec[-1, 0] - (0.5j)) < 1e-14
         spec[1, 0] = spec[-1, 0] = 0.0
@@ -67,27 +66,27 @@ class TestTransform:
     def test_round_trip_random(self, grid32):
         rng = np.random.default_rng(42)
         vals = rng.standard_normal(grid32.shape)
-        f = ScalarField(grid32, vals)
-        back = inverse_transform(grid32, transform(f))
+        f = Field(grid32, vals)
+        back = Field.from_spectrum(grid32, f.spectrum)
         assert_allclose(back.values, vals, rtol=0, atol=1e-12 * np.max(np.abs(vals)))
 
     def test_conjugate_symmetry(self, grid32):
         rng = np.random.default_rng(3)
-        f = ScalarField(grid32, rng.standard_normal(grid32.shape))
-        spec = transform(f)
+        f = Field(grid32, rng.standard_normal(grid32.shape))
+        spec = f.spectrum
         flipped = np.conj(np.roll(np.flip(spec), 1, axis=(0, 1)))
         assert_allclose(spec, flipped, atol=1e-13)
 
     def test_parseval(self, grid32):
         rng = np.random.default_rng(11)
-        f = ScalarField(grid32, rng.standard_normal(grid32.shape))
+        f = Field(grid32, rng.standard_normal(grid32.shape))
         assert np.mean(f.values**2) == pytest.approx(np.sum(np.abs(f.spectrum) ** 2), rel=1e-12)
 
     def test_size_mismatch(self, grid32):
         with pytest.raises(ValueError):
-            inverse_transform(grid32, np.zeros((8, 8), dtype=complex))
+            Field.from_spectrum(grid32, np.zeros((8, 8), dtype=complex))
         with pytest.raises(ValueError):
-            ScalarField(grid32, np.zeros((8, 8)))
+            Field(grid32, np.zeros((8, 8)))
 
 
 class TestDerivatives:
@@ -114,9 +113,9 @@ class TestDerivatives:
         for j1 in range(-3, 4):
             for j2 in range(-3, 4):
                 phase = 0.3 * j1 - 0.1 * j2
-                f = ScalarField(g, np.cos(TWO_PI * (j1 * X + j2 * Y) + phase))
-                dfx = ScalarField(g, -TWO_PI * j1 * np.sin(TWO_PI * (j1 * X + j2 * Y) + phase))
-                dfy = ScalarField(g, -TWO_PI * j2 * np.sin(TWO_PI * (j1 * X + j2 * Y) + phase))
+                f = Field(g, np.cos(TWO_PI * (j1 * X + j2 * Y) + phase))
+                dfx = Field(g, -TWO_PI * j1 * np.sin(TWO_PI * (j1 * X + j2 * Y) + phase))
+                dfy = Field(g, -TWO_PI * j2 * np.sin(TWO_PI * (j1 * X + j2 * Y) + phase))
                 assert np.max(np.abs(partial_x(f).values - dfx.values)) < 1e-11 * max(1, abs(j1))
                 assert np.max(np.abs(partial_y(f).values - dfy.values)) < 1e-11 * max(1, abs(j2))
 
@@ -125,7 +124,7 @@ class TestDerivatives:
         # zero at the grid points, which is what the zeroed multiplier returns
         g = make_grid(8, 8)
         X, _ = g.mesh
-        f = ScalarField(g, np.cos(TWO_PI * 4 * X))
+        f = Field(g, np.cos(TWO_PI * 4 * X))
         assert partial_x(f).sup_norm() < 1e-12
 
     def test_gradient_layout(self, grid32):
@@ -145,24 +144,24 @@ class TestHelmholtz:
     def test_fixes_constants(self, grid32):
         u = VectorField.constant(grid32, 1.0, 1.0)
         m = helmholtz(u)
-        assert_allclose(m.u1.values, 1.0)
-        assert_allclose(m.u2.values, 1.0)
+        assert_allclose(m[0].values, 1.0)
+        assert_allclose(m[1].values, 1.0)
 
     def test_single_mode_eigenvalue(self, grid32):
         f = sample_scalar(grid32, lambda x, y: np.sin(TWO_PI * x) * np.cos(TWO_PI * y))
-        u = VectorField(f, f * 0.0)
+        u = stack([f, f * 0.0])
         m = helmholtz(u)
-        assert_allclose(m.u1.values, (1.0 + 8.0 * np.pi**2) * f.values, atol=1e-11)
+        assert_allclose(m[0].values, (1.0 + 8.0 * np.pi**2) * f.values, atol=1e-11)
 
     def test_inverse_single_mode(self, grid32):
         f = sample_scalar(grid32, lambda x, y: np.sin(TWO_PI * x) * np.cos(TWO_PI * y))
-        u = helmholtz_inverse(VectorField(f, f * 0.0))
-        assert_allclose(u.u1.values, f.values / (1.0 + 8.0 * np.pi**2), atol=1e-13)
+        u = helmholtz_inverse(stack([f, f * 0.0]))
+        assert_allclose(u[0].values, f.values / (1.0 + 8.0 * np.pi**2), atol=1e-13)
 
     def test_inverse_fixes_constants(self, grid32):
         u = helmholtz_inverse(VectorField.constant(grid32, 2.5, -1.0))
-        assert_allclose(u.u1.values, 2.5)
-        assert_allclose(u.u2.values, -1.0)
+        assert_allclose(u[0].values, 2.5)
+        assert_allclose(u[1].values, -1.0)
 
     @given(seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=15, deadline=None)
@@ -201,7 +200,7 @@ class TestInnerProducts:
     def test_spectral_matches_trapezoid(self, grid32):
         u = random_bandlimited(grid32, 8, kmax=7, amplitude=1.0)
         v = random_bandlimited(grid32, 9, kmax=7, amplitude=1.0)
-        quad = np.mean(u.u1.values * v.u1.values) + np.mean(u.u2.values * v.u2.values)
+        quad = np.mean(u[0].values * v[0].values) + np.mean(u[1].values * v[1].values)
         assert l2_inner(u, v) == pytest.approx(quad, abs=1e-10)
 
     def test_grid_mismatch(self, grid32):
@@ -219,8 +218,8 @@ class TestPointwiseProduct:
         assert_allclose(got.values, expected.values, atol=1e-13)
 
     def test_identity_factor(self, grid32):
-        one = ScalarField(grid32, np.ones(grid32.shape))
-        g = random_bandlimited(grid32, 1, kmax=9, amplitude=1.0).u1
+        one = Field(grid32, np.ones(grid32.shape))
+        g = random_bandlimited(grid32, 1, kmax=9, amplitude=1.0)[0]
         assert (pointwise_product(one, g, 2) - g).sup_norm() < 1e-13
 
     def test_matches_closed_form(self, grid32):
@@ -237,8 +236,8 @@ class TestPointwiseProduct:
     def test_alias_free_matches_direct(self, s1, s2):
         # bandwidth sum below Nyquist: plain sample product has no aliasing
         g = make_grid(32, 32)
-        f1 = random_bandlimited(g, s1, kmax=7, amplitude=1.0).u1
-        f2 = random_bandlimited(g, s2, kmax=7, amplitude=1.0).u1
+        f1 = random_bandlimited(g, s1, kmax=7, amplitude=1.0)[0]
+        f2 = random_bandlimited(g, s2, kmax=7, amplitude=1.0)[0]
         got = pointwise_product(f1, f2, 2)
         assert np.max(np.abs(got.values - f1.values * f2.values)) < 1e-12
 
@@ -274,12 +273,12 @@ class TestPointwiseProduct:
         dense_spec = np.fft.fft2(dense) / (64 * 64)
         idx = np.fft.fftfreq(16, d=1 / 16).astype(int)
         coarse_spec = dense_spec[np.ix_(idx, idx)]
-        expected = inverse_transform(g, coarse_spec)
+        expected = Field.from_spectrum(g, coarse_spec)
         got = pointwise_product(f, h, 2)
         assert (got - expected).sup_norm() < 1e-12
 
     def test_rejects_bad_pad(self, grid32):
-        f = ScalarField(grid32, np.ones(grid32.shape))
+        f = Field(grid32, np.ones(grid32.shape))
         with pytest.raises(ValueError):
             pointwise_product(f, f, 0)
 
@@ -287,23 +286,25 @@ class TestPointwiseProduct:
 class TestEvalOffgrid:
     def test_closed_form_point(self, grid32):
         f = sample_scalar(grid32, lambda x, y: np.sin(TWO_PI * x))
-        assert eval_offgrid(f, [(0.25, 0.9)])[0] == pytest.approx(1.0, abs=1e-13)
+        value = eval_spectra(grid32, f.spectrum, np.array([0.25]), np.array([0.9]))[0]
+        assert value == pytest.approx(1.0, abs=1e-13)
 
     def test_matches_grid_samples(self, grid32):
-        f = random_bandlimited(grid32, 21, kmax=10, amplitude=1.0).u1
-        vals = eval_offgrid(f, grid32.points)
+        f = random_bandlimited(grid32, 21, kmax=10, amplitude=1.0)[0]
+        pts = grid32.points
+        vals = eval_spectra(grid32, f.spectrum, pts[:, 0], pts[:, 1])
         assert np.max(np.abs(vals - f.values.ravel())) < 1e-12
 
     def test_constant(self, grid32):
-        f = ScalarField(grid32, np.full(grid32.shape, 3.25))
+        f = Field(grid32, np.full(grid32.shape, 3.25))
         pts = np.random.default_rng(0).random((7, 2))
-        assert_allclose(eval_offgrid(f, pts), 3.25, atol=1e-13)
+        assert_allclose(eval_spectra(grid32, f.spectrum, pts[:, 0], pts[:, 1]), 3.25, atol=1e-13)
 
     def test_spectral_accuracy_on_trig(self, grid32):
         f = sample_scalar(grid32, lambda x, y: np.cos(TWO_PI * (2 * x - y) + 0.3))
         pts = np.random.default_rng(1).random((50, 2))
         expected = np.cos(TWO_PI * (2 * pts[:, 0] - pts[:, 1]) + 0.3)
-        assert_allclose(eval_offgrid(f, pts), expected, atol=1e-12)
+        assert_allclose(eval_spectra(grid32, f.spectrum, pts[:, 0], pts[:, 1]), expected, atol=1e-12)
 
 
 class TestRandomBandlimited:
@@ -314,13 +315,13 @@ class TestRandomBandlimited:
     def test_deterministic(self, grid32):
         a = random_bandlimited(grid32, 123, kmax=3, amplitude=0.5)
         b = random_bandlimited(grid32, 123, kmax=3, amplitude=0.5)
-        assert np.array_equal(a.u1.values, b.u1.values)
-        assert np.array_equal(a.u2.values, b.u2.values)
+        assert np.array_equal(a[0].values, b[0].values)
+        assert np.array_equal(a[1].values, b[1].values)
 
     def test_spectral_support(self):
         g = make_grid(32, 32)
         u = random_bandlimited(g, 9, kmax=2, amplitude=1.0)
-        for comp in u.components:
+        for comp in (u[0], u[1]):
             spec = comp.spectrum
             mask = (np.abs(g.modes_x)[:, None] > 2) | (np.abs(g.modes_y)[None, :] > 2)
             assert np.max(np.abs(spec[mask])) < 1e-15

@@ -6,14 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusflow.spectral import (
-    ScalarField,
+    Field,
     VectorField,
+    cosine_mode,
     helmholtz,
     helmholtz_inverse,
     divergence,
     make_grid,
     pointwise_product,
     random_bandlimited,
+    stack,
 )
 from torusflow.uniqueness import (
     HELMHOLTZ_OPERATOR,
@@ -23,7 +25,6 @@ from torusflow.uniqueness import (
     build_diagonals,
     gl1_residual,
     gl3_residual,
-    mode_velocity,
     verify_theorem,
 )
 
@@ -121,10 +122,10 @@ class TestGl1Residual:
     def test_b3_gap_is_the_divergence_term(self):
         grid = make_grid(16, 16)
         X, _ = grid.mesh
-        u = VectorField(
-            ScalarField(grid, 0.1 * np.sin(TWO_PI * X)),
-            ScalarField(grid, np.zeros(grid.shape)),
-        )
+        u = stack([
+            Field(grid, 0.1 * np.sin(TWO_PI * X)),
+            Field(grid, np.zeros(grid.shape)),
+        ])
         got = gl1_residual(u, 3.0)
         expected = helmholtz_inverse(
             pointwise_product(helmholtz(u), divergence(u))
@@ -146,14 +147,14 @@ class TestGl1Residual:
 
     def test_rejects_unnormalized_multiplier(self):
         grid = make_grid(16, 16)
-        u = mode_velocity(grid, ModeIndex(1, 0))
+        u = cosine_mode(grid, 1, 0)
         bad = MultiplierOperator("shifted", lambda ksq: 2.0 + ksq)
         with pytest.raises(ValueError, match="fix constants"):
             gl1_residual(u, 2.0, a_spec=bad)
 
     def test_rejects_non_invertible_multiplier(self):
         grid = make_grid(16, 16)
-        u = mode_velocity(grid, ModeIndex(1, 0))
+        u = cosine_mode(grid, 1, 0)
         bad = MultiplierOperator("degenerate", lambda ksq: 1.0 - ksq / TWO_PI**2)
         with pytest.raises(ValueError, match="invertible"):
             gl1_residual(u, 2.0, a_spec=bad)
