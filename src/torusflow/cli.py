@@ -280,9 +280,9 @@ def _curvature_rules(p: dict) -> None:
 
 
 def _verify_rules(p: dict) -> None:
-    p["grid"] = make_grid(*p["grid"])
+    grid = p["grid"] = make_grid(*p["grid"])
     for pair in p["mode_list"]:
-        ModeIndex(*pair)
+        ModeIndex(*pair), cosine_mode(grid, *pair)
     random_bandlimited(p["grid"], p["seed"], p["kmax"], p["amplitude"])
 
 
@@ -479,7 +479,7 @@ def _cmd_verify(p: dict, cfg: dict, out: Path, threads: int) -> int:
     pad, tol, b_list, n = p["pad_factor"], p["tolerances"], p["b_list"], p["identity_samples"]
     digest = config_digest(cfg)
 
-    report = verify_theorem(b_list, p["mode_list"], tolerance=tol["uniqueness_zero"])
+    report = verify_theorem(b_list, p["mode_list"], p["grid"], tol["uniqueness_zero"], pad)
     rows = [dict(row, expected_fail=row["b"] != 2.0) for row in report.as_rows()]
 
     def sample(offset):

@@ -26,7 +26,8 @@ import numpy as np
 from .spectral import (
     DEFAULT_PAD_FACTOR,
     Field,
-    divergence,
+    _dealiased,
+    _lift,
     dot,
     gradient,
     h1_inner,
@@ -35,8 +36,6 @@ from .spectral import (
     laplacian,
     partial_x,
     partial_y,
-    pointwise_product,
-    tdot,
 )
 
 __all__ = [
@@ -147,13 +146,28 @@ def conservation_report(trajectory: Trajectory) -> ConservationReport:
     )
 
 
+def _transport(m: Field, lm: np.ndarray, v: Field, lv: np.ndarray, b: float, pad_factor: int,
+               sym: np.ndarray | None = None, lw: np.ndarray | None = None) -> np.ndarray:
+    """Padded samples of grad(m).v + (grad v)^T m + (b-1) m div v, from m and v lifted.
+
+    The rows of grad m and grad v are lifted one at a time, straight from the
+    spectra, and div v is summed from the diagonal of grad v; given sym and w
+    lifted, grad(v).w is added to sym from the same rows.
+    """
+    acc = np.zeros_like(lm)
+    for i in range(2):
+        lg = _lift(m[i], pad_factor, m.grid.grad_symbol)
+        acc[i] += lg[0] * lv[0] + lg[1] * lv[1]
+        lg = _lift(v[i], pad_factor, v.grid.grad_symbol)
+        acc += lg * lm[i] + (b - 1.0) * lg[i] * lm
+        if sym is not None:
+            sym[i] += lg[0] * lw[0] + lg[1] * lw[1]
+    return acc
+
+
 def momentum_transport(m: Field, v: Field, b: float, pad_factor: int = DEFAULT_PAD_FACTOR) -> Field:
     """Transport of the momentum m by the velocity v: grad(m).v + (grad v)^T m + (b-1) m div v."""
-    return (
-        dot(gradient(m), v, pad_factor)
-        + tdot(gradient(v), m, pad_factor)
-        + (b - 1.0) * pointwise_product(m, divergence(v), pad_factor)
-    )
+    return _dealiased(m, v, pad_factor, lambda lm, lv: _transport(m, lm, v, lv, b, pad_factor))
 
 
 def b_operator(u: Field, v: Field, b, pad_factor: int = DEFAULT_PAD_FACTOR) -> Field:
@@ -167,12 +181,16 @@ def christoffel(u: Field, v: Field, b, pad_factor: int = DEFAULT_PAD_FACTOR) -> 
     Gamma(u, v) = (grad u . v + grad v . u + B(u, v) + B(v, u)) / 2.
     """
     b = validate_b(b)
-    sym = dot(gradient(u), v, pad_factor) + dot(gradient(v), u, pad_factor)
-    inner = (
-        momentum_transport(helmholtz(u), v, b, pad_factor)
-        + momentum_transport(helmholtz(v), u, b, pad_factor)
-    )
-    return 0.5 * (sym - helmholtz_inverse(inner))
+    mu, mv = helmholtz(u), helmholtz(v)
+
+    def parts(lu, lv):
+        acc = np.zeros((2,) + lu.shape)  # the symmetric part and the transport under A^{-1}
+        acc[1] = _transport(mu, _lift(mu, pad_factor), v, lv, b, pad_factor, acc[0], lu)
+        acc[1] += _transport(mv, _lift(mv, pad_factor), u, lu, b, pad_factor, acc[0], lv)
+        return acc
+
+    p = _dealiased(u, v, pad_factor, parts)
+    return 0.5 * (p[0] - helmholtz_inverse(p[1]))
 
 
 def euler_rhs(u: Field, b, pad_factor: int = DEFAULT_PAD_FACTOR) -> Field:

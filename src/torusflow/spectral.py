@@ -17,6 +17,9 @@ Conventions
   spectrum = fft2(values) / (nx * ny).
 * First derivatives zero the unpaired Nyquist mode so real fields stay
   real; the Helmholtz symbol 1 + |k|^2 is kept on all modes.
+* Products are dealiased: each factor is lifted once to real samples on a
+  pad_factor-times finer grid, the products of a term are summed there and
+  the sum is truncated once.
 """
 
 from __future__ import annotations
@@ -280,48 +283,71 @@ def h1_inner(u: Field, v: Field) -> float:
     return _pairing(u, v, u.grid.helmholtz_symbol)
 
 
+def _lift(f: Field, pad_factor: int, symbol=None) -> np.ndarray:
+    """Samples of f, or of its image under the Fourier multiplier symbol, on the
+    pad_factor-times finer grid (pad_factor=1: the samples on f's grid).
+
+    Unpaired Nyquist coefficients are split evenly between -n/2 and +n/2, but
+    the corner goes to (+n/2, +n/2) and (-n/2, -n/2) only, as Re of the sum does.
+    """
+    s = f.spectrum if symbol is None else f.spectrum * symbol
+    if pad_factor == 1:
+        return f.values if symbol is None else np.fft.ifft2(s, norm="forward").real
+    hx, hy = f.grid.nx // 2, f.grid.ny // 2
+    px, py = pad_factor * f.grid.nx, pad_factor * f.grid.ny
+    s = s[..., :hy + 1]
+    # Columns past +n/2 of the padded half spectrum are zero; irfft2 pads them.
+    half = np.zeros(s.shape[:-2] + (px, hy + 1), dtype=np.complex128)
+    half[..., :hx + 1, :hy + 1] = s[..., :hx + 1, :]  # rows 0..n/2-1, then -n/2 at +n/2
+    half[..., px - hx:, :hy + 1] = s[..., hx:, :]     # rows -n/2..-1
+    half[..., px - hx, hy] = 0.0
+    half[..., :, hy] *= 0.5
+    half[..., [hx, px - hx], :hy] *= 0.5
+    return np.fft.irfft2(half, s=(px, py), norm="forward")
+
+
+def _truncate(grid: TorusGrid, samples: np.ndarray, pad_factor: int) -> Field:
+    """Field of the modes of grid in padded samples (pad_factor=1: the samples themselves).
+
+    The Nyquist row and column are the means of the padded -n/2 and +n/2 ones
+    (irfft2 averages the column), the corner is the real part of (+n/2, +n/2).
+    """
+    if pad_factor == 1:
+        return Field(grid, samples)
+    hx, hy, px = grid.nx // 2, grid.ny // 2, pad_factor * grid.nx
+    r = np.fft.rfft2(samples, norm="forward")[..., :hy + 1]
+    half = np.concatenate([r[..., :hx, :], r[..., px - hx:, :]], axis=-2)
+    half[..., hx, :hy] = 0.5 * (half[..., hx, :hy] + r[..., hx, :hy])
+    half[..., hx, hy] = r[..., hx, hy]
+    return Field(grid, np.fft.irfft2(half, s=grid.shape, norm="forward"))
+
+
+def _dealiased(f: Field, g: Field, pad_factor: int, combine) -> Field:
+    """combine(lifted f, lifted g), formed on the padded grid and truncated once."""
+    if f.grid != g.grid:
+        raise ValueError("fields live on different grids")
+    if pad_factor < 1:
+        raise ValueError("pad_factor must be >= 1")
+    return _truncate(f.grid, combine(_lift(f, pad_factor), _lift(g, pad_factor)), pad_factor)
+
+
 def pointwise_product(f: Field, g: Field, pad_factor: int = DEFAULT_PAD_FACTOR) -> Field:
     """Product fg evaluated on a pad_factor-times finer grid, then truncated.
 
     Component axes broadcast.  Exact whenever the combined bandwidth of f and
     g fits the padded grid; pad_factor=1 is the plain aliased grid product.
-    Each output component is formed from one pair of scalar slices, so only
-    two lifted slices are alive at a time.
     """
-    if f.grid != g.grid:
-        raise ValueError("fields live on different grids")
-    if pad_factor < 1:
-        raise ValueError("pad_factor must be >= 1")
-    grid = f.grid
-    if pad_factor == 1:
-        return Field(grid, f.values * g.values)
-    comps = np.broadcast_shapes(f.values.shape[:-2], g.values.shape[:-2])
-    fs = np.broadcast_to(f.spectrum, comps + grid.shape)
-    gs = np.broadcast_to(g.spectrum, comps + grid.shape)
-    # Mode j sits at index j mod p on the padded grid.
-    kept = np.ix_(grid.modes_x.astype(np.intp) % (pad_factor * grid.nx),
-                  grid.modes_y.astype(np.intp) % (pad_factor * grid.ny))
-    lifted = np.zeros((pad_factor * grid.nx, pad_factor * grid.ny), dtype=np.complex128)
-    out = np.empty(comps + grid.shape, dtype=np.complex128)
-    for k in np.ndindex(comps):
-        lifted[kept] = fs[k]
-        fv = np.fft.ifft2(lifted, norm="forward").real
-        lifted[kept] = gs[k]
-        gv = np.fft.ifft2(lifted, norm="forward").real
-        out[k] = np.fft.fft2(fv * gv, norm="forward")[kept]
-    return Field.from_spectrum(grid, out)
+    return _dealiased(f, g, pad_factor, np.multiply)
 
 
 def dot(J: Field, v: Field, pad_factor: int = DEFAULT_PAD_FACTOR) -> Field:
     """Matrix-vector product (J v)_i = sum_j J_ij v_j with dealiased products."""
-    p = pointwise_product(J, v[None], pad_factor)
-    return p[:, 0] + p[:, 1]
+    return _dealiased(J, v, pad_factor, lambda j, v: j[:, 0] * v[0] + j[:, 1] * v[1])
 
 
 def tdot(J: Field, w: Field, pad_factor: int = DEFAULT_PAD_FACTOR) -> Field:
     """Transposed product (J^T w)_i = sum_j J_ji w_j with dealiased products."""
-    p = pointwise_product(J, w[:, None], pad_factor)
-    return p[0] + p[1]
+    return _dealiased(J, w, pad_factor, lambda j, w: j[0] * w[0] + j[1] * w[1])
 
 
 def det(J: Field) -> Field:

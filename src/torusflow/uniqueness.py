@@ -230,11 +230,13 @@ def _grid_for_modes(modes: Sequence[ModeIndex]) -> TorusGrid:
 
 def verify_theorem(b_list: Sequence[float], mode_list: Sequence[tuple[int, int]],
                    grid: TorusGrid | None = None,
-                   tolerance: float = DEFAULT_TOLERANCE) -> VerificationReport:
+                   tolerance: float = DEFAULT_TOLERANCE,
+                   pad_factor: int = DEFAULT_PAD_FACTOR) -> VerificationReport:
     """Residual table over a b sweep and a mode sweep.
 
     For each (b, n): the mode-wise linear-system residual with candidate
-    (1 + n^2)(1,1), and the operator-level gap on the mode's real part.
+    (1 + n^2)(1,1), and the operator-level gap on the mode's real part on
+    grid (default: square, side max(16, 4 * largest index)), padded by pad_factor.
     The report's consistent_b lists the b values with an all-zero row; over
     b_list containing {2, 3, 4} that is exactly (2.0,).
     """
@@ -249,7 +251,7 @@ def verify_theorem(b_list: Sequence[float], mode_list: Sequence[tuple[int, int]]
         for mode in modes:
             candidate = (1.0 + mode.n_sq) * np.ones(2, dtype=complex)
             g3 = gl3_residual(mode, b, candidate)
-            g1 = gl1_residual(cosine_mode(grid, mode.n1, mode.n2), b)
+            g1 = gl1_residual(cosine_mode(grid, mode.n1, mode.n2), b, pad_factor=pad_factor)
             rows.append(ModeResidual(
                 b=b, n1=mode.n1, n2=mode.n2,
                 gl3_residual=g3, gl1_residual=g1, tolerance=tolerance,

@@ -7,6 +7,8 @@ import sys
 import pytest
 
 from torusflow.cli import entry
+from torusflow.spectral import cosine_mode, make_grid
+from torusflow.uniqueness import gl1_residual
 
 FAST_SIM = {
     "grid": [16, 16],
@@ -74,6 +76,7 @@ class TestConfigHandling:
         ("simulate", dict(FAST_SIM, b=10**400), []),
         ("verify", {"grid": [16, 16], "mode_list": [[1, 2, 3]]}, []),
         ("verify", {"grid": [16, 16], "mode_list": [[0, 0]]}, []),
+        ("verify", {"grid": [16, 16], "mode_list": [[1, 0], [8, 1]]}, []),
         ("curvature", {"grid": [16, 16], "pairing": "bogus"}, []),
         ("simulate", FAST_SIM, ["--threads", "0"]),
         ("simulate", FAST_SIM, ["--threads", "-3"]),
@@ -82,7 +85,7 @@ class TestConfigHandling:
     ], ids=["fractional-pad", "fractional-grid", "bool-b", "string-dt", "negative-kmax",
             "nan-amplitude", "partial-step-with-snapshots", "string-snapshots",
             "negative-blowup-factor", "negative-tolerance", "int-past-float-range", "mode-triple",
-            "zero-mode", "unknown-pairing", "zero-threads-simulate", "negative-threads-simulate",
+            "zero-mode", "unresolvable-verify-mode", "unknown-pairing", "zero-threads-simulate", "negative-threads-simulate",
             "zero-threads-curvature", "negative-threads-curvature"])
     def test_bad_values_rejected_before_compute(self, tmp_path, capsys, command, config, extra):
         cfg = write_config(tmp_path, config)
@@ -309,6 +312,20 @@ class TestVerify:
         assert row["pass"] is False
         assert row["expected_fail"] is True
         assert body["pass"] is True
+
+    @pytest.mark.parametrize("pad", [1, 3])
+    def test_rows_use_configured_grid_and_pad(self, tmp_path, pad):
+        # Mode (5, 0) on 16^2: the products alias unless padded, and the
+        # grid the rows would pick by themselves is 20^2.
+        cfg = write_config(tmp_path, {
+            "grid": [16, 16], "b_list": [3.0], "mode_list": [[5, 0]],
+            "identity_samples": 0, "pad_factor": pad,
+        })
+        out = tmp_path / "out"
+        run("verify", "--config", cfg, "--out", str(out))
+        (row,) = json.loads((out / "verification.json").read_text())["rows"]
+        u = cosine_mode(make_grid(16, 16), 5, 0)
+        assert row["gl1_residual"] == gl1_residual(u, 3.0, pad_factor=pad)
 
 
 class TestReduce1d:

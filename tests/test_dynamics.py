@@ -151,6 +151,48 @@ class TestEulerRhs:
             assert_allclose(du[0].values, lift_x(grid, expected), atol=1e-11)
 
 
+class TestTransformBudget:
+    """The fused kernels at 16^2: no complex FFT on the padded 32^2 grid, and
+    at most a fixed number of padded real transforms, counted in 2D planes.
+
+    euler_rhs lifts m, u and the four rows of grad m and grad u (12 planes)
+    and truncates one vector (2); christoffel lifts u, v, Au, Av and the eight
+    rows of their gradients (24) and truncates two vectors (4).
+    """
+
+    PADDED = (32, 32)
+
+    def count(self, monkeypatch, call):
+        complex_padded, real_planes = [], 0
+
+        def spy(name, original):
+            def wrapped(a, *args, **kwargs):
+                nonlocal real_planes
+                out = original(a, *args, **kwargs)
+                padded = self.PADDED in (np.shape(a)[-2:], np.shape(out)[-2:])
+                if padded and name.startswith(("rfft", "irfft")):
+                    real_planes += int(np.prod(np.shape(a)[:-2]))
+                elif padded:
+                    complex_padded.append(name)
+                return out
+            return wrapped
+
+        for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn",
+                     "rfft", "irfft", "rfft2", "irfft2", "rfftn", "irfftn"):
+            monkeypatch.setattr(np.fft, name, spy(name, getattr(np.fft, name)))
+        call()
+        return complex_padded, real_planes
+
+    @pytest.mark.parametrize("name, ceiling", [("euler_rhs", 14), ("christoffel", 28)])
+    def test_padded_transforms(self, monkeypatch, name, ceiling):
+        grid = make_grid(16, 16)
+        u, v = random_bandlimited(grid, 1, 3, 0.5), random_bandlimited(grid, 2, 3, 0.5)
+        calls = {"euler_rhs": lambda: euler_rhs(u, 2.0), "christoffel": lambda: christoffel(u, v, 2.0)}
+        complex_padded, real_planes = self.count(monkeypatch, calls[name])
+        assert complex_padded == []
+        assert 0 < real_planes <= ceiling
+
+
 class TestCommutingIdentity:
     def test_zero_fields(self, grid32):
         z = VectorField.zero(grid32)

@@ -4,10 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from torusflow.dynamics import euler_rhs, euler_rhs_geometric, momentum_transport
 from torusflow.spectral import (
     Field,
     VectorField,
     divergence,
+    dot,
     eval_spectra,
     gradient,
     h1_inner,
@@ -21,6 +23,7 @@ from torusflow.spectral import (
     pointwise_product,
     random_bandlimited,
     stack,
+    tdot,
 )
 
 from conftest import TWO_PI, sample_scalar, sample_vector
@@ -281,6 +284,108 @@ class TestPointwiseProduct:
         f = Field(grid32, np.ones(grid32.shape))
         with pytest.raises(ValueError):
             pointwise_product(f, f, 0)
+
+
+# Factors for the dense oracle below: sums of terms a cos(2 pi j1 x + p1)
+# cos(2 pi j2 y + p2) on a 16^2 grid, each with content in the Nyquist row
+# (j1 = 8, cosine phase), the Nyquist column and the corner.  Such a sum is
+# its own trigonometric interpolant, with the unpaired Nyquist coefficient
+# split evenly between -8 and +8, so products of the sums, formed on a 4x
+# grid where they are exact, are what the dealiased products must return.
+ORACLE_N = 16
+NYQ = ORACLE_N // 2
+
+
+def oracle_terms(rng, count=3):
+    a = rng.standard_normal(count + 3)
+    j = rng.integers(-NYQ + 1, NYQ, size=(count, 2))
+    p = rng.uniform(0.0, TWO_PI, size=(count + 2, 2))
+    terms = [(a[i], j[i, 0], p[i, 0], j[i, 1], p[i, 1]) for i in range(count)]
+    jr, jc = rng.integers(0, NYQ, size=2)
+    terms.append((a[count], NYQ, 0.0, jr, p[count, 1]))
+    terms.append((a[count + 1], jc, p[count + 1, 0], NYQ, 0.0))
+    # The corner mode cos(pi N (x + y)) as a difference of two products.
+    terms.append((a[count + 2], NYQ, 0.0, NYQ, 0.0))
+    terms.append((-a[count + 2], NYQ, -np.pi / 2, NYQ, -np.pi / 2))
+    return terms
+
+
+def oracle_derivative(terms, axis):
+    """d/dx (axis 0) or d/dy (axis 1), zeroing the unpaired Nyquist mode as the library does."""
+    out = []
+    for a, j1, p1, j2, p2 in terms:
+        j = (j1, j2)[axis]
+        if j != NYQ:
+            shifted = [p1, p2]
+            shifted[axis] += np.pi / 2
+            out.append((TWO_PI * j * a, j1, shifted[0], j2, shifted[1]))
+    return out
+
+
+def oracle_sample(tree, X, Y):
+    """Samples of a term list, or of a nested list of term lists as a component stack."""
+    if isinstance(tree[0], tuple):
+        return sum(a * np.cos(TWO_PI * j1 * X + p1) * np.cos(TWO_PI * j2 * Y + p2)
+                   for a, j1, p1, j2, p2 in tree)
+    return np.stack([oracle_sample(t, X, Y) for t in tree])
+
+
+class TestDenseOracle:
+    grid = make_grid(ORACLE_N, ORACLE_N)
+    fine = make_grid(4 * ORACLE_N, 4 * ORACLE_N)
+
+    def field(self, tree):
+        return Field(self.grid, oracle_sample(tree, *self.grid.mesh))
+
+    def dense(self, tree):
+        return oracle_sample(tree, *self.fine.mesh)
+
+    def expected(self, dense, pad):
+        if pad == 1:
+            return dense[..., ::4, ::4]  # the aliased grid product
+        idx = np.fft.fftfreq(ORACLE_N, d=1.0 / ORACLE_N).astype(int)
+        spec = np.fft.fft2(dense, norm="forward")[..., idx[:, None], idx[None, :]]
+        return Field.from_spectrum(self.grid, spec).values
+
+    def check(self, got, dense, pad):
+        want = self.expected(dense, pad)
+        assert np.max(np.abs(got.values - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("pad", [1, 2, 3])
+    def test_products(self, pad):
+        rng = np.random.default_rng(11)
+        f, g = oracle_terms(rng), oracle_terms(rng)
+        J = [[oracle_terms(rng) for _ in range(2)] for _ in range(2)]
+        v = [oracle_terms(rng) for _ in range(2)]
+        dJ, dv = self.dense(J), self.dense(v)
+        self.check(pointwise_product(self.field(f), self.field(g), pad),
+                   self.dense(f) * self.dense(g), pad)
+        self.check(pointwise_product(self.field(J), self.field(f), pad), dJ * self.dense(f), pad)
+        self.check(dot(self.field(J), self.field(v), pad), dJ[:, 0] * dv[0] + dJ[:, 1] * dv[1], pad)
+        self.check(tdot(self.field(J), self.field(v), pad), dJ[0] * dv[0] + dJ[1] * dv[1], pad)
+
+    @pytest.mark.parametrize("pad", [1, 2, 3])
+    @pytest.mark.parametrize("b", [2.0, 3.0])
+    def test_momentum_transport(self, pad, b):
+        rng = np.random.default_rng(12)
+        m, v = [oracle_terms(rng) for _ in range(2)], [oracle_terms(rng) for _ in range(2)]
+        dm, dv = self.dense(m), self.dense(v)
+        grad_m = [[self.dense(oracle_derivative(m[i], j)) for j in range(2)] for i in range(2)]
+        grad_v = [[self.dense(oracle_derivative(v[i], j)) for j in range(2)] for i in range(2)]
+        div_v = grad_v[0][0] + grad_v[1][1]
+        dense = np.stack([
+            sum(grad_m[i][j] * dv[j] + grad_v[j][i] * dm[j] for j in range(2))
+            + (b - 1.0) * dm[i] * div_v
+            for i in range(2)
+        ])
+        self.check(momentum_transport(self.field(m), self.field(v), b, pad), dense, pad)
+
+    @pytest.mark.parametrize("pad", [1, 2, 3])
+    @pytest.mark.parametrize("b", [2.0, 3.0])
+    def test_euler_rhs_forms_agree(self, pad, b):
+        u = self.field([oracle_terms(np.random.default_rng(13)) for _ in range(2)])
+        direct = euler_rhs(u, b, pad)
+        assert (direct - euler_rhs_geometric(u, b, pad)).sup_norm() <= 1e-13 * direct.sup_norm()
 
 
 class TestEvalOffgrid:
