@@ -57,7 +57,6 @@ __all__ = [
     "check_metric_compatibility",
     "rk4",
     "march",
-    "rk4_step",
     "integrate",
     "conservation_report",
     "profile_1d",
@@ -307,18 +306,6 @@ def march(rhs, y0, t_end: float, dt: float, record_stride: int, guard, pack):
     return pack(records)
 
 
-def _velocity_rhs(b: float, pad_factor: int):
-    return lambda t, u: euler_rhs(u, b, pad_factor)
-
-
-def rk4_step(state: EulerState, dt: float, b, pad_factor: int = DEFAULT_PAD_FACTOR) -> EulerState:
-    """One classical fourth-order step of du/dt = B(u, u)."""
-    b = validate_b(b)
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    return EulerState(state.t + dt, rk4(_velocity_rhs(b, pad_factor), state.t, state.u, dt))
-
-
 def integrate(
     u0: Field,
     b,
@@ -348,7 +335,7 @@ def integrate(
     def pack(records) -> Trajectory:
         return Trajectory(b=b, dt=float(dt), states=tuple(EulerState(t, u) for t, u in records))
 
-    return march(_velocity_rhs(b, pad_factor), u0, t_end, dt, record_stride, guard, pack)
+    return march(lambda t, u: euler_rhs(u, b, pad_factor), u0, t_end, dt, record_stride, guard, pack)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import BlowupError, Trajectory, _step_count, christoffel, march, rk4, validate_b
+from .dynamics import BlowupError, Trajectory, _step_count, christoffel, march, validate_b
 from .spectral import (
     DEFAULT_PAD_FACTOR,
     Field,
@@ -55,7 +55,6 @@ __all__ = [
     "flow_from_velocity",
     "trajectory_velocity",
     "christoffel_conjugated",
-    "geodesic_step",
     "geodesic_integrate",
     "eulerian_velocity",
     "exp_map",
@@ -261,10 +260,6 @@ class GeodesicState:
     phi_t: Field
 
 
-def _geodesic_state(t: float, y: Field) -> GeodesicState:
-    return GeodesicState(t, DiffeoMap(y[0]), y[1])
-
-
 def _geodesic_rhs(b: float, pad_factor: int):
     """rhs (d, w) -> (w, Gamma_phi(w, w)) of the label equation, phi = id + d.
 
@@ -280,15 +275,6 @@ def _geodesic_rhs(b: float, pad_factor: int):
         return stack([w, christoffel_conjugated(phi, w, w, b, pad_factor, phi_inv=psi)])
 
     return rhs
-
-
-def geodesic_step(state: GeodesicState, dt: float, b, pad_factor: int = DEFAULT_PAD_FACTOR) -> GeodesicState:
-    """One fourth-order step of phi_tt = Gamma_phi(phi_t, phi_t)."""
-    b = validate_b(b)
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    y = stack([state.phi.displacement, state.phi_t])
-    return _geodesic_state(state.t + dt, rk4(_geodesic_rhs(b, pad_factor), state.t, y, dt))
 
 
 def geodesic_integrate(
@@ -316,7 +302,8 @@ def geodesic_integrate(
         _checked_det(DiffeoMap(y[0]), det_floor, f"at t={t:.6g}")
 
     def pack(records) -> Trajectory:
-        return Trajectory(b=b, dt=float(dt), states=tuple(_geodesic_state(t, y) for t, y in records))
+        states = tuple(GeodesicState(t, DiffeoMap(y[0]), y[1]) for t, y in records)
+        return Trajectory(b=b, dt=float(dt), states=states)
 
     y0 = stack([VectorField.zero(u0.grid), u0])
     return march(_geodesic_rhs(b, pad_factor), y0, t_end, dt, record_stride, guard, pack)

@@ -1,25 +1,27 @@
 """Spectral fields on the flat torus (R/Z)^2.
 
-Everything downstream (dynamics, flows, curvature) is built on the small
-set of primitives in this module: uniform grids, one real field type with a
-cached Fourier spectrum, exact differentiation, the Helmholtz operator
-1 - Laplacian and its inverse, Parseval inner products, dealiased pointwise
-products, and direct trigonometric evaluation at off-grid points.
+Everything downstream (dynamics, flows, curvature) is built on the
+primitives here: uniform grids, one real field type, exact derivatives,
+the Helmholtz operator 1 - Laplacian and its inverse, Parseval inner
+products, dealiased products and direct off-grid evaluation.
 
 Conventions
 -----------
 * The period is 1 in each direction; mode (j1, j2) has physical wavenumber
   (2*pi*j1, 2*pi*j2).
-* A Field holds samples of shape (*components, nx, ny): components () for a
-  scalar, (2,) for a vector, (2, 2) for a matrix such as a Jacobian.  Every
-  operator acts on the last two axes and broadcasts over the others.
-* Spectra are normalized so the (0, 0) coefficient is the field mean:
-  spectrum = fft2(values) / (nx * ny).
-* First derivatives zero the unpaired Nyquist mode so real fields stay
-  real; the Helmholtz symbol 1 + |k|^2 is kept on all modes.
+* A Field has samples of shape (*components, nx, ny) and the real half
+  spectrum rfft2(values) / (nx * ny) of shape (*components, nx, ny/2 + 1):
+  rows j1 in FFT order, columns j2 = 0..ny/2, where each of 1..ny/2-1 also
+  stands for its mirror -j2.  It computes whichever form it lacks on first
+  use.  Every operator acts on the last two axes and broadcasts over the
+  component axes.
+* One Nyquist rule: in each axis the unpaired -n/2 coefficient is a cosine,
+  split evenly between -n/2 and +n/2, so the corner goes four ways.  First
+  derivatives zero it; the Helmholtz symbol 1 + |k|^2 keeps every mode.
 * Products are dealiased: each factor is lifted once to real samples on a
   pad_factor-times finer grid, the products of a term are summed there and
-  the sum is truncated once.
+  the sum is truncated once, reading each Nyquist row and column back as
+  the mean of the padded -n/2 and +n/2 ones.
 """
 
 from __future__ import annotations
@@ -98,16 +100,22 @@ class TorusGrid:
 
     @cached_property
     def modes_y(self) -> np.ndarray:
-        return np.fft.fftfreq(self.ny, d=1.0 / self.ny)
+        """Integer modes j2 in [0, ny/2], the columns of the half spectrum."""
+        return np.fft.rfftfreq(self.ny, d=1.0 / self.ny)
+
+    @cached_property
+    def column_weights(self) -> np.ndarray:
+        """Columns j2 = 1..ny/2-1 also stand for their mirror -j2: weight 2, else 1."""
+        return np.where((self.modes_y > 0) & (self.modes_y < self.ny // 2), 2.0, 1.0)
 
     @cached_property
     def ksq(self) -> np.ndarray:
-        """|k|^2 on the spectral grid, k = 2*pi*(j1, j2)."""
+        """|k|^2 on the half spectrum, k = 2*pi*(j1, j2)."""
         return (TWO_PI * self.modes_x[:, None]) ** 2 + (TWO_PI * self.modes_y[None, :]) ** 2
 
     @cached_property
     def grad_symbol(self) -> np.ndarray:
-        """Multipliers of (d/dx, d/dy) stacked as (2, nx, ny); Nyquist modes zeroed."""
+        """Multipliers of (d/dx, d/dy) stacked as (2, nx, ny/2 + 1); Nyquist modes zeroed."""
         jx, jy = self.modes_x.copy(), self.modes_y.copy()
         jx[self.nx // 2] = 0.0
         jy[self.ny // 2] = 0.0
@@ -121,62 +129,72 @@ class TorusGrid:
     def shape(self) -> tuple[int, int]:
         return (self.nx, self.ny)
 
+    @property
+    def half_shape(self) -> tuple[int, int]:
+        return (self.nx, self.ny // 2 + 1)
+
 
 def make_grid(nx: int, ny: int) -> TorusGrid:
     """Build a TorusGrid; rejects odd or undersized dimensions."""
     return TorusGrid(int(nx), int(ny))
 
 
-def _frozen(array: np.ndarray) -> np.ndarray:
-    """Read-only version of array; arrays that are read-only already are shared."""
+def _frozen(array: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Read-only version of array, which must end in shape; read-only arrays are shared."""
+    if array.shape[-2:] != shape:
+        raise ValueError(f"array of shape {array.shape} does not end in {shape}")
     if array.flags.writeable:
         array = array.copy()
         array.flags.writeable = False
     return array
 
 
-@dataclass(frozen=True, eq=False)
 class Field:
-    """Real periodic field: samples of shape (*components, nx, ny) on a TorusGrid.
+    """Real periodic field of shape (*components, nx, ny) on a TorusGrid.
 
-    The samples are read-only and the spectrum over the last two axes is
-    computed once, on first use.  Sums, differences and real multiples act
-    on the whole stack.  Indexing selects components: u[0] is u1 and
-    J[0, 1] is d u1 / dy.
+    Built from samples, Field(grid, values), or from a half spectrum,
+    Field.from_spectrum(grid, spectrum); the other form is computed once, on
+    first use, and both are read-only.  Sums, differences and real multiples
+    act on the samples of the whole stack.  Indexing selects components:
+    u[0] is u1 and J[0, 1] is d u1 / dy.
     """
 
-    grid: TorusGrid
-    values: np.ndarray
+    __slots__ = ("grid", "_values", "_spectrum")
 
     # Makes numpy scalars defer to the Field operators below.
     __array_ufunc__ = None
 
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.shape[-2:] != self.grid.shape:
-            raise ValueError(f"field shape {values.shape} does not match grid {self.grid.shape}")
-        object.__setattr__(self, "values", _frozen(values))
-
-    @classmethod
-    def _with_spectrum(cls, grid: TorusGrid, values: np.ndarray, spectrum) -> "Field":
-        f = cls(grid, values)
-        if spectrum is not None:
-            f.__dict__["spectrum"] = _frozen(np.asarray(spectrum, dtype=np.complex128))
-        return f
+    def __init__(self, grid: TorusGrid, values: np.ndarray):
+        self.grid, self._spectrum = grid, None
+        self._values = _frozen(np.asarray(values, dtype=np.float64), grid.shape)
 
     @classmethod
     def from_spectrum(cls, grid: TorusGrid, spectrum: np.ndarray) -> "Field":
-        """Real field synthesized from coefficients (imaginary residue discarded)."""
-        return cls._with_spectrum(grid, np.fft.ifft2(spectrum, norm="forward").real, spectrum)
+        """Real field with this half spectrum, whose columns 0 and ny/2 are Hermitian along x."""
+        f = cls.__new__(cls)
+        f.grid, f._values = grid, None
+        f._spectrum = _frozen(np.asarray(spectrum, dtype=np.complex128), grid.half_shape)
+        return f
 
-    @cached_property
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            shape = self.grid.shape
+            self._values = _frozen(np.fft.irfft2(self._spectrum, s=shape, norm="forward"), shape)
+        return self._values
+
+    @property
     def spectrum(self) -> np.ndarray:
-        return _frozen(np.fft.fft2(self.values, norm="forward"))
+        if self._spectrum is None:
+            self._spectrum = _frozen(np.fft.rfft2(self._values, norm="forward"), self.grid.half_shape)
+        return self._spectrum
 
     def __getitem__(self, index) -> "Field":
-        spec = self.__dict__.get("spectrum")
-        return Field._with_spectrum(self.grid, self.values[index],
-                                    None if spec is None else spec[index])
+        f = Field.__new__(Field)
+        f.grid = self.grid
+        f._values = None if self._values is None else self._values[index]
+        f._spectrum = None if self._spectrum is None else self._spectrum[index]
+        return f
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
@@ -268,9 +286,10 @@ def helmholtz_inverse(m: Field) -> Field:
 
 
 def _pairing(f: Field, g: Field, weight) -> float:
-    if f.grid != g.grid or f.values.shape != g.values.shape:
+    """Parseval sum of weight * f * conj(g) over the full spectrum, from the half spectra."""
+    if f.grid != g.grid or f.spectrum.shape != g.spectrum.shape:
         raise ValueError("fields live on different grids or have different components")
-    return float(np.real(np.sum(weight * f.spectrum * np.conj(g.spectrum))))
+    return float(np.sum(f.grid.column_weights * weight * np.real(f.spectrum * np.conj(g.spectrum))))
 
 
 def l2_inner(u: Field, v: Field) -> float:
@@ -287,39 +306,41 @@ def _lift(f: Field, pad_factor: int, symbol=None) -> np.ndarray:
     """Samples of f, or of its image under the Fourier multiplier symbol, on the
     pad_factor-times finer grid (pad_factor=1: the samples on f's grid).
 
-    Unpaired Nyquist coefficients are split evenly between -n/2 and +n/2, but
-    the corner goes to (+n/2, +n/2) and (-n/2, -n/2) only, as Re of the sum does.
+    The Nyquist row and column are split evenly between -n/2 and +n/2, so
+    the corner goes four ways.
     """
     s = f.spectrum if symbol is None else f.spectrum * symbol
     if pad_factor == 1:
-        return f.values if symbol is None else np.fft.ifft2(s, norm="forward").real
+        return f.values if symbol is None else np.fft.irfft2(s, s=f.grid.shape, norm="forward")
     hx, hy = f.grid.nx // 2, f.grid.ny // 2
     px, py = pad_factor * f.grid.nx, pad_factor * f.grid.ny
-    s = s[..., :hy + 1]
-    # Columns past +n/2 of the padded half spectrum are zero; irfft2 pads them.
+    # Columns past +n/2 of the padded half spectrum are zero; irfft2 pads them,
+    # and mirrors column +n/2 onto -n/2.
     half = np.zeros(s.shape[:-2] + (px, hy + 1), dtype=np.complex128)
-    half[..., :hx + 1, :hy + 1] = s[..., :hx + 1, :]  # rows 0..n/2-1, then -n/2 at +n/2
-    half[..., px - hx:, :hy + 1] = s[..., hx:, :]     # rows -n/2..-1
-    half[..., px - hx, hy] = 0.0
+    half[..., :hx + 1, :] = s[..., :hx + 1, :]  # rows 0..n/2-1, then -n/2 at +n/2
+    half[..., px - hx:, :] = s[..., hx:, :]     # rows -n/2..-1
     half[..., :, hy] *= 0.5
-    half[..., [hx, px - hx], :hy] *= 0.5
+    half[..., [hx, px - hx], :] *= 0.5
     return np.fft.irfft2(half, s=(px, py), norm="forward")
 
 
 def _truncate(grid: TorusGrid, samples: np.ndarray, pad_factor: int) -> Field:
     """Field of the modes of grid in padded samples (pad_factor=1: the samples themselves).
 
-    The Nyquist row and column are the means of the padded -n/2 and +n/2 ones
-    (irfft2 averages the column), the corner is the real part of (+n/2, +n/2).
+    The Nyquist row and column are the means of the padded -n/2 and +n/2
+    ones, so the corner is the mean of the four padded corners.
     """
     if pad_factor == 1:
         return Field(grid, samples)
     hx, hy, px = grid.nx // 2, grid.ny // 2, pad_factor * grid.nx
-    r = np.fft.rfft2(samples, norm="forward")[..., :hy + 1]
+    # Only the kept columns are transformed along x.
+    r = np.fft.fft(np.fft.rfft(samples, norm="forward")[..., :hy + 1], axis=-2, norm="forward")
     half = np.concatenate([r[..., :hx, :], r[..., px - hx:, :]], axis=-2)
-    half[..., hx, :hy] = 0.5 * (half[..., hx, :hy] + r[..., hx, :hy])
-    half[..., hx, hy] = r[..., hx, hy]
-    return Field(grid, np.fft.irfft2(half, s=grid.shape, norm="forward"))
+    half[..., hx, :] = 0.5 * (half[..., hx, :] + r[..., hx, :])
+    # Column -n/2 is the mirror image of column +n/2: conj at -j1.
+    nyquist = half[..., hy]
+    half[..., hy] = 0.5 * (nyquist + np.conj(nyquist[..., (-np.arange(grid.nx)) % grid.nx]))
+    return Field.from_spectrum(grid, half)
 
 
 def _dealiased(f: Field, g: Field, pad_factor: int, combine) -> Field:
@@ -357,12 +378,13 @@ def det(J: Field) -> Field:
 
 
 def eval_spectra(grid: TorusGrid, spectra: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Direct trigonometric summation of a stack of spectra at arbitrary points.
+    """Direct trigonometric summation of a stack of half spectra at arbitrary points.
 
-    spectra has shape (*components, nx, ny) and xs, ys share one shape;
-    returns real values of shape (*components, *xs.shape).  The basis
-    matrices are shared across the stack, so evaluating several fields at
-    one point set costs little more than evaluating one.
+    spectra has shape (*components, nx, ny/2 + 1) and xs, ys share one
+    shape; returns real values of shape (*components, *xs.shape).  The
+    Nyquist row and column are summed as cos(pi nx x) and cos(pi ny y).  The
+    basis matrices are shared across the stack, so evaluating several fields
+    at one point set costs little more than evaluating one.
     """
     spectra = np.asarray(spectra, dtype=np.complex128)
     shape = np.shape(xs)
@@ -370,7 +392,10 @@ def eval_spectra(grid: TorusGrid, spectra: np.ndarray, xs: np.ndarray, ys: np.nd
     ys = np.asarray(ys, dtype=np.float64).ravel()
     ex = np.exp((2j * np.pi) * np.outer(xs, grid.modes_x))
     ey = np.exp((2j * np.pi) * np.outer(ys, grid.modes_y))
-    partial = np.tensordot(ex, spectra.reshape((-1,) + grid.shape), axes=([1], [1]))  # (npts, nf, ny)
+    ex[:, grid.nx // 2] = ex[:, grid.nx // 2].real
+    ey[:, -1] = ey[:, -1].real
+    ey *= grid.column_weights
+    partial = np.tensordot(ex, spectra.reshape((-1,) + grid.half_shape), axes=([1], [1]))  # (npts, nf, ny/2+1)
     vals = np.einsum("pfy,py->fp", partial, ey).real
     return vals.reshape(spectra.shape[:-2] + shape)
 
@@ -393,8 +418,8 @@ def random_bandlimited(grid: TorusGrid, seed: int, kmax: int, amplitude: float) 
     if kmax >= min(grid.nx, grid.ny) // 2:
         raise ValueError(f"kmax={kmax} too large for grid {grid.shape}")
     rng = np.random.default_rng(seed)
-    mask = (np.abs(grid.modes_x)[:, None] <= kmax) & (np.abs(grid.modes_y)[None, :] <= kmax)
-    spec = np.fft.fft2(rng.standard_normal((2,) + grid.shape), norm="forward")
+    mask = (np.abs(grid.modes_x)[:, None] <= kmax) & (grid.modes_y[None, :] <= kmax)
+    spec = np.fft.rfft2(rng.standard_normal((2,) + grid.shape), norm="forward")
     u = Field.from_spectrum(grid, np.where(mask, spec, 0.0))
     sup = u.sup_norm()
     if sup == 0.0 or amplitude == 0.0:

@@ -129,9 +129,8 @@ class MultiplierOperator:
     symbol: Callable[[np.ndarray], np.ndarray]
 
     def values(self, grid: TorusGrid) -> np.ndarray:
-        vals = np.asarray(self.symbol(grid.ksq), dtype=float)
-        if vals.shape != grid.shape:
-            vals = np.broadcast_to(vals, grid.shape).copy()
+        """The checked symbol on the half spectrum of grid."""
+        vals = np.broadcast_to(np.asarray(self.symbol(grid.ksq), dtype=float), grid.half_shape)
         if not np.all(np.isfinite(vals)):
             raise ValueError(f"operator {self.name!r} has a non-finite symbol")
         if np.any(np.abs(vals) < 1e-12):

@@ -141,6 +141,15 @@ class TestRTerm:
         z = VectorField.zero(grid32)
         assert r_term(z, rand(grid32, 33, kmax=2)) == 0.0
 
+    @pytest.mark.parametrize("seeds, value", [((0, 1), -1287.943), ((2, 3), -680.641), ((4, 5), -1390.209)])
+    def test_does_not_vanish_on_random_planes(self, grid32, seeds, value):
+        # The twelve terms do not cancel in general: on these planes the
+        # residual is negative and outweighs gamma_terms.
+        u, v = (rand(grid32, s, kmax=2, amplitude=1.0) for s in seeds)
+        r, g = r_term(u, v), gamma_terms(u, v)
+        assert r == pytest.approx(value, rel=1e-6)
+        assert r + g < 0.0 < g
+
     def test_consistent_with_tensor_route(self, grid32):
         u = rand(grid32, 34, kmax=2)
         v = rand(grid32, 35, kmax=2)

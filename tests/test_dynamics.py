@@ -24,7 +24,6 @@ from torusflow.dynamics import (
     mch2_rhs,
     rhs_1d_b,
     rk4,
-    rk4_step,
     validate_b,
 )
 from torusflow.spectral import (
@@ -152,8 +151,9 @@ class TestEulerRhs:
 
 
 class TestTransformBudget:
-    """The fused kernels at 16^2: no complex FFT on the padded 32^2 grid, and
-    at most a fixed number of padded real transforms, counted in 2D planes.
+    """The fused kernels at 16^2: no complex FFT on the padded 32^2 grid, no
+    complex 2D transform on any grid, and at most a fixed number of padded
+    real transforms, counted in 2D planes.
 
     euler_rhs lifts m, u and the four rows of grad m and grad u (12 planes)
     and truncates one vector (2); christoffel lifts u, v, Au, Av and the eight
@@ -163,13 +163,15 @@ class TestTransformBudget:
     PADDED = (32, 32)
 
     def count(self, monkeypatch, call):
-        complex_padded, real_planes = [], 0
+        complex_padded, complex_2d, real_planes = [], [], 0
 
         def spy(name, original):
             def wrapped(a, *args, **kwargs):
                 nonlocal real_planes
                 out = original(a, *args, **kwargs)
                 padded = self.PADDED in (np.shape(a)[-2:], np.shape(out)[-2:])
+                if name in ("fft2", "ifft2", "fftn", "ifftn"):
+                    complex_2d.append(name)
                 if padded and name.startswith(("rfft", "irfft")):
                     real_planes += int(np.prod(np.shape(a)[:-2]))
                 elif padded:
@@ -181,15 +183,16 @@ class TestTransformBudget:
                      "rfft", "irfft", "rfft2", "irfft2", "rfftn", "irfftn"):
             monkeypatch.setattr(np.fft, name, spy(name, getattr(np.fft, name)))
         call()
-        return complex_padded, real_planes
+        return complex_padded, complex_2d, real_planes
 
     @pytest.mark.parametrize("name, ceiling", [("euler_rhs", 14), ("christoffel", 28)])
     def test_padded_transforms(self, monkeypatch, name, ceiling):
         grid = make_grid(16, 16)
         u, v = random_bandlimited(grid, 1, 3, 0.5), random_bandlimited(grid, 2, 3, 0.5)
         calls = {"euler_rhs": lambda: euler_rhs(u, 2.0), "christoffel": lambda: christoffel(u, v, 2.0)}
-        complex_padded, real_planes = self.count(monkeypatch, calls[name])
+        complex_padded, complex_2d, real_planes = self.count(monkeypatch, calls[name])
         assert complex_padded == []
+        assert complex_2d == []
         assert 0 < real_planes <= ceiling
 
 
@@ -302,11 +305,6 @@ class TestIntegration:
         assert traj.times[0] == 0.0
         assert traj.times[-1] == pytest.approx(0.01, abs=1e-15)
         assert (traj.final.u - c).sup_norm() < 1e-13
-
-    def test_rk4_step_advances_time(self, grid32):
-        u = random_bandlimited(grid32, seed=82, kmax=2, amplitude=0.05)
-        s1 = rk4_step(EulerState(0.25, u), 1e-3, 2.0)
-        assert s1.t == pytest.approx(0.251)
 
     def test_record_stride(self, grid32):
         u = random_bandlimited(grid32, seed=83, kmax=2, amplitude=0.02)

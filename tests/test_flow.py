@@ -20,7 +20,6 @@ from torusflow.flow import (
     exp_map,
     flow_from_velocity,
     geodesic_integrate,
-    geodesic_step,
     invert,
     jacobian,
     metric_at,
@@ -200,11 +199,6 @@ class TestGeodesic:
         traj = geodesic_integrate(c, 2.0, t_end=0.1, dt=5e-3, record_stride=20)
         assert (traj.final.phi_t - c).sup_norm() < 1e-11
         assert_allclose(traj.final.phi.displacement[0].values, 0.025, atol=1e-10)
-
-    def test_step_advances_time(self, grid32):
-        u0 = random_bandlimited(grid32, seed=16, kmax=2, amplitude=0.02)
-        state = GeodesicState(0.0, DiffeoMap.identity(grid32), u0)
-        assert geodesic_step(state, 1e-3, 2.0).t == pytest.approx(1e-3)
 
     def test_matches_velocity_form(self, grid32):
         u0 = random_bandlimited(grid32, seed=17, kmax=2, amplitude=0.02)

@@ -38,7 +38,10 @@ class TestGrid:
     def test_rectangular_modes(self):
         g = make_grid(4, 8)
         assert sorted(g.modes_x.astype(int)) == [-2, -1, 0, 1]
-        assert sorted(g.modes_y.astype(int)) == list(range(-4, 4))
+        # the half spectrum keeps the columns j2 = 0..ny/2, in order
+        assert list(g.modes_y.astype(int)) == [0, 1, 2, 3, 4]
+        assert g.ksq.shape == g.grad_symbol.shape[1:] == g.helmholtz_symbol.shape == (4, 5)
+        assert list(g.column_weights) == [1.0, 2.0, 2.0, 2.0, 1.0]
 
     @pytest.mark.parametrize("nx,ny", [(7, 8), (8, 7), (2, 8), (8, 0), (3, 3)])
     def test_rejects_bad_dimensions(self, nx, ny):
@@ -73,21 +76,38 @@ class TestTransform:
         back = Field.from_spectrum(grid32, f.spectrum)
         assert_allclose(back.values, vals, rtol=0, atol=1e-12 * np.max(np.abs(vals)))
 
-    def test_conjugate_symmetry(self, grid32):
+    def test_half_of_the_full_spectrum(self, grid32):
         rng = np.random.default_rng(3)
-        f = Field(grid32, rng.standard_normal(grid32.shape))
-        spec = f.spectrum
-        flipped = np.conj(np.roll(np.flip(spec), 1, axis=(0, 1)))
-        assert_allclose(spec, flipped, atol=1e-13)
+        vals = rng.standard_normal(grid32.shape)
+        full = np.fft.fft2(vals, norm="forward")
+        assert_allclose(Field(grid32, vals).spectrum, full[:, :grid32.ny // 2 + 1], atol=1e-15)
+
+    def test_conjugate_symmetry(self, grid32):
+        # columns 0 and ny/2 are their own mirror images: Hermitian along x
+        rng = np.random.default_rng(3)
+        spec = Field(grid32, rng.standard_normal(grid32.shape)).spectrum
+        neg = (-np.arange(grid32.nx)) % grid32.nx
+        for col in (0, grid32.ny // 2):
+            assert_allclose(spec[:, col], np.conj(spec[neg, col]), atol=1e-13)
 
     def test_parseval(self, grid32):
         rng = np.random.default_rng(11)
         f = Field(grid32, rng.standard_normal(grid32.shape))
-        assert np.mean(f.values**2) == pytest.approx(np.sum(np.abs(f.spectrum) ** 2), rel=1e-12)
+        weighted = np.sum(grid32.column_weights * np.abs(f.spectrum) ** 2)
+        assert np.mean(f.values**2) == pytest.approx(weighted, rel=1e-12)
+
+    def test_spectrum_first(self, grid32):
+        f = Field(grid32, np.random.default_rng(4).standard_normal((2,) + grid32.shape))
+        g = Field.from_spectrum(grid32, f.spectrum)
+        assert g.spectrum is f.spectrum
+        assert_allclose(g[1].values, f[1].values, atol=1e-14)
+        assert not g.values.flags.writeable and not g.spectrum.flags.writeable
 
     def test_size_mismatch(self, grid32):
         with pytest.raises(ValueError):
             Field.from_spectrum(grid32, np.zeros((8, 8), dtype=complex))
+        with pytest.raises(ValueError):
+            Field.from_spectrum(grid32, np.zeros(grid32.shape, dtype=complex))
         with pytest.raises(ValueError):
             Field(grid32, np.zeros((8, 8)))
 
@@ -275,7 +295,7 @@ class TestPointwiseProduct:
         dense = build(terms_f)(Xf, Yf) * build(terms_g)(Xf, Yf)
         dense_spec = np.fft.fft2(dense) / (64 * 64)
         idx = np.fft.fftfreq(16, d=1 / 16).astype(int)
-        coarse_spec = dense_spec[np.ix_(idx, idx)]
+        coarse_spec = dense_spec[np.ix_(idx, np.arange(9))]  # columns j2 = 0..8
         expected = Field.from_spectrum(g, coarse_spec)
         got = pointwise_product(f, h, 2)
         assert (got - expected).sup_norm() < 1e-12
@@ -290,8 +310,9 @@ class TestPointwiseProduct:
 # cos(2 pi j2 y + p2) on a 16^2 grid, each with content in the Nyquist row
 # (j1 = 8, cosine phase), the Nyquist column and the corner.  Such a sum is
 # its own trigonometric interpolant, with the unpaired Nyquist coefficient
-# split evenly between -8 and +8, so products of the sums, formed on a 4x
-# grid where they are exact, are what the dealiased products must return.
+# split evenly between -8 and +8 in each axis, so products of the sums,
+# formed on a 4x grid where they are exact, are what the dealiased products
+# must return, read back under the same rule.
 ORACLE_N = 16
 NYQ = ORACLE_N // 2
 
@@ -304,9 +325,8 @@ def oracle_terms(rng, count=3):
     jr, jc = rng.integers(0, NYQ, size=2)
     terms.append((a[count], NYQ, 0.0, jr, p[count, 1]))
     terms.append((a[count + 1], jc, p[count + 1, 0], NYQ, 0.0))
-    # The corner mode cos(pi N (x + y)) as a difference of two products.
+    # The corner mode cos(pi N x) cos(pi N y).
     terms.append((a[count + 2], NYQ, 0.0, NYQ, 0.0))
-    terms.append((-a[count + 2], NYQ, -np.pi / 2, NYQ, -np.pi / 2))
     return terms
 
 
@@ -343,13 +363,21 @@ class TestDenseOracle:
     def expected(self, dense, pad):
         if pad == 1:
             return dense[..., ::4, ::4]  # the aliased grid product
-        idx = np.fft.fftfreq(ORACLE_N, d=1.0 / ORACLE_N).astype(int)
-        spec = np.fft.fft2(dense, norm="forward")[..., idx[:, None], idx[None, :]]
-        return Field.from_spectrum(self.grid, spec).values
+        # The modes -N/2..N/2 of the dense product, the +-N/2 ones at half
+        # weight in each axis, summed directly at the coarse grid points.
+        idx = np.arange(-NYQ, NYQ + 1)
+        half = np.where(np.abs(idx) == NYQ, 0.5, 1.0)
+        spec = np.fft.fft2(dense, norm="forward")[..., idx[:, None], idx[None, :]] * np.outer(half, half)
+        basis = np.exp(2j * np.pi * np.outer(idx, self.grid.x))
+        return np.einsum("...jk,jx,ky->...xy", spec, basis, basis).real
 
     def check(self, got, dense, pad):
         want = self.expected(dense, pad)
         assert np.max(np.abs(got.values - want)) <= 1e-13 * np.max(np.abs(want))
+        # The product's half spectrum is the spectrum of its samples: its
+        # Nyquist column is Hermitian, as products reuse it unsynthesized.
+        resampled = Field(self.grid, got.values).spectrum
+        assert np.max(np.abs(got.spectrum - resampled)) <= 1e-13 * np.max(np.abs(resampled))
 
     @pytest.mark.parametrize("pad", [1, 2, 3])
     def test_products(self, pad):
@@ -410,6 +438,16 @@ class TestEvalOffgrid:
         pts = np.random.default_rng(1).random((50, 2))
         expected = np.cos(TWO_PI * (2 * pts[:, 0] - pts[:, 1]) + 0.3)
         assert_allclose(eval_spectra(grid32, f.spectrum, pts[:, 0], pts[:, 1]), expected, atol=1e-12)
+
+    def test_nyquist_rule_off_grid(self):
+        # Nyquist row, column and corner content is summed as cos(pi N x) and
+        # cos(pi N y), the interpolant the dealiased products use.
+        g = make_grid(ORACLE_N, ORACLE_N)
+        terms = oracle_terms(np.random.default_rng(14))
+        pts = np.random.default_rng(15).random((50, 2))
+        f = Field(g, oracle_sample(terms, *g.mesh))
+        expected = oracle_sample(terms, pts[:, 0], pts[:, 1])
+        assert_allclose(eval_spectra(g, f.spectrum, pts[:, 0], pts[:, 1]), expected, atol=1e-13)
 
 
 class TestRandomBandlimited:

@@ -47,8 +47,8 @@ def test_velocity_form_commutes_with_grid_shifts(seed, sx, sy, b):
     base = integrate(u0, b, 3e-2, 1e-2).final.u
     shifted = integrate(Field(grid, rolled(u0, sx, sy)), b, 3e-2, 1e-2).final.u
     # A grid shift multiplies each spectrum by unit phases, exact in exact
-    # arithmetic but rounded differently in each of the 130 or so FFTs per
-    # step; seen at 8e-16 relative, bounded at 45 eps.
+    # arithmetic but rounded differently in each of the 40 FFTs per step;
+    # seen at 8e-16 relative, bounded at 45 eps.
     assert np.max(np.abs(shifted.values - rolled(base, sx, sy))) <= 1e-14 * base.sup_norm()
 
 
@@ -67,14 +67,6 @@ def test_geodesic_commutes_with_grid_shifts(seed, sx, sy):
         assert np.max(np.abs(b.values - rolled(a, sx, sy))) <= 1e-12
 
 
-# The unpaired Nyquist mode (N/2, N/2) alternates in sign over the grid.
-CHECKER = (-1.0) ** np.add.outer(np.arange(N), np.arange(N))
-
-
-def without_corner(values: np.ndarray) -> np.ndarray:
-    return values - np.mean(values * CHECKER, axis=(-2, -1), keepdims=True) * CHECKER
-
-
 def lattice_image(u: Field, turns: int, flip: bool) -> Field:
     """g.u = g u(g^-1 z) for g = R^turns F^flip, R the quarter turn, F the flip x -> -x."""
     v = u.values
@@ -91,13 +83,13 @@ def lattice_image(u: Field, turns: int, flip: bool) -> Field:
 @given(seed=seeds, turns=st.integers(0, 3), flip=st.booleans(), b=st.sampled_from([2.0, 3.0]))
 @settings(max_examples=10, deadline=None)
 def test_velocity_operators_commute_with_lattice_symmetries(seed, turns, flip, b):
-    # Inputs carry content in the Nyquist row and column, where the rfft2
-    # half spectrum treats x and y differently.  The corner mode is left out
-    # of the inputs and of the comparison: the interpolant puts it on
-    # cos(pi N (x + y)), which a quarter turn or a flip does not preserve.
+    # White-noise inputs carry content in the Nyquist row, the Nyquist column
+    # and the corner, where the rfft2 half spectrum treats x and y
+    # differently; the corner's interpolant cos(pi N x) cos(pi N y) is
+    # preserved by quarter turns and flips.
     grid = make_grid(N, N)
     rng = np.random.default_rng(seed)
-    u, v = (Field(grid, without_corner(rng.standard_normal((2, N, N)))) for _ in range(2))
+    u, v = (Field(grid, rng.standard_normal((2, N, N))) for _ in range(2))
 
     def image(f):
         return lattice_image(f, turns, flip)
@@ -106,6 +98,6 @@ def test_velocity_operators_commute_with_lattice_symmetries(seed, turns, flip, b
         (euler_rhs(image(u), b), image(euler_rhs(u, b))),
         (christoffel(image(u), image(v), b), image(christoffel(u, v, b))),
     ):
-        # Seen up to 2e-14 relative over 320 draws; each side rounds its FFTs
-        # in its own order.
-        assert np.max(np.abs(without_corner(got.values - want.values))) <= 1e-13 * want.sup_norm()
+        # Seen up to 2e-14 relative over 1600 draws, the corner included;
+        # each side rounds its FFTs in its own order.
+        assert np.max(np.abs(got.values - want.values)) <= 1e-13 * want.sup_norm()
