@@ -3,8 +3,8 @@
 A map is stored through its periodic displacement, phi(z) = z + d(z) mod 1,
 so composition, inversion and differentiation all stay inside the spectral
 toolbox: compositions evaluate band-limited fields at displaced points,
-inverses come from a fixed-point iteration on the displacement, and the
-Jacobian is I + grad(d).
+inverses come from Newton's method on the displacement, which evaluates d
+and grad d together off-grid, and the Jacobian is I + grad(d).
 
 The evolution itself is carried here as the second-order label equation
 
@@ -71,7 +71,7 @@ INVERT_MAX_ITER = 100
 
 
 class InversionError(RuntimeError):
-    """Fixed-point inversion failed to converge (map too far from identity)."""
+    """Newton inversion failed to converge (map too far from identity)."""
 
 
 class OrientationError(RuntimeError):
@@ -146,14 +146,16 @@ def invert(
     max_iter: int = INVERT_MAX_ITER,
     near: tuple[DiffeoMap, DiffeoMap] | None = None,
 ) -> DiffeoMap:
-    """Inverse map via the contraction e(w) = -d(w + e(w)).
+    """Inverse map by Newton's method on e + d(z + e) = 0.
 
     Starts from e = -d, or, given near = (a nearby map, its inverse), from
     that inverse's displacement shifted by minus the change in displacement
     (the inverse of z + d is about z - d), which warm starts consecutive
-    inversions along a trajectory.  Iterates until the sup-norm update drops
-    below tol.  Converges for maps in the contraction regime sup|grad d| < 1;
-    raises InversionError otherwise.
+    inversions along a trajectory.  Each iteration is one off-grid
+    evaluation of d and grad d at z + e, and solves with the pointwise 2x2
+    inverse of I + grad d(z + e); once the sup-norm residual drops below
+    tol, that last step is taken and the result returned.  Raises
+    InversionError after max_iter evaluations.
     """
     _checked_det(phi, 0.0)
     d = phi.displacement
@@ -163,14 +165,16 @@ def invert(
     else:
         prev, prev_inv = near
         e = prev_inv.displacement.values - (d.values - prev.displacement.values)
-    update = np.inf
+    residual = np.inf
     for _ in range(max_iter):
-        f = eval_spectra(phi.grid, d.spectrum, X + e[0], Y + e[1])
-        update = float(np.max(np.abs(f + e)))
-        e = -f
-        if update < tol:
+        f, g = eval_spectra(phi.grid, d.spectrum, X + e[0], Y + e[1], gradient=True)
+        r = e + f
+        residual = float(np.max(np.abs(r)))
+        a, b, c, h = 1.0 + g[0, 0], g[0, 1], g[1, 0], 1.0 + g[1, 1]
+        e = e - np.stack([h * r[0] - b * r[1], a * r[1] - c * r[0]]) / (a * h - b * c)
+        if residual < tol:
             return DiffeoMap(Field(phi.grid, e))
-    raise InversionError(f"inversion stalled at update {update:.3e} after {max_iter} iterations")
+    raise InversionError(f"inversion stalled at residual {residual:.3e} after {max_iter} iterations")
 
 
 @dataclass(frozen=True)
@@ -241,14 +245,20 @@ def christoffel_conjugated(
     """Conjugated connection Gamma_phi(U, V) = Gamma(U o phi^{-1}, V o phi^{-1}) o phi.
 
     Pass phi_inv to reuse an inverse computed elsewhere (the geodesic stepper
-    does, to warm start consecutive inversions).
+    does, to warm start consecutive inversions).  U and V are composed with
+    phi^{-1} in one evaluation, or once when V is U, as in the geodesic
+    stepper's Gamma_phi(w, w).
     """
     b = validate_b(b)
     if U.grid != phi.grid or V.grid != phi.grid:
         raise ValueError("fields and map live on different grids")
     psi = invert(phi) if phi_inv is None else phi_inv
-    UVc = compose_field(stack([U, V]), psi)
-    return compose_field(christoffel(UVc[0], UVc[1], b, pad_factor), phi)
+    if V is U:
+        Uc = Vc = compose_field(U, psi)
+    else:
+        UVc = compose_field(stack([U, V]), psi)
+        Uc, Vc = UVc[0], UVc[1]
+    return compose_field(christoffel(Uc, Vc, b, pad_factor), phi)
 
 
 @dataclass(frozen=True)

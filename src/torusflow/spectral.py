@@ -139,14 +139,26 @@ def make_grid(nx: int, ny: int) -> TorusGrid:
     return TorusGrid(int(nx), int(ny))
 
 
-def _frozen(array: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Read-only version of array, which must end in shape; read-only arrays are shared."""
+def _read_only(array: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """array, which must end in shape, made read-only in place."""
     if array.shape[-2:] != shape:
         raise ValueError(f"array of shape {array.shape} does not end in {shape}")
-    if array.flags.writeable:
-        array = array.copy()
-        array.flags.writeable = False
+    array.flags.writeable = False
     return array
+
+
+def _frozen(array: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Read-only copy of a caller's array, which must end in shape; read-only arrays are shared."""
+    return _read_only(array.copy() if array.flags.writeable else array, shape)
+
+
+def _owned(grid: TorusGrid, values: np.ndarray | None = None, spectrum: np.ndarray | None = None) -> "Field":
+    """Field over arrays the library has just allocated and nothing else holds, frozen in place."""
+    f = Field.__new__(Field)
+    f.grid = grid
+    f._values = None if values is None else _read_only(values, grid.shape)
+    f._spectrum = None if spectrum is None else _read_only(spectrum, grid.half_shape)
+    return f
 
 
 class Field:
@@ -180,13 +192,13 @@ class Field:
     def values(self) -> np.ndarray:
         if self._values is None:
             shape = self.grid.shape
-            self._values = _frozen(np.fft.irfft2(self._spectrum, s=shape, norm="forward"), shape)
+            self._values = _read_only(np.fft.irfft2(self._spectrum, s=shape, norm="forward"), shape)
         return self._values
 
     @property
     def spectrum(self) -> np.ndarray:
         if self._spectrum is None:
-            self._spectrum = _frozen(np.fft.rfft2(self._values, norm="forward"), self.grid.half_shape)
+            self._spectrum = _read_only(np.fft.rfft2(self._values, norm="forward"), self.grid.half_shape)
         return self._spectrum
 
     def __getitem__(self, index) -> "Field":
@@ -204,7 +216,7 @@ class Field:
             return NotImplemented
         if self.grid != other.grid:
             raise ValueError("fields live on different grids")
-        return Field(self.grid, op(self.values, other.values))
+        return _owned(self.grid, op(self.values, other.values))
 
     def __add__(self, other: "Field") -> "Field":
         return self._combine(other, operator.add)
@@ -213,7 +225,7 @@ class Field:
         return self._combine(other, operator.sub)
 
     def __mul__(self, c) -> "Field":
-        return Field(self.grid, self.values * float(c))
+        return _owned(self.grid, self.values * float(c))
 
     __rmul__ = __mul__
 
@@ -226,7 +238,7 @@ def stack(fields) -> Field:
     grid = fields[0].grid
     if any(f.grid != grid for f in fields):
         raise ValueError("fields live on different grids")
-    return Field(grid, np.stack([f.values for f in fields]))
+    return _owned(grid, np.stack([f.values for f in fields]))
 
 
 class VectorField:
@@ -246,7 +258,7 @@ class VectorField:
 
 
 def _multiply_symbol(f: Field, symbol: np.ndarray) -> Field:
-    return Field.from_spectrum(f.grid, f.spectrum * symbol)
+    return _owned(f.grid, spectrum=f.spectrum * symbol)
 
 
 def partial_x(f: Field) -> Field:
@@ -263,12 +275,12 @@ def gradient(u: Field) -> Field:
     For a vector field entry [i, j] is d u_i / d x_j; for a scalar it is the
     gradient vector.
     """
-    return Field.from_spectrum(u.grid, u.spectrum[..., None, :, :] * u.grid.grad_symbol)
+    return _owned(u.grid, spectrum=u.spectrum[..., None, :, :] * u.grid.grad_symbol)
 
 
 def divergence(u: Field) -> Field:
     """Contraction of the last component axis with the gradient: sum_j d u_j / d x_j."""
-    return Field.from_spectrum(u.grid, np.sum(u.spectrum * u.grid.grad_symbol, axis=-3))
+    return _owned(u.grid, spectrum=np.sum(u.spectrum * u.grid.grad_symbol, axis=-3))
 
 
 def laplacian(f: Field) -> Field:
@@ -331,7 +343,7 @@ def _truncate(grid: TorusGrid, samples: np.ndarray, pad_factor: int) -> Field:
     ones, so the corner is the mean of the four padded corners.
     """
     if pad_factor == 1:
-        return Field(grid, samples)
+        return _owned(grid, samples)
     hx, hy, px = grid.nx // 2, grid.ny // 2, pad_factor * grid.nx
     # Only the kept columns are transformed along x.
     r = np.fft.fft(np.fft.rfft(samples, norm="forward")[..., :hy + 1], axis=-2, norm="forward")
@@ -340,7 +352,7 @@ def _truncate(grid: TorusGrid, samples: np.ndarray, pad_factor: int) -> Field:
     # Column -n/2 is the mirror image of column +n/2: conj at -j1.
     nyquist = half[..., hy]
     half[..., hy] = 0.5 * (nyquist + np.conj(nyquist[..., (-np.arange(grid.nx)) % grid.nx]))
-    return Field.from_spectrum(grid, half)
+    return _owned(grid, spectrum=half)
 
 
 def _dealiased(f: Field, g: Field, pad_factor: int, combine) -> Field:
@@ -374,30 +386,65 @@ def tdot(J: Field, w: Field, pad_factor: int = DEFAULT_PAD_FACTOR) -> Field:
 def det(J: Field) -> Field:
     """Pointwise determinant of a 2x2 matrix field."""
     v = J.values
-    return Field(J.grid, v[0, 0] * v[1, 1] - v[0, 1] * v[1, 0])
+    return _owned(J.grid, v[0, 0] * v[1, 1] - v[0, 1] * v[1, 0])
 
 
-def eval_spectra(grid: TorusGrid, spectra: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+def _powers(t: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[j] = exp(2 pi i j t) for j = 0..len(out)-1 at each point of t.
+
+    One complex exp per point; the higher powers come by doubling,
+    z^(k+i) = z^k z^i, so each carries about log2(j) roundings.
+    """
+    out[0] = 1.0
+    out[1] = np.exp((2j * np.pi) * t)
+    k, h = 1, len(out) - 1
+    while k < h:
+        m = min(k, h - k)
+        np.multiply(out[1:1 + m], out[k], out=out[k + 1:k + 1 + m])
+        k += m
+    return out
+
+
+def eval_spectra(grid: TorusGrid, spectra: np.ndarray, xs: np.ndarray, ys: np.ndarray,
+                 gradient: bool = False):
     """Direct trigonometric summation of a stack of half spectra at arbitrary points.
 
     spectra has shape (*components, nx, ny/2 + 1) and xs, ys share one
     shape; returns real values of shape (*components, *xs.shape).  The
-    Nyquist row and column are summed as cos(pi nx x) and cos(pi ny y).  The
-    basis matrices are shared across the stack, so evaluating several fields
-    at one point set costs little more than evaluating one.
+    bases exp(2 pi i j x) and exp(2 pi i j y) are powers of one exp per
+    point, negative j their conjugates.  The Nyquist row and column are
+    summed as cos(pi nx x) and cos(pi ny y), the corner as their product.
+    The bases are shared across the stack, so evaluating several fields at
+    one point set costs little more than evaluating one.
+
+    With gradient=True, returns (values, first derivatives), the latter of
+    shape (*components, 2, *xs.shape) with entry [..., j, :] = d/dx_j: the
+    off-grid values of `gradient` of the stack, Nyquist modes zeroed.  d/dy
+    reuses the sums over x; d/dx is summed over x with them, as an
+    x-differentiated copy of the stack.
     """
     spectra = np.asarray(spectra, dtype=np.complex128)
-    shape = np.shape(xs)
-    xs = np.asarray(xs, dtype=np.float64).ravel()
-    ys = np.asarray(ys, dtype=np.float64).ravel()
-    ex = np.exp((2j * np.pi) * np.outer(xs, grid.modes_x))
-    ey = np.exp((2j * np.pi) * np.outer(ys, grid.modes_y))
-    ex[:, grid.nx // 2] = ex[:, grid.nx // 2].real
-    ey[:, -1] = ey[:, -1].real
-    ey *= grid.column_weights
-    partial = np.tensordot(ex, spectra.reshape((-1,) + grid.half_shape), axes=([1], [1]))  # (npts, nf, ny/2+1)
-    vals = np.einsum("pfy,py->fp", partial, ey).real
-    return vals.reshape(spectra.shape[:-2] + shape)
+    lead, shape = spectra.shape[:-2], np.shape(xs)
+    xs = np.ravel(np.asarray(xs, dtype=np.float64))
+    ys = np.ravel(np.asarray(ys, dtype=np.float64))
+    hx = grid.nx // 2
+    ex = np.empty((grid.nx, xs.size), dtype=np.complex128)
+    _powers(xs, ex[:hx + 1])
+    ex[hx] = ex[hx].real
+    np.conjugate(ex[hx - 1:0:-1], out=ex[hx + 1:])  # rows j1 in FFT order
+    ey = _powers(ys, np.empty((grid.ny // 2 + 1, ys.size), dtype=np.complex128))
+    ey[-1] = ey[-1].real
+    ey *= grid.column_weights[:, None]
+    coeffs = np.swapaxes(spectra.reshape((-1,) + grid.half_shape), -1, -2)  # (fields, ny/2+1, nx)
+    if gradient:
+        coeffs = np.concatenate([coeffs, coeffs * grid.grad_symbol[0][:, 0]])
+    partial = coeffs @ ex  # sums over x: (fields, ny/2+1, points)
+    sums = np.einsum("fyp,yp->fp", partial, ey).real
+    if not gradient:
+        return sums.reshape(lead + shape)
+    n = len(sums) // 2
+    dy = np.einsum("fyp,yp->fp", partial[:n], ey * grid.grad_symbol[1][0][:, None]).real
+    return sums[:n].reshape(lead + shape), np.stack([sums[n:], dy], axis=1).reshape(lead + (2,) + shape)
 
 
 def cosine_mode(grid: TorusGrid, j1: int, j2: int, amplitude: float = 1.0,

@@ -1,7 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from torusflow import flow
+from torusflow.cli import entry
 from torusflow.dynamics import hamiltonian, integrate
 from torusflow.flow import (
     DiffeoMap,
@@ -29,6 +33,8 @@ from torusflow.dynamics import christoffel
 from torusflow.spectral import (
     VectorField,
     det,
+    eval_spectra,
+    gradient,
     h1_inner,
     helmholtz,
     l2_inner,
@@ -134,10 +140,55 @@ class TestInvert:
         with pytest.raises(InversionError):
             invert(phi, max_iter=1)
 
+    def test_newton_where_fixed_point_crawls(self, grid16):
+        # sup |grad d| = 0.8 (pointwise operator norm): the contraction
+        # e = -d(z + e) gains a factor of only about 0.8 per step, but Newton
+        # converges quadratically once close.
+        u = random_bandlimited(grid16, 0, kmax=2, amplitude=1.0)
+        grad = np.moveaxis(gradient(u).values, (0, 1), (-2, -1))
+        phi = DiffeoMap(u * (0.8 / np.max(np.linalg.norm(grad, ord=2, axis=(-2, -1)))))
+        inv = invert(phi, max_iter=10)
+        assert compose(phi, inv).displacement.sup_norm() <= 1e-12
+
+    def test_no_stall_on_large_random_geodesic(self, tmp_path, capsys):
+        # This run once aborted at t = 0.06 with the fixed-point update
+        # flooring at 4e-12, with min det(grad phi) still 0.14.
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "grid": [16, 16], "t_end": 0.5, "dt": 5e-3,
+            "initial_condition": {"type": "random", "seed": 0, "kmax": 2, "amplitude": 1.5},
+        }))
+        out = tmp_path / "out"
+        entry(["geodesic", "--config", str(cfg), "--out", str(out)])
+        assert "inversion stalled" not in capsys.readouterr().err
+        assert "inversion stalled" not in (out / "geodesic.json").read_text()
+
     def test_orientation_violation(self, grid32):
         d = sample_vector(grid32, lambda x, y: 0.5 * np.sin(TWO_PI * x), lambda x, y: 0.0 * x)
         with pytest.raises(OrientationError):
             invert(DiffeoMap(d))
+
+
+class TestInvertBudget:
+    """A warm-started inversion of a near-identity map, at the amplitude of a
+    band-limited geodesic initial velocity, converges quadratically: in at
+    most three off-grid evaluations, the last of which confirms the residual.
+    """
+
+    def test_warm_start_evaluations(self, grid32, monkeypatch):
+        d = random_bandlimited(grid32, 3, kmax=2, amplitude=0.015)
+        phi, prev = DiffeoMap(d), DiffeoMap(d * 0.99)
+        prev_inv = invert(prev)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("gradient", False))
+            return eval_spectra(*args, **kwargs)
+
+        monkeypatch.setattr(flow, "eval_spectra", counted)
+        inv = invert(phi, near=(prev, prev_inv))
+        assert len(calls) <= 3 and all(calls)
+        assert compose(phi, inv).displacement.sup_norm() <= 1e-12
 
 
 class TestFlowFromVelocity:
@@ -182,6 +233,15 @@ class TestChristoffelConjugated:
         phi = small_map(grid32, seed=12)
         c = VectorField.constant(grid32, 0.4, -0.3)
         assert christoffel_conjugated(phi, c, c, 2.0).sup_norm() < 1e-11
+
+    def test_one_field_composed_once(self, grid32):
+        # Gamma_phi(w, w) composes w once; a distinct copy of w takes the
+        # stacked two-field evaluation.
+        phi = small_map(grid32, seed=16)
+        w = random_bandlimited(grid32, seed=17, kmax=3, amplitude=0.3)
+        once = christoffel_conjugated(phi, w, w, 2.0)
+        stacked = christoffel_conjugated(phi, w, 1.0 * w, 2.0)
+        assert (once - stacked).sup_norm() <= 1e-14 * stacked.sup_norm()
 
     def test_right_invariance_under_translation(self, grid64):
         phi = small_map(grid64, seed=13)

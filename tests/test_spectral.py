@@ -103,6 +103,23 @@ class TestTransform:
         assert_allclose(g[1].values, f[1].values, atol=1e-14)
         assert not g.values.flags.writeable and not g.spectrum.flags.writeable
 
+    def test_caller_arrays_are_copied(self, grid32):
+        vals = np.random.default_rng(5).standard_normal((2,) + grid32.shape)
+        spec = Field(grid32, vals).spectrum.copy()
+        f, g = Field(grid32, vals), Field.from_spectrum(grid32, spec)
+        expected_f, expected_g = f.values.copy(), g.spectrum.copy()
+        vals += 1.0
+        spec *= 2.0
+        assert np.array_equal(f.values, expected_f) and np.array_equal(g.spectrum, expected_g)
+        assert np.array_equal(f.spectrum, Field(grid32, expected_f).spectrum)
+        assert np.array_equal(g.values, Field.from_spectrum(grid32, expected_g).values)
+
+    def test_computed_forms_are_read_only(self, grid32):
+        f = random_bandlimited(grid32, 6, kmax=3, amplitude=1.0)
+        for h in (f, partial_x(f), gradient(f), divergence(f), f + f, 2.0 * f, stack([f[0], f[1]]),
+                  pointwise_product(f, f), pointwise_product(f, f, 1)):
+            assert not h.values.flags.writeable and not h.spectrum.flags.writeable
+
     def test_size_mismatch(self, grid32):
         with pytest.raises(ValueError):
             Field.from_spectrum(grid32, np.zeros((8, 8), dtype=complex))
@@ -416,6 +433,29 @@ class TestDenseOracle:
         assert (direct - euler_rhs_geometric(u, b, pad)).sup_norm() <= 1e-13 * direct.sup_norm()
 
 
+def direct_sum(grid, spectra, xs, ys):
+    """Oracle for eval_spectra: one complex exp per point and mode, no shared powers."""
+    spectra = np.asarray(spectra, dtype=np.complex128)
+    shape = np.shape(xs)
+    xs = np.asarray(xs, dtype=np.float64).ravel()
+    ys = np.asarray(ys, dtype=np.float64).ravel()
+    ex = np.exp((2j * np.pi) * np.outer(xs, grid.modes_x))
+    ey = np.exp((2j * np.pi) * np.outer(ys, grid.modes_y))
+    ex[:, grid.nx // 2] = ex[:, grid.nx // 2].real
+    ey[:, -1] = ey[:, -1].real
+    ey *= grid.column_weights
+    partial = np.tensordot(ex, spectra.reshape((-1,) + grid.half_shape), axes=([1], [1]))
+    vals = np.einsum("pfy,py->fp", partial, ey).real
+    return vals.reshape(spectra.shape[:-2] + shape)
+
+
+def offgrid_points(seed, count=200):
+    """Points in [-1, 2)^2 plus coordinates just below 1, just below 0 and above 1."""
+    pts = np.random.default_rng(seed).uniform(-1.0, 2.0, size=(count, 2))
+    edge = np.array([1.0 - 1e-12, 1.0 - 1e-7, 0.9999, -1e-12, -0.3, 1.0 + 1e-12, 1.7])
+    return np.concatenate([pts, np.stack([edge, edge[::-1]], axis=1)])
+
+
 class TestEvalOffgrid:
     def test_closed_form_point(self, grid32):
         f = sample_scalar(grid32, lambda x, y: np.sin(TWO_PI * x))
@@ -448,6 +488,38 @@ class TestEvalOffgrid:
         f = Field(g, oracle_sample(terms, *g.mesh))
         expected = oracle_sample(terms, pts[:, 0], pts[:, 1])
         assert_allclose(eval_spectra(g, f.spectrum, pts[:, 0], pts[:, 1]), expected, atol=1e-13)
+
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    def test_matches_direct_sum(self, n):
+        # Full-band spectra: the Nyquist row, column and corner all carry content.
+        g = make_grid(n, n)
+        spectra = Field(g, np.random.default_rng(n).standard_normal((2,) + g.shape)).spectrum
+        pts = offgrid_points(n + 1)
+        expected = direct_sum(g, spectra, pts[:, 0], pts[:, 1])
+        got = eval_spectra(g, spectra, pts[:, 0], pts[:, 1])
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    def test_gradient_matches_direct_sum(self, n):
+        g = make_grid(n, n)
+        f = Field(g, np.random.default_rng(n + 2).standard_normal((2,) + g.shape))
+        pts = offgrid_points(n + 3)
+        vals, grad = eval_spectra(g, f.spectrum, pts[:, 0], pts[:, 1], gradient=True)
+        expected = direct_sum(g, gradient(f).spectrum, pts[:, 0], pts[:, 1])
+        assert grad.shape == (2, 2, len(pts))
+        assert np.max(np.abs(grad - expected)) <= 1e-13 * np.max(np.abs(expected))
+        assert np.array_equal(vals, eval_spectra(g, f.spectrum, pts[:, 0], pts[:, 1]))
+
+    def test_gradient_nyquist_rule_off_grid(self):
+        # d/dx and d/dy of the oracle sums, the unpaired Nyquist modes zeroed.
+        g = make_grid(ORACLE_N, ORACLE_N)
+        terms = oracle_terms(np.random.default_rng(16))
+        pts = np.random.default_rng(17).random((50, 2))
+        f = Field(g, oracle_sample(terms, *g.mesh))
+        _, grad = eval_spectra(g, f.spectrum, pts[:, 0], pts[:, 1], gradient=True)
+        for axis in (0, 1):
+            expected = oracle_sample(oracle_derivative(terms, axis), pts[:, 0], pts[:, 1])
+            assert_allclose(grad[axis], expected, atol=1e-12)
 
 
 class TestRandomBandlimited:
