@@ -245,20 +245,14 @@ def christoffel_conjugated(
     """Conjugated connection Gamma_phi(U, V) = Gamma(U o phi^{-1}, V o phi^{-1}) o phi.
 
     Pass phi_inv to reuse an inverse computed elsewhere (the geodesic stepper
-    does, to warm start consecutive inversions).  U and V are composed with
-    phi^{-1} in one evaluation, or once when V is U, as in the geodesic
-    stepper's Gamma_phi(w, w).
+    does, to warm start consecutive inversions).
     """
     b = validate_b(b)
     if U.grid != phi.grid or V.grid != phi.grid:
         raise ValueError("fields and map live on different grids")
     psi = invert(phi) if phi_inv is None else phi_inv
-    if V is U:
-        Uc = Vc = compose_field(U, psi)
-    else:
-        UVc = compose_field(stack([U, V]), psi)
-        Uc, Vc = UVc[0], UVc[1]
-    return compose_field(christoffel(Uc, Vc, b, pad_factor), phi)
+    UVc = compose_field(stack([U, V]), psi)
+    return compose_field(christoffel(UVc[0], UVc[1], b, pad_factor), phi)
 
 
 @dataclass(frozen=True)

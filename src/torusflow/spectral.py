@@ -147,18 +147,14 @@ def _read_only(array: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return array
 
 
-def _frozen(array: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Read-only copy of a caller's array, which must end in shape; read-only arrays are shared."""
-    return _read_only(array.copy() if array.flags.writeable else array, shape)
+def _private(array: np.ndarray) -> np.ndarray:
+    """array itself if read-only, else a copy, so a caller's later writes cannot reach a Field."""
+    return array.copy() if array.flags.writeable else array
 
 
 def _owned(grid: TorusGrid, values: np.ndarray | None = None, spectrum: np.ndarray | None = None) -> "Field":
-    """Field over arrays the library has just allocated and nothing else holds, frozen in place."""
-    f = Field.__new__(Field)
-    f.grid = grid
-    f._values = None if values is None else _read_only(values, grid.shape)
-    f._spectrum = None if spectrum is None else _read_only(spectrum, grid.half_shape)
-    return f
+    """Field over arrays nothing else writes (fresh library arrays or read-only ones), frozen in place."""
+    return Field.__new__(Field)._set(grid, values, spectrum)
 
 
 class Field:
@@ -177,16 +173,18 @@ class Field:
     __array_ufunc__ = None
 
     def __init__(self, grid: TorusGrid, values: np.ndarray):
-        self.grid, self._spectrum = grid, None
-        self._values = _frozen(np.asarray(values, dtype=np.float64), grid.shape)
+        self._set(grid, _private(np.asarray(values, dtype=np.float64)), None)
+
+    def _set(self, grid: TorusGrid, values: np.ndarray | None, spectrum: np.ndarray | None) -> "Field":
+        self.grid = grid
+        self._values = None if values is None else _read_only(values, grid.shape)
+        self._spectrum = None if spectrum is None else _read_only(spectrum, grid.half_shape)
+        return self
 
     @classmethod
     def from_spectrum(cls, grid: TorusGrid, spectrum: np.ndarray) -> "Field":
         """Real field with this half spectrum, whose columns 0 and ny/2 are Hermitian along x."""
-        f = cls.__new__(cls)
-        f.grid, f._values = grid, None
-        f._spectrum = _frozen(np.asarray(spectrum, dtype=np.complex128), grid.half_shape)
-        return f
+        return _owned(grid, spectrum=_private(np.asarray(spectrum, dtype=np.complex128)))
 
     @property
     def values(self) -> np.ndarray:
@@ -202,11 +200,8 @@ class Field:
         return self._spectrum
 
     def __getitem__(self, index) -> "Field":
-        f = Field.__new__(Field)
-        f.grid = self.grid
-        f._values = None if self._values is None else self._values[index]
-        f._spectrum = None if self._spectrum is None else self._spectrum[index]
-        return f
+        return _owned(self.grid, None if self._values is None else self._values[index],
+                      None if self._spectrum is None else self._spectrum[index])
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))

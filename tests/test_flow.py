@@ -234,15 +234,6 @@ class TestChristoffelConjugated:
         c = VectorField.constant(grid32, 0.4, -0.3)
         assert christoffel_conjugated(phi, c, c, 2.0).sup_norm() < 1e-11
 
-    def test_one_field_composed_once(self, grid32):
-        # Gamma_phi(w, w) composes w once; a distinct copy of w takes the
-        # stacked two-field evaluation.
-        phi = small_map(grid32, seed=16)
-        w = random_bandlimited(grid32, seed=17, kmax=3, amplitude=0.3)
-        once = christoffel_conjugated(phi, w, w, 2.0)
-        stacked = christoffel_conjugated(phi, w, 1.0 * w, 2.0)
-        assert (once - stacked).sup_norm() <= 1e-14 * stacked.sup_norm()
-
     def test_right_invariance_under_translation(self, grid64):
         phi = small_map(grid64, seed=13)
         tau = DiffeoMap.translation(grid64, 0.3, 0.15)
