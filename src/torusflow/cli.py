@@ -39,7 +39,6 @@ from .flow import (
     body_momentum,
     eulerian_velocity,
     geodesic_integrate,
-    invert,
 )
 from .reports import (
     config_digest,
@@ -289,6 +288,7 @@ def _verify_rules(p: dict) -> None:
 def _reduce1d_rules(p: dict) -> None:
     p["grid"] = make_grid(p["n"], p["ny"])
     _step_count(p["t_end"], p["dt"])
+    profile_1d(p["n"], p["seed"], p["kmax"], p["amplitude"])
 
 
 def _parse(schema: dict, rules, raw: dict, seed: int | None) -> tuple[dict, dict]:
@@ -398,19 +398,11 @@ def _cmd_geodesic(p: dict, cfg: dict, out: Path, threads: int) -> int:
             "recorded_until": last.t,
         }, digest)
         raise
-    # One inversion per recorded state, warm started near the previous one;
-    # the first inverse serves the reference state, the last the velocity
-    # readback.
-    near = None
-    momenta = []
-    for state in traj.states:
-        psi = invert(state.phi, near=near)
-        near = (state.phi, psi)
-        momenta.append(body_momentum(state, psi))
+    momenta = [body_momentum(s) for s in traj.states]
     ref_sup = max(momenta[0].sup_norm(), 1e-14)
     drift = max((m - momenta[0]).sup_norm() / ref_sup for m in momenta)
     final = traj.final
-    u_final = eulerian_velocity(final, psi)
+    u_final = eulerian_velocity(final)
     write_diffeo_csv(out / "diffeo_final.csv", final.phi, digest)
     if p["snapshots"]:
         write_field_csv(out / "velocity_final.csv", u_final, digest)

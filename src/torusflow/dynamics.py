@@ -390,7 +390,12 @@ def _product_1d(f: np.ndarray, g: np.ndarray, pad_factor: int) -> np.ndarray:
 
 
 def profile_1d(n: int, seed: int, kmax: int, amplitude: float) -> np.ndarray:
-    """Reproducible random profile with modes 1..kmax, sup-norm scaled to amplitude."""
+    """Reproducible random profile with modes 1..kmax, sup-norm scaled to amplitude.
+
+    Raises ValueError unless kmax < n // 2, so no mode aliases on n points.
+    """
+    if kmax >= n // 2:
+        raise ValueError(f"kmax={kmax} too large for {n} points")
     rng = np.random.default_rng(seed)
     x = np.arange(n) / n
     vals = np.zeros(n)

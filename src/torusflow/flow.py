@@ -3,8 +3,10 @@
 A map is stored through its periodic displacement, phi(z) = z + d(z) mod 1,
 so composition, inversion and differentiation all stay inside the spectral
 toolbox: compositions evaluate band-limited fields at displaced points,
-inverses come from Newton's method on the displacement, which evaluates d
-and grad d together off-grid, and the Jacobian is I + grad(d).
+inverses come from Newton's method on the displacement, started from e = -d
+on every call and evaluating d and grad d together off-grid, and the
+Jacobian is I + grad(d).  `invert` is the one way to get phi^{-1}; no
+inverse is passed between functions.
 
 The evolution itself is carried here as the second-order label equation
 
@@ -140,31 +142,19 @@ def compose(phi: DiffeoMap, psi: DiffeoMap) -> DiffeoMap:
     return DiffeoMap(psi.displacement + shifted)
 
 
-def invert(
-    phi: DiffeoMap,
-    tol: float = INVERT_TOL,
-    max_iter: int = INVERT_MAX_ITER,
-    near: tuple[DiffeoMap, DiffeoMap] | None = None,
-) -> DiffeoMap:
+def invert(phi: DiffeoMap, max_iter: int = INVERT_MAX_ITER) -> DiffeoMap:
     """Inverse map by Newton's method on e + d(z + e) = 0.
 
-    Starts from e = -d, or, given near = (a nearby map, its inverse), from
-    that inverse's displacement shifted by minus the change in displacement
-    (the inverse of z + d is about z - d), which warm starts consecutive
-    inversions along a trajectory.  Each iteration is one off-grid
-    evaluation of d and grad d at z + e, and solves with the pointwise 2x2
-    inverse of I + grad d(z + e); once the sup-norm residual drops below
-    tol, that last step is taken and the result returned.  Raises
-    InversionError after max_iter evaluations.
+    Starts from e = -d, since the inverse of z + d is about z - d.  Each
+    iteration is one off-grid evaluation of d and grad d at z + e, and solves
+    with the pointwise 2x2 inverse of I + grad d(z + e); once the sup-norm
+    residual drops below INVERT_TOL, that last step is taken and the result
+    returned.  Raises InversionError after max_iter evaluations.
     """
     _checked_det(phi, 0.0)
     d = phi.displacement
     X, Y = phi.grid.mesh
-    if near is None:
-        e = -d.values
-    else:
-        prev, prev_inv = near
-        e = prev_inv.displacement.values - (d.values - prev.displacement.values)
+    e = -d.values
     residual = np.inf
     for _ in range(max_iter):
         f, g = eval_spectra(phi.grid, d.spectrum, X + e[0], Y + e[1], gradient=True)
@@ -172,7 +162,7 @@ def invert(
         residual = float(np.max(np.abs(r)))
         a, b, c, h = 1.0 + g[0, 0], g[0, 1], g[1, 0], 1.0 + g[1, 1]
         e = e - np.stack([h * r[0] - b * r[1], a * r[1] - c * r[0]]) / (a * h - b * c)
-        if residual < tol:
+        if residual < INVERT_TOL:
             return DiffeoMap(Field(phi.grid, e))
     raise InversionError(f"inversion stalled at residual {residual:.3e} after {max_iter} iterations")
 
@@ -234,24 +224,16 @@ def flow_from_velocity(
                  t_end, dt, record_stride, guard, pack)
 
 
-def christoffel_conjugated(
-    phi: DiffeoMap,
-    U: Field,
-    V: Field,
-    b,
-    pad_factor: int = DEFAULT_PAD_FACTOR,
-    phi_inv: DiffeoMap | None = None,
-) -> Field:
+def christoffel_conjugated(phi: DiffeoMap, U: Field, V: Field, b,
+                           pad_factor: int = DEFAULT_PAD_FACTOR) -> Field:
     """Conjugated connection Gamma_phi(U, V) = Gamma(U o phi^{-1}, V o phi^{-1}) o phi.
 
-    Pass phi_inv to reuse an inverse computed elsewhere (the geodesic stepper
-    does, to warm start consecutive inversions).
+    U and V are composed with phi^{-1} as one stack, in one off-grid evaluation.
     """
     b = validate_b(b)
     if U.grid != phi.grid or V.grid != phi.grid:
         raise ValueError("fields and map live on different grids")
-    psi = invert(phi) if phi_inv is None else phi_inv
-    UVc = compose_field(stack([U, V]), psi)
+    UVc = compose_field(stack([U, V]), invert(phi))
     return compose_field(christoffel(UVc[0], UVc[1], b, pad_factor), phi)
 
 
@@ -262,23 +244,6 @@ class GeodesicState:
     t: float
     phi: DiffeoMap
     phi_t: Field
-
-
-def _geodesic_rhs(b: float, pad_factor: int):
-    """rhs (d, w) -> (w, Gamma_phi(w, w)) of the label equation, phi = id + d.
-
-    Every inversion is warm started near the previous call's map and inverse.
-    """
-    near = None
-
-    def rhs(t: float, y: Field) -> Field:
-        nonlocal near
-        phi, w = DiffeoMap(y[0]), y[1]
-        psi = invert(phi, near=near)
-        near = (phi, psi)
-        return stack([w, christoffel_conjugated(phi, w, w, b, pad_factor, phi_inv=psi)])
-
-    return rhs
 
 
 def geodesic_integrate(
@@ -309,14 +274,16 @@ def geodesic_integrate(
         states = tuple(GeodesicState(t, DiffeoMap(y[0]), y[1]) for t, y in records)
         return Trajectory(b=b, dt=float(dt), states=states)
 
+    def rhs(t: float, y: Field) -> Field:
+        return stack([y[1], christoffel_conjugated(DiffeoMap(y[0]), y[1], y[1], b, pad_factor)])
+
     y0 = stack([VectorField.zero(u0.grid), u0])
-    return march(_geodesic_rhs(b, pad_factor), y0, t_end, dt, record_stride, guard, pack)
+    return march(rhs, y0, t_end, dt, record_stride, guard, pack)
 
 
-def eulerian_velocity(state: GeodesicState, phi_inv: DiffeoMap | None = None) -> Field:
+def eulerian_velocity(state: GeodesicState) -> Field:
     """Readback u = phi_t o phi^{-1} of the velocity field on the torus."""
-    psi = invert(state.phi) if phi_inv is None else phi_inv
-    return compose_field(state.phi_t, psi)
+    return compose_field(state.phi_t, invert(state.phi))
 
 
 def exp_map(u0: Field, b=2.0, dt: float = 5e-3, pad_factor: int = DEFAULT_PAD_FACTOR) -> DiffeoMap:
@@ -326,13 +293,12 @@ def exp_map(u0: Field, b=2.0, dt: float = 5e-3, pad_factor: int = DEFAULT_PAD_FA
     return traj.final.phi
 
 
-def adjoint(phi: DiffeoMap, v: Field, phi_inv: DiffeoMap | None = None) -> Field:
+def adjoint(phi: DiffeoMap, v: Field) -> Field:
     """Inner automorphism Ad_phi v = (grad(phi) . v) o phi^{-1}."""
     if v.grid != phi.grid:
         raise ValueError("field and map live on different grids")
     pushed = v + dot(gradient(phi.displacement), v)
-    psi = invert(phi) if phi_inv is None else phi_inv
-    return compose_field(pushed, psi)
+    return compose_field(pushed, invert(phi))
 
 
 def coadjoint(phi: DiffeoMap, w: Field) -> Field:
@@ -353,10 +319,9 @@ def body_velocity(state: GeodesicState, det_floor: float = DET_FLOOR) -> Field:
     return dot(_inverse_jacobian(state.phi), state.phi_t, pad_factor=1)
 
 
-def body_momentum(state: GeodesicState, phi_inv: DiffeoMap | None = None) -> Field:
+def body_momentum(state: GeodesicState) -> Field:
     """Body momentum m0 = Ad*_phi m with m = A(phi_t o phi^{-1}); constant along b = 2 geodesics."""
-    u = eulerian_velocity(state, phi_inv)
-    return coadjoint(state.phi, helmholtz(u))
+    return coadjoint(state.phi, helmholtz(eulerian_velocity(state)))
 
 
 def metric_at(phi: DiffeoMap, U: Field, V: Field) -> float:

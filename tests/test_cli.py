@@ -82,11 +82,12 @@ class TestConfigHandling:
         ("simulate", FAST_SIM, ["--threads", "-3"]),
         ("curvature", {"grid": [16, 16], "k_range": [1]}, ["--threads", "0"]),
         ("curvature", {"grid": [16, 16], "k_range": [1]}, ["--threads", "-3"]),
+        ("reduce1d", {"n": 16, "kmax": 12}, []),
     ], ids=["fractional-pad", "fractional-grid", "bool-b", "string-dt", "negative-kmax",
             "nan-amplitude", "partial-step-with-snapshots", "string-snapshots",
             "negative-blowup-factor", "negative-tolerance", "int-past-float-range", "mode-triple",
             "zero-mode", "unresolvable-verify-mode", "unknown-pairing", "zero-threads-simulate", "negative-threads-simulate",
-            "zero-threads-curvature", "negative-threads-curvature"])
+            "zero-threads-curvature", "negative-threads-curvature", "reduce1d-unresolvable-kmax"])
     def test_bad_values_rejected_before_compute(self, tmp_path, capsys, command, config, extra):
         cfg = write_config(tmp_path, config)
         assert run(command, "--config", cfg, "--out", str(tmp_path / "out"), *extra) == 1

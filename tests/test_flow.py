@@ -1,4 +1,7 @@
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +46,15 @@ from torusflow.spectral import (
 )
 
 from conftest import TWO_PI, sample_scalar, sample_vector
+
+
+def load_bench_workloads():
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve annotations through it
+    spec.loader.exec_module(module)
+    return module
 
 
 def circular_distance(a, b):
@@ -129,12 +141,6 @@ class TestInvert:
         assert compose(phi, inv).displacement.sup_norm() < 1e-11
         assert compose(inv, phi).displacement.sup_norm() < 1e-8
 
-    def test_warm_start_converges(self, grid32):
-        phi = small_map(grid32, seed=7, amplitude=0.02)
-        cold = invert(phi)
-        warm = invert(phi, near=(phi, cold))
-        assert (warm.displacement - cold.displacement).sup_norm() < 1e-11
-
     def test_iteration_budget(self, grid32):
         phi = small_map(grid32, seed=8, amplitude=0.05)
         with pytest.raises(InversionError):
@@ -170,25 +176,47 @@ class TestInvert:
 
 
 class TestInvertBudget:
-    """A warm-started inversion of a near-identity map, at the amplitude of a
-    band-limited geodesic initial velocity, converges quadratically: in at
-    most three off-grid evaluations, the last of which confirms the residual.
+    """Inversion always starts cold, from e = -d.  On near-identity maps, at
+    the amplitude of a band-limited geodesic initial velocity, Newton then
+    converges in at most three off-grid evaluations, the last of which
+    confirms the residual.
     """
 
-    def test_warm_start_evaluations(self, grid32, monkeypatch):
-        d = random_bandlimited(grid32, 3, kmax=2, amplitude=0.015)
-        phi, prev = DiffeoMap(d), DiffeoMap(d * 0.99)
-        prev_inv = invert(prev)
-        calls = []
+    @staticmethod
+    def count_evaluations(monkeypatch):
+        """Record, per invert call, how many off-grid evaluations it made."""
+        evaluations, per_call = [], []
 
         def counted(*args, **kwargs):
-            calls.append(kwargs.get("gradient", False))
+            evaluations.append(kwargs.get("gradient", False))
             return eval_spectra(*args, **kwargs)
 
+        def counted_invert(phi, *args, **kwargs):
+            start = len(evaluations)
+            inv = invert(phi, *args, **kwargs)
+            per_call.append(evaluations[start:])
+            return inv
+
         monkeypatch.setattr(flow, "eval_spectra", counted)
-        inv = invert(phi, near=(prev, prev_inv))
-        assert len(calls) <= 3 and all(calls)
+        monkeypatch.setattr(flow, "invert", counted_invert)
+        return per_call
+
+    def test_cold_start_evaluations(self, grid32, monkeypatch):
+        phi = DiffeoMap(random_bandlimited(grid32, 3, kmax=2, amplitude=0.015))
+        per_call = self.count_evaluations(monkeypatch)
+        inv = flow.invert(phi)
+        assert len(per_call) == 1 and len(per_call[0]) <= 3 and all(per_call[0])
         assert compose(phi, inv).displacement.sup_norm() <= 1e-12
+
+    def test_geodesic_run_evaluations(self, tmp_path, monkeypatch):
+        # The benchmark's seed-2 geodesic-32 input: every inversion along
+        # the run, in the stepper and in the body-momentum readback.
+        case = load_bench_workloads().geodesic_case(2)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(case.config))
+        per_call = self.count_evaluations(monkeypatch)
+        assert entry(case.cli_args(cfg, tmp_path / "out")) == 0
+        assert per_call and all(len(calls) <= 3 and all(calls) for calls in per_call)
 
 
 class TestFlowFromVelocity:
