@@ -37,6 +37,7 @@ from .flow import (
     InversionError,
     OrientationError,
     body_momentum,
+    coadjoint,
     eulerian_velocity,
     geodesic_integrate,
 )
@@ -398,11 +399,13 @@ def _cmd_geodesic(p: dict, cfg: dict, out: Path, threads: int) -> int:
             "recorded_until": last.t,
         }, digest)
         raise
-    momenta = [body_momentum(s) for s in traj.states]
-    ref_sup = max(momenta[0].sup_norm(), 1e-14)
-    drift = max((m - momenta[0]).sup_norm() / ref_sup for m in momenta)
     final = traj.final
     u_final = eulerian_velocity(final)
+    # The last momentum reuses u_final rather than inverting the final map again.
+    momenta = [body_momentum(s) for s in traj.states[:-1]]
+    momenta.append(coadjoint(final.phi, helmholtz(u_final)))
+    ref_sup = max(momenta[0].sup_norm(), 1e-14)
+    drift = max((m - momenta[0]).sup_norm() / ref_sup for m in momenta)
     write_diffeo_csv(out / "diffeo_final.csv", final.phi, digest)
     if p["snapshots"]:
         write_field_csv(out / "velocity_final.csv", u_final, digest)

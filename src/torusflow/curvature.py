@@ -4,7 +4,12 @@ Two independent routes to the same number:
 
 * the direct route pairs the local curvature tensor
   R(u,v)w = D1Gamma(w,u)v - D1Gamma(w,v)u + Gamma(Gamma(w,v),u) - Gamma(Gamma(w,u),v)
-  against u,
+  against u.  Since Gamma is bilinear and symmetric, the tensor is computed
+  in the grouped form
+  R(u,v)w = Gamma(Gamma(w,v) - grad w.v, u) + Gamma(grad w.u - Gamma(w,u), v)
+            - Gamma([u,v], w) + grad(Gamma(w,u)).v - grad(Gamma(w,v)).u,
+  which evaluates Gamma(w,u) and Gamma(w,v) once each: five connection
+  evaluations where the definition takes ten,
 * the formula route evaluates S(u,v) = <Gamma(u,v),Gamma(u,v)>
   - <Gamma(u,u),Gamma(v,v)> + R(u,v), where R(u,v) is a fixed twelve-term
   expression in gradients of u and v.
@@ -20,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dynamics import christoffel, validate_b
+from .dynamics import christoffel, commutator, validate_b
 from .flow import DiffeoMap, christoffel_conjugated
 from .spectral import (
     DEFAULT_PAD_FACTOR,
@@ -99,13 +104,29 @@ def d1_gamma_fd(w: Field, u: Field, v: Field, b=2.0,
 
 def curvature_tensor(u: Field, v: Field, w: Field, b=2.0,
                      pad_factor: int = DEFAULT_PAD_FACTOR) -> Field:
-    """Local curvature tensor R(u, v)w at the identity; antisymmetric in (u, v)."""
+    """Local curvature tensor R(u, v)w at the identity; antisymmetric in (u, v).
+
+    By definition R(u,v)w = D1Gamma(w,u)v - D1Gamma(w,v)u
+    + Gamma(Gamma(w,v),u) - Gamma(Gamma(w,u),v).  Expanding d1_gamma and
+    grouping by bilinearity and symmetry of Gamma gives the form evaluated
+    here, with Gamma(w,u) and Gamma(w,v) computed once each:
+
+        R(u,v)w = Gamma(Gamma(w,v) - grad w.v, u) + Gamma(grad w.u - Gamma(w,u), v)
+                  - Gamma([u,v], w) + grad(Gamma(w,u)).v - grad(Gamma(w,v)).u
+
+    The two grouped arguments are exact negatives when u == v, so
+    R(u,u)w is exactly zero.
+    """
     b = validate_b(b)
+    p = pad_factor
+    jw = gradient(w)
+    gwu, gwv = christoffel(w, u, b, p), christoffel(w, v, b, p)
     return (
-        d1_gamma(w, u, v, b, pad_factor)
-        - d1_gamma(w, v, u, b, pad_factor)
-        + christoffel(christoffel(w, v, b, pad_factor), u, b, pad_factor)
-        - christoffel(christoffel(w, u, b, pad_factor), v, b, pad_factor)
+        christoffel(gwv - dot(jw, v, p), u, b, p)
+        + christoffel(dot(jw, u, p) - gwu, v, b, p)
+        - christoffel(commutator(u, v, p), w, b, p)
+        + dot(gradient(gwu), v, p)
+        - dot(gradient(gwv), u, p)
     )
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from torusflow import curvature
 from torusflow.curvature import (
     basis_field,
     closed_form_S,
@@ -84,10 +85,55 @@ class TestCurvatureTensor:
         v = rand(grid32, 18, kmax=2)
         w = rand(grid32, 19, kmax=2)
         lhs = curvature_tensor(u, 2.5 * v, w)
-        # R is linear in v through d1_gamma's direction argument and the
-        # nested connection terms alike.
+        # R is linear in v: every grouped term is linear in v, through the
+        # connection's second slot, the bracket and the gradient products.
         rhs = 2.5 * curvature_tensor(u, v, w)
         assert (lhs - rhs).sup_norm() <= 1e-10
+
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("b", [2.0, 3.0])
+    @pytest.mark.parametrize("pad_factor", [1, 2, 3])
+    def test_matches_definition(self, n, b, pad_factor):
+        # The grouped form against D1Gamma(w,u)v - D1Gamma(w,v)u
+        # + Gamma(Gamma(w,v),u) - Gamma(Gamma(w,u),v), on full-band data.
+        grid = make_grid(n, n)
+        u, v, w = (rand(grid, seed, kmax=n // 2 - 1, amplitude=1.0) for seed in (40, 41, 42))
+        p = pad_factor
+        definition = (
+            d1_gamma(w, u, v, b, p)
+            - d1_gamma(w, v, u, b, p)
+            + christoffel(christoffel(w, v, b, p), u, b, p)
+            - christoffel(christoffel(w, u, b, p), v, b, p)
+        )
+        got = curvature_tensor(u, v, w, b, p)
+        assert (got - definition).sup_norm() <= 1e-12 * definition.sup_norm()
+
+
+class TestConnectionBudget:
+    """Connection evaluations per call: the tensor route computes Gamma(w,u)
+    and Gamma(w,v) once each (5), and a sectional_formula plane adds the
+    three of gamma_terms (8).
+    """
+
+    @staticmethod
+    def count(monkeypatch, call):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return christoffel(*args, **kwargs)
+
+        monkeypatch.setattr(curvature, "christoffel", counted)
+        call()
+        return len(calls)
+
+    def test_curvature_tensor(self, grid32, monkeypatch):
+        u, v, w = (rand(grid32, seed, kmax=2) for seed in (43, 44, 45))
+        assert self.count(monkeypatch, lambda: curvature_tensor(u, v, w)) == 5
+
+    def test_sectional_formula_plane(self, grid32, monkeypatch):
+        e, v = basis_field(grid32, 1), mode_field(grid32, TWO_PI, TWO_PI)
+        assert self.count(monkeypatch, lambda: sectional_formula(e, v)) == 8
 
 
 class TestSectional:

@@ -210,13 +210,17 @@ class TestInvertBudget:
 
     def test_geodesic_run_evaluations(self, tmp_path, monkeypatch):
         # The benchmark's seed-2 geodesic-32 input: every inversion along
-        # the run, in the stepper and in the body-momentum readback.
+        # the run, in the stepper and in the body-momentum readback.  One
+        # inversion per RK4 stage and one per recorded state: the final
+        # state's inverse serves both its momentum and the velocity readback.
         case = load_bench_workloads().geodesic_case(2)
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(case.config))
         per_call = self.count_evaluations(monkeypatch)
         assert entry(case.cli_args(cfg, tmp_path / "out")) == 0
         assert per_call and all(len(calls) <= 3 and all(calls) for calls in per_call)
+        states = json.loads((tmp_path / "out" / "geodesic.json").read_text())["states_recorded"]
+        assert len(per_call) == 4 * case.steps + states
 
 
 class TestFlowFromVelocity:
