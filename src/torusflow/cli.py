@@ -12,9 +12,12 @@ output; exit 1 means only that a check failed.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -542,16 +545,23 @@ def _cmd_reduce1d(p: dict, cfg: dict, out: Path, threads: int) -> int:
     rows = []
     n_steps = _step_count(t_end, dt)
     u0 = VectorField.from_values(grid, _lift(grid, g0), np.zeros(grid.shape))
-    for b in p["b_list"]:
-        traj = integrate(u0, b, t_end, dt, record_stride=max(1, n_steps), pad_factor=pad)
-        final_1d = integrate_1d(g0, b, t_end, dt, pad_factor=pad)
-        gap = float(np.max(np.abs(traj.final.u.values[0, :, 0] - final_1d)))
-        rows.append({"b": b, "reduction_residual": gap, "pass": gap <= tol["reduction"]})
-
-    # y-independent two-component embedding: compare planar momentum rates
-    # against the coupled 1D system along a short b = 2 run.
     u_embed = VectorField.from_values(grid, _lift(grid, g0), _lift(grid, w0))
-    traj = integrate(u_embed, 2.0, p["mch2_steps"] * dt, dt, record_stride=1, pad_factor=pad)
+    try:
+        for b in p["b_list"]:
+            traj = integrate(u0, b, t_end, dt, record_stride=max(1, n_steps), pad_factor=pad)
+            final_1d = integrate_1d(g0, b, t_end, dt, pad_factor=pad)
+            gap = float(np.max(np.abs(traj.final.u.values[0, :, 0] - final_1d)))
+            rows.append({"b": b, "reduction_residual": gap, "pass": gap <= tol["reduction"]})
+        # y-independent two-component embedding: compare planar momentum rates
+        # against the coupled 1D system along a short b = 2 run.
+        traj = integrate(u_embed, 2.0, p["mch2_steps"] * dt, dt, record_stride=1, pad_factor=pad)
+    except BlowupError as err:
+        write_json(out / "reduction.json", {
+            "aborted": True,
+            "diagnostic": str(err),
+            "rows": rows,
+        }, digest)
+        raise
     mch2_worst = 0.0
     for state in traj.states:
         v, w = state.u.values[:, :, 0]
@@ -586,6 +596,48 @@ COMMANDS = {
 }
 
 
+def _openblas_threads():
+    """get and set of numpy's bundled OpenBLAS thread count, or None.
+
+    Only a library numpy has already loaded is opened (RTLD_NOLOAD): the
+    wheels' libscipy_openblas (numpy >= 2) or libopenblas (numpy 1.x).  Any
+    other BLAS, or a platform without RTLD_NOLOAD, gives None.
+    """
+    if not hasattr(os, "RTLD_NOLOAD"):
+        return None
+    root = Path(np.__file__).parent
+    for path in [*root.parent.glob("numpy.libs/lib*openblas*"), *root.glob(".dylibs/lib*openblas*")]:
+        try:
+            lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                     "scipy_openblas_{}_num_threads", "openblas_{}_num_threads"):
+            if hasattr(lib, name.format("get")) and hasattr(lib, name.format("set")):
+                return getattr(lib, name.format("get")), getattr(lib, name.format("set"))
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Numpy's bundled OpenBLAS on one thread inside the block, as before after it.
+
+    --threads is a run's only parallelism; an OpenBLAS helper thread would
+    spin between the small matmuls of the off-grid sum and save no time.
+    """
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
 class _Parser(argparse.ArgumentParser):
     # Usage problems are config errors here, not the default exit(2).
     def error(self, message):
@@ -602,7 +654,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=None,
                         help="override the config's random seed")
         sp.add_argument("--threads", type=int, default=1,
-                        help="worker threads for sweeps")
+                        help="worker threads for sweeps, the run's only parallelism "
+                             "(numpy's BLAS runs on one thread during a subcommand)")
     return parser
 
 
@@ -622,7 +675,8 @@ def entry(argv=None) -> int:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        return handler(params, cfg, out, threads)
+        with _one_blas_thread():
+            return handler(params, cfg, out, threads)
     except (BlowupError, InversionError, OrientationError) as err:
         print(f"runtime abort: {err}", file=sys.stderr)
         return EXIT_RUNTIME

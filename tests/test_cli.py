@@ -1,11 +1,15 @@
 """End-to-end checks of the batch interface: configs, exit codes, file outputs."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from torusflow import cli
 from torusflow.cli import entry
 from torusflow.spectral import cosine_mode, make_grid
 from torusflow.uniqueness import gl1_residual
@@ -26,6 +30,14 @@ def write_config(tmp_path, payload, name="config.json"):
 
 def run(*args):
     return entry(list(args))
+
+
+FAST_GEO = {
+    "grid": [16, 16],
+    "t_end": 0.02,
+    "dt": 2e-3,
+    "initial_condition": {"type": "random", "seed": 0, "kmax": 2, "amplitude": 0.02},
+}
 
 
 class TestConfigHandling:
@@ -215,15 +227,12 @@ class TestSimulate:
         assert (out1 / "trajectory.csv").read_bytes() != (out2 / "trajectory.csv").read_bytes()
 
 
+ORIENTATION_ABORT = dict(FAST_GEO, dt=5e-3, det_floor=0.9999)
+
+
 class TestGeodesic:
     def test_smoke_run(self, tmp_path):
-        cfg = write_config(tmp_path, {
-            "grid": [16, 16],
-            "t_end": 0.02,
-            "dt": 2e-3,
-            "initial_condition": {"type": "random", "seed": 0, "kmax": 2, "amplitude": 0.02},
-            "tolerances": {"body_momentum_drift": 1e-6},
-        })
+        cfg = write_config(tmp_path, dict(FAST_GEO, tolerances={"body_momentum_drift": 1e-6}))
         out = tmp_path / "out"
         assert run("geodesic", "--config", cfg, "--out", str(out)) == 0
         body = json.loads((out / "geodesic.json").read_text())
@@ -232,14 +241,17 @@ class TestGeodesic:
         header = (out / "diffeo_final.csv").read_text().splitlines()[2]
         assert header == "x,y,d1,d2"
 
+    def test_reruns_are_byte_identical(self, tmp_path):
+        cfg = write_config(tmp_path, dict(FAST_GEO, snapshots=True))
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert run("geodesic", "--config", cfg, "--out", str(out1)) == 0
+        assert run("geodesic", "--config", cfg, "--out", str(out2)) == 0
+        names = ["diffeo_final.csv", "geodesic.json", "velocity_final.csv"]
+        assert sorted(p.name for p in out1.iterdir()) == names
+        assert all((out1 / n).read_bytes() == (out2 / n).read_bytes() for n in names)
+
     def test_orientation_abort_keeps_partial_outputs(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {
-            "grid": [16, 16],
-            "t_end": 0.02,
-            "dt": 5e-3,
-            "det_floor": 0.9999,
-            "initial_condition": {"type": "random", "seed": 0, "kmax": 2, "amplitude": 0.02},
-        })
+        cfg = write_config(tmp_path, ORIENTATION_ABORT)
         out = tmp_path / "out"
         assert run("geodesic", "--config", cfg, "--out", str(out)) == 2
         assert "runtime abort" in capsys.readouterr().err
@@ -338,6 +350,60 @@ class TestReduce1d:
         assert body["pass"] is True
         assert body["mch2_residual"] <= 1e-10
         assert all(row["reduction_residual"] <= 1e-9 for row in body["rows"])
+
+    def test_blowup_aborts_with_partial_outputs(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"n": 32, "ny": 8, "amplitude": 20, "t_end": 0.05})
+        out = tmp_path / "out"
+        assert run("reduce1d", "--config", cfg, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime abort: ")
+        body = json.loads((out / "reduction.json").read_text())
+        assert body["aborted"] is True
+        assert body["diagnostic"] == err.removeprefix("runtime abort: ").strip()
+        assert body["rows"] == []  # the first planar run, b = 2, blows up
+
+
+def bundled_openblas() -> list:
+    root = Path(np.__file__).parent
+    return [*root.parent.glob("numpy.libs/lib*openblas*"), *root.glob(".dylibs/lib*openblas*")]
+
+
+class TestBlasCap:
+    """A subcommand runs with numpy's bundled OpenBLAS on one thread and puts
+    the caller's thread count back when entry() returns."""
+
+    @pytest.fixture
+    def blas_threads(self):
+        if not hasattr(os, "RTLD_NOLOAD") or not bundled_openblas():
+            pytest.skip("numpy's BLAS is not a bundled OpenBLAS")
+        blas = cli._openblas_threads()
+        assert blas is not None, "bundled OpenBLAS present but its thread count not reached"
+        get, set_ = blas
+        before = get()
+        set_(2)  # a known count the cap must change and then restore
+        assert get() == 2
+        yield get
+        set_(before)
+
+    @pytest.mark.parametrize("config, extra, code", [
+        (FAST_GEO, [], 0),
+        (ORIENTATION_ABORT, [], 2),
+        (FAST_GEO, ["--threads", "0"], 1),
+    ], ids=["exit-0", "exit-2", "exit-1"])
+    def test_one_thread_while_running_then_restored(self, tmp_path, monkeypatch, blas_threads,
+                                                     config, extra, code):
+        seen = []
+        solve = cli.geodesic_integrate
+
+        def watched(*args, **kwargs):
+            seen.append(blas_threads())
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr("torusflow.cli.geodesic_integrate", watched)
+        cfg = write_config(tmp_path, config)
+        assert run("geodesic", "--config", cfg, "--out", str(tmp_path / "out"), *extra) == code
+        assert seen == ([] if code == 1 else [1])
+        assert blas_threads() == 2
 
 
 class TestConsoleEntryPoint:

@@ -66,6 +66,22 @@ def small_map(grid, seed, amplitude=0.02, kmax=2):
     return DiffeoMap(random_bandlimited(grid, seed=seed, kmax=kmax, amplitude=amplitude))
 
 
+def trig_field(grid, seed, kmax, amplitude):
+    """The same random trigonometric vector field on any grid that resolves kmax.
+
+    Each component sums a_j cos(2 pi (j1 x + j2 y) + theta_j) over |j1|, j2 <= kmax,
+    with sum |a_j| = amplitude in the larger component, so sup|u| <= amplitude.
+    """
+    rng = np.random.default_rng(seed)
+    j1, j2 = np.meshgrid(np.arange(-kmax, kmax + 1), np.arange(kmax + 1), indexing="ij")
+    a = rng.standard_normal((2,) + j1.shape)
+    theta = rng.uniform(0.0, TWO_PI, (2,) + j1.shape)
+    a *= amplitude / np.abs(a).sum(axis=(1, 2)).max()
+    X, Y = grid.mesh
+    waves = np.cos(TWO_PI * (np.multiply.outer(j1, X) + np.multiply.outer(j2, Y)) + theta[..., None, None])
+    return VectorField.from_values(grid, *np.sum(a[..., None, None] * waves, axis=(1, 2)))
+
+
 class TestDiffeoMap:
     def test_identity_and_translation(self, grid32):
         assert DiffeoMap.identity(grid32).displacement.sup_norm() == 0.0
@@ -393,6 +409,27 @@ class TestMetricAt:
         inv = invert(phi)
         direct = h1_inner(compose_field(U, inv), compose_field(V, inv))
         assert abs(metric_at(phi, U, V) - direct) < 1e-8
+
+    def test_right_invariance_under_maps_converges(self):
+        # metric_at(phi o psi, U o psi, V o psi) = metric_at(phi, U, V): both
+        # are h1_inner(U o phi^-1, V o phi^-1).  U o psi is not band-limited,
+        # so on a grid the two sides differ by a discretisation defect that
+        # must fall as the same maps and fields are sampled more finely.  The
+        # wrong order, phi before psi, is a different configuration: its
+        # defect stays at the size of the maps on every grid.
+        defects, wrong_order = [], []
+        for n in (16, 32, 64):
+            grid = make_grid(n, n)
+            phi = DiffeoMap(trig_field(grid, seed=37, kmax=3, amplitude=0.03))
+            psi = DiffeoMap(trig_field(grid, seed=38, kmax=3, amplitude=0.03))
+            U = trig_field(grid, seed=39, kmax=3, amplitude=0.5)
+            V = trig_field(grid, seed=40, kmax=3, amplitude=0.5)
+            U_psi, V_psi = compose_field(U, psi), compose_field(V, psi)
+            ref = metric_at(phi, U, V)
+            defects.append(abs(metric_at(compose(phi, psi), U_psi, V_psi) - ref) / abs(ref))
+            wrong_order.append(abs(metric_at(compose(psi, phi), U_psi, V_psi) - ref) / abs(ref))
+        assert defects[0] > defects[1] > defects[2], defects
+        assert min(wrong_order) > defects[0], (wrong_order, defects)
 
     def test_geodesic_energy_matches_hamiltonian(self, grid32):
         u0 = random_bandlimited(grid32, seed=36, kmax=2, amplitude=0.02)
