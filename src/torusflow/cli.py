@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .curvature import PAIRINGS, basis_field, closed_form_S, mode_field, sectional_formula
+from .curvature import basis_field, closed_form_S, mode_field, sectional_formula
 from .dynamics import (
     BlowupError,
     _step_count,
@@ -220,7 +220,7 @@ CURVATURE = {
     "grid": ([64, 64], GRID),
     "k_range": ([1, 2, 3], _list(_int())),
     "basis": ([1], _list(_int())),
-    "pairing": ("metric", _choice(*PAIRINGS)),
+    "pairing": ("metric", _choice("metric")),  # the one pairing; kept so old configs still run
     "pad_factor": PAD_FACTOR,
     "tolerances": {"two_route": (1e-7, GATE)},
 }
@@ -430,10 +430,9 @@ def _cmd_geodesic(p: dict, cfg: dict, out: Path, threads: int) -> int:
 # curvature
 
 
-def _curvature_case(grid, i: int, j1: int, j2: int, pairing: str, pad_factor: int) -> dict:
+def _curvature_case(grid, i: int, j1: int, j2: int, pad_factor: int) -> dict:
     k1, k2 = TWO_PI * j1, TWO_PI * j2
-    rep = sectional_formula(basis_field(grid, i), mode_field(grid, k1, k2),
-                            pairing=pairing, pad_factor=pad_factor)
+    rep = sectional_formula(basis_field(grid, i), mode_field(grid, k1, k2), pad_factor=pad_factor)
     return {
         "k1": k1, "k2": k2, "i": i,
         "S_formula": rep.s_formula,
@@ -451,10 +450,7 @@ def _cmd_curvature(p: dict, cfg: dict, out: Path, threads: int) -> int:
     digest = config_digest(cfg)
     cases = [(i, j1, j2) for i in p["basis"] for j1 in k_range for j2 in k_range]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        rows = list(pool.map(
-            lambda c: _curvature_case(p["grid"], *c, p["pairing"], p["pad_factor"]),
-            cases,
-        ))
+        rows = list(pool.map(lambda c: _curvature_case(p["grid"], *c, p["pad_factor"]), cases))
     write_curvature_csv(out / "curvature.csv", rows, digest)
     max_gap = max((abs(r["S_formula"] - r["S_direct"]) for r in rows), default=0.0)
     summary = {

@@ -16,9 +16,8 @@ Two independent routes to the same number:
 
 Their agreement on random band-limited data is the main correctness oracle;
 closed-form positive values on span{e_i, sin(k1 x) sin(k2 y) (1,1)} pin the
-absolute normalization.  All pairings default to the metric (A-weighted)
-inner product; a plain L^2 switch is kept for exploration since the
-twelve-term expression is reported with a single pairing symbol.
+absolute normalization.  Every pairing is the metric (A-weighted) inner
+product h1_inner.
 """
 
 from __future__ import annotations
@@ -37,11 +36,9 @@ from .spectral import (
     dot,
     gradient,
     h1_inner,
-    l2_inner,
 )
 
 __all__ = [
-    "PAIRINGS",
     "CurvatureReport",
     "d1_gamma",
     "curvature_tensor",
@@ -66,15 +63,6 @@ class CurvatureReport:
     @property
     def agreement(self) -> float:
         return abs(self.s_formula - self.s_direct)
-
-
-PAIRINGS = {"metric": h1_inner, "plain": l2_inner}
-
-
-def _pairing(name: str):
-    if name not in PAIRINGS:
-        raise ValueError(f"unknown pairing {name!r}; use 'metric' or 'plain'")
-    return PAIRINGS[name]
 
 
 def d1_gamma(w: Field, u: Field, v: Field, b=2.0,
@@ -136,18 +124,15 @@ def sectional_direct(u: Field, v: Field, b=2.0,
     return h1_inner(curvature_tensor(u, v, v, b, pad_factor), u)
 
 
-def gamma_terms(u: Field, v: Field, b=2.0, pairing: str = "metric",
-                pad_factor: int = DEFAULT_PAD_FACTOR) -> float:
+def gamma_terms(u: Field, v: Field, b=2.0, pad_factor: int = DEFAULT_PAD_FACTOR) -> float:
     """<Gamma(u,v), Gamma(u,v)> - <Gamma(u,u), Gamma(v,v)>."""
-    inner = _pairing(pairing)
     guv = christoffel(u, v, b, pad_factor)
-    return inner(guv, guv) - inner(
+    return h1_inner(guv, guv) - h1_inner(
         christoffel(u, u, b, pad_factor), christoffel(v, v, b, pad_factor)
     )
 
 
-def r_term(u: Field, v: Field, pairing: str = "metric",
-           pad_factor: int = DEFAULT_PAD_FACTOR) -> float:
+def r_term(u: Field, v: Field, pad_factor: int = DEFAULT_PAD_FACTOR) -> float:
     """The twelve-term residual part of the curvature formula.
 
     Vanishes identically when either argument is a constant field, but not
@@ -155,36 +140,34 @@ def r_term(u: Field, v: Field, pairing: str = "metric",
     gamma_terms (at 32^2, kmax 2 and amplitude 1, seeds (0, 1) give about
     -1288 against 596), so there the sectional curvature is negative.
     """
-    inner = _pairing(pairing)
     p = pad_factor
     ju, jv = gradient(u), gradient(v)
     uu, uv, vu, vv = dot(ju, u, p), dot(ju, v, p), dot(jv, u, p), dot(jv, v, p)
     return (
-        inner(uu, vv)
-        - inner(uv, uv)
-        + inner(vu, uv)
-        - inner(vu, vu)
-        + inner(dot(gradient(uu), v, p), v)
-        - inner(dot(gradient(uv), v, p), u)
-        + inner(dot(gradient(vu), v, p), u)
-        - inner(dot(gradient(vu), u, p), v)
-        - inner(dot(jv, uu, p), v)
-        - inner(dot(ju, vv, p), u)
-        + inner(dot(jv, vu, p), u)
-        + inner(dot(ju, vu, p), v)
+        h1_inner(uu, vv)
+        - h1_inner(uv, uv)
+        + h1_inner(vu, uv)
+        - h1_inner(vu, vu)
+        + h1_inner(dot(gradient(uu), v, p), v)
+        - h1_inner(dot(gradient(uv), v, p), u)
+        + h1_inner(dot(gradient(vu), v, p), u)
+        - h1_inner(dot(gradient(vu), u, p), v)
+        - h1_inner(dot(jv, uu, p), v)
+        - h1_inner(dot(ju, vv, p), u)
+        + h1_inner(dot(jv, vu, p), u)
+        + h1_inner(dot(ju, vu, p), v)
     )
 
 
-def sectional_formula(u: Field, v: Field, pairing: str = "metric",
-                      pad_factor: int = DEFAULT_PAD_FACTOR) -> CurvatureReport:
+def sectional_formula(u: Field, v: Field, pad_factor: int = DEFAULT_PAD_FACTOR) -> CurvatureReport:
     """Both curvature routes for the plane span{u, v}.
 
     s_formula is gamma_terms + r_term by construction; s_direct comes from
     the tensor route, so the report's agreement field measures how well the
     two independent computations coincide.
     """
-    g = gamma_terms(u, v, 2.0, pairing, pad_factor)
-    r = r_term(u, v, pairing, pad_factor)
+    g = gamma_terms(u, v, 2.0, pad_factor)
+    r = r_term(u, v, pad_factor)
     return CurvatureReport(
         s_formula=g + r,
         s_direct=sectional_direct(u, v, 2.0, pad_factor),

@@ -97,15 +97,15 @@ class EulerState:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded states of one integrate() or flow.geodesic_integrate() run, in time order."""
+    """Recorded states of one march, in time order, and their times.
 
-    b: float
+    integrate records EulerStates, flow.geodesic_integrate GeodesicStates
+    and flow.flow_from_velocity DiffeoMaps.
+    """
+
     dt: float
+    times: np.ndarray
     states: tuple
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.states])
 
     @property
     def final(self):
@@ -277,20 +277,25 @@ def _step_count(t_end: float, dt: float) -> int:
     return n
 
 
-def march(rhs, y0, t_end: float, dt: float, record_stride: int, guard, pack):
+def march(rhs, y0, t_end: float, dt: float, record_stride: int, guard, state) -> Trajectory:
     """Fixed RK4 steps of dy/dt = rhs(t, y) from y(0) = y0 up to t_end.
 
-    Records the start, every record_stride-th state and the final one, and
-    returns pack([(t, y), ...]).  guard(t, y) raises to reject a new state.
-    A RuntimeError from a step or its guard aborts the march; it leaves with
-    err.partial = pack(records), the records extended by the last accepted
-    state, so callers can emit partial output.
+    Records the start, every record_stride-th state and the final one, each
+    as state(t, y), and returns them as a Trajectory.  guard(t, y) raises to
+    reject a new state.  A RuntimeError from a step or its guard aborts the
+    march; it leaves with err.partial, the Trajectory of the records extended
+    by the last accepted state, so callers can emit partial output.
     """
     n_steps = _step_count(t_end, dt)
     if record_stride < 1:
         raise ValueError("record_stride must be >= 1")
     t, y = 0.0, y0
     records = [(t, y)]
+
+    def recorded() -> Trajectory:
+        return Trajectory(dt=float(dt), times=np.array([rt for rt, _ in records]),
+                          states=tuple(state(rt, ry) for rt, ry in records))
+
     for i in range(1, n_steps + 1):
         try:
             y_next = rk4(rhs, t, y, dt)
@@ -298,12 +303,12 @@ def march(rhs, y0, t_end: float, dt: float, record_stride: int, guard, pack):
         except RuntimeError as err:
             if records[-1][1] is not y:
                 records.append((t, y))
-            err.partial = pack(records)
+            err.partial = recorded()
             raise
         t, y = i * dt, y_next
         if i % record_stride == 0 or i == n_steps:
             records.append((t, y))
-    return pack(records)
+    return recorded()
 
 
 def integrate(
@@ -332,10 +337,7 @@ def integrate(
         if sup > blowup_factor * sup0:
             raise BlowupError(f"sup|u|={sup:.3g} exceeds {blowup_factor:g} x initial {sup0:.3g} at t={t:.6g}")
 
-    def pack(records) -> Trajectory:
-        return Trajectory(b=b, dt=float(dt), states=tuple(EulerState(t, u) for t, u in records))
-
-    return march(lambda t, u: euler_rhs(u, b, pad_factor), u0, t_end, dt, record_stride, guard, pack)
+    return march(lambda t, u: euler_rhs(u, b, pad_factor), u0, t_end, dt, record_stride, guard, EulerState)
 
 
 # ---------------------------------------------------------------------------

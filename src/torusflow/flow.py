@@ -46,7 +46,6 @@ __all__ = [
     "DET_FLOOR",
     "DiffeoMap",
     "GeodesicState",
-    "FlowTrajectory",
     "InversionError",
     "OrientationError",
     "apply",
@@ -167,19 +166,6 @@ def invert(phi: DiffeoMap, max_iter: int = INVERT_MAX_ITER) -> DiffeoMap:
     raise InversionError(f"inversion stalled at residual {residual:.3e} after {max_iter} iterations")
 
 
-@dataclass(frozen=True)
-class FlowTrajectory:
-    """Maps produced by integrating the label equation phi_t = u(t, phi)."""
-
-    dt: float
-    times: np.ndarray
-    maps: tuple[DiffeoMap, ...]
-
-    @property
-    def final(self) -> DiffeoMap:
-        return self.maps[-1]
-
-
 def trajectory_velocity(trajectory) -> Callable[[float], Field]:
     """Lookup t -> u(t) for a velocity trajectory recorded at every step.
 
@@ -204,24 +190,21 @@ def flow_from_velocity(
     dt: float,
     record_stride: int = 1,
     det_floor: float = DET_FLOOR,
-) -> FlowTrajectory:
+) -> Trajectory:
     """Integrate phi_t(t, z) = u(t, phi(t, z)) from the identity.
 
     u_at must provide the velocity at step endpoints and midpoints; each
-    stage evaluates the interpolant of u at the displaced labels.  Aborts
-    with OrientationError when det(grad phi) falls to det_floor.
+    stage evaluates the interpolant of u at the displaced labels.  The
+    trajectory's states are the maps phi(t).  Aborts with OrientationError
+    when det(grad phi) falls to det_floor.
     """
     grid = u_at(0.0).grid
-
-    def pack(records) -> FlowTrajectory:
-        return FlowTrajectory(dt=float(dt), times=np.array([t for t, _ in records]),
-                              maps=tuple(DiffeoMap(d) for _, d in records))
 
     def guard(t: float, d: Field) -> None:
         _checked_det(DiffeoMap(d), det_floor, f"at t={t:.6g}")
 
     return march(lambda t, d: compose_field(u_at(t), DiffeoMap(d)), VectorField.zero(grid),
-                 t_end, dt, record_stride, guard, pack)
+                 t_end, dt, record_stride, guard, lambda t, d: DiffeoMap(d))
 
 
 def christoffel_conjugated(phi: DiffeoMap, U: Field, V: Field, b,
@@ -270,15 +253,12 @@ def geodesic_integrate(
             raise BlowupError(f"non-finite material velocity at t={t:.6g}")
         _checked_det(DiffeoMap(y[0]), det_floor, f"at t={t:.6g}")
 
-    def pack(records) -> Trajectory:
-        states = tuple(GeodesicState(t, DiffeoMap(y[0]), y[1]) for t, y in records)
-        return Trajectory(b=b, dt=float(dt), states=states)
-
     def rhs(t: float, y: Field) -> Field:
         return stack([y[1], christoffel_conjugated(DiffeoMap(y[0]), y[1], y[1], b, pad_factor)])
 
     y0 = stack([VectorField.zero(u0.grid), u0])
-    return march(rhs, y0, t_end, dt, record_stride, guard, pack)
+    return march(rhs, y0, t_end, dt, record_stride, guard,
+                 lambda t, y: GeodesicState(t, DiffeoMap(y[0]), y[1]))
 
 
 def eulerian_velocity(state: GeodesicState) -> Field:

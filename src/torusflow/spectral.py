@@ -292,7 +292,7 @@ def helmholtz_inverse(m: Field) -> Field:
     return _multiply_symbol(m, 1.0 / m.grid.helmholtz_symbol)
 
 
-def _pairing(f: Field, g: Field, weight) -> float:
+def _parseval_sum(f: Field, g: Field, weight) -> float:
     """Parseval sum of weight * f * conj(g) over the full spectrum, from the half spectra."""
     if f.grid != g.grid or f.spectrum.shape != g.spectrum.shape:
         raise ValueError("fields live on different grids or have different components")
@@ -301,12 +301,12 @@ def _pairing(f: Field, g: Field, weight) -> float:
 
 def l2_inner(u: Field, v: Field) -> float:
     """L^2 pairing sum_i integral(u_i v_i), computed via Parseval."""
-    return _pairing(u, v, 1.0)
+    return _parseval_sum(u, v, 1.0)
 
 
 def h1_inner(u: Field, v: Field) -> float:
     """Metric pairing integral(u . (1 - Laplacian) v), computed via Parseval."""
-    return _pairing(u, v, u.grid.helmholtz_symbol)
+    return _parseval_sum(u, v, u.grid.helmholtz_symbol)
 
 
 def _lift(f: Field, pad_factor: int, symbol=None) -> np.ndarray:

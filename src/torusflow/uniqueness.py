@@ -7,18 +7,19 @@ modes u_n = e^{i n.z} (1,1) the comparison collapses to finite-dimensional
 linear algebra: a pair of diagonal matrices alpha_n, beta_n and the residual
 of (i(n1+n2) I - i alpha_n) c = -i beta_n (1,1) over candidate amplitudes c.
 
-This module evaluates those residuals exactly (to rounding) for any b and any
-diagonal Fourier-multiplier inertia operator normalized to fix constants.
-Only b = 2 with the Helmholtz multiplier zeroes every residual; each other b
-is caught by at least one mode.  The operator family checked here is the
-diagonal-multiplier one; the full symmetric-isomorphism class is out of
-numerical reach and the restriction is deliberate.
+This module evaluates those residuals exactly (to rounding) for any b, with
+A = 1 - Laplacian.  A general diagonal Fourier-multiplier inertia operator
+enters only as gl3_residual's per-mode candidate c; the operator-level gap
+gl1_residual compares the b-family with the b = 2 metric equation for the
+Helmholtz operator alone.  Only b = 2 zeroes every residual; each other b is
+caught by at least one mode.  The full symmetric-isomorphism class of
+inertia operators is out of numerical reach and is not checked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,14 +32,11 @@ from .spectral import (
     cosine_mode,
     helmholtz,
     helmholtz_inverse,
-    make_grid,
 )
 
 __all__ = [
     "ModeIndex",
     "DiagonalPair",
-    "MultiplierOperator",
-    "HELMHOLTZ_OPERATOR",
     "ModeResidual",
     "VerificationReport",
     "build_diagonals",
@@ -117,57 +115,18 @@ def gl3_residual(mode: ModeIndex, b, v_candidate) -> float:
     return float(max(abs(r0), abs(r1)))
 
 
-@dataclass(frozen=True)
-class MultiplierOperator:
-    """Inertia operator acting componentwise as a diagonal Fourier multiplier.
+def gl1_residual(u: Field, b, pad_factor: int = DEFAULT_PAD_FACTOR) -> float:
+    """Sup-norm gap between the metric Euler equation and the b-family
+    momentum equation, both for the Helmholtz operator.
 
-    The symbol maps |k|^2 to a real multiplier; it must be finite, bounded
-    away from zero, and equal to 1 at k = 0 so that constants are fixed.
-    """
-
-    name: str
-    symbol: Callable[[np.ndarray], np.ndarray]
-
-    def values(self, grid: TorusGrid) -> np.ndarray:
-        """The checked symbol on the half spectrum of grid."""
-        vals = np.broadcast_to(np.asarray(self.symbol(grid.ksq), dtype=float), grid.half_shape)
-        if not np.all(np.isfinite(vals)):
-            raise ValueError(f"operator {self.name!r} has a non-finite symbol")
-        if np.any(np.abs(vals) < 1e-12):
-            raise ValueError(f"operator {self.name!r} is not invertible")
-        zero = vals[0, 0]
-        if abs(zero - 1.0) > 1e-12:
-            raise ValueError(
-                f"operator {self.name!r} must fix constants (symbol(0) = {zero})"
-            )
-        return vals
-
-    def apply(self, u: Field, inverse: bool = False) -> Field:
-        vals = self.values(u.grid)
-        if inverse:
-            vals = 1.0 / vals
-        return Field.from_spectrum(u.grid, u.spectrum * vals)
-
-
-HELMHOLTZ_OPERATOR = MultiplierOperator("helmholtz", lambda ksq: 1.0 + ksq)
-
-
-def gl1_residual(u: Field, b, a_spec: MultiplierOperator = HELMHOLTZ_OPERATOR,
-                 pad_factor: int = DEFAULT_PAD_FACTOR) -> float:
-    """Sup-norm gap between the metric Euler equation for the operator a_spec
-    and the b-family momentum equation for the Helmholtz operator.
-
-    With a_spec the Helmholtz multiplier the gap collapses to
-    (2 - b) L^{-1}{(Lu) div u}, so it vanishes for every u exactly when b = 2.
+    The metric equation is the b = 2 transport of the momentum m = Au, so
+    the gap collapses to (2 - b) A^{-1}{(Au) div u} and vanishes for every u
+    exactly when b = 2.
     """
     b = validate_b(b)
-    if not isinstance(a_spec, MultiplierOperator):
-        raise TypeError("unsupported operator descriptor")
-    # The metric Euler equation is the b = 2 transport of the momentum a_spec(u).
-    metric_side = a_spec.apply(
-        momentum_transport(a_spec.apply(u), u, 2.0, pad_factor), inverse=True
-    )
-    family_side = helmholtz_inverse(momentum_transport(helmholtz(u), u, b, pad_factor))
+    m = helmholtz(u)
+    metric_side = helmholtz_inverse(momentum_transport(m, u, 2.0, pad_factor))
+    family_side = helmholtz_inverse(momentum_transport(m, u, b, pad_factor))
     return (metric_side - family_side).sup_norm()
 
 
@@ -198,7 +157,6 @@ class ModeResidual:
 @dataclass(frozen=True)
 class VerificationReport:
     rows: tuple[ModeResidual, ...]
-    tolerance: float = DEFAULT_TOLERANCE
 
     @property
     def b_values(self) -> tuple[float, ...]:
@@ -221,29 +179,18 @@ class VerificationReport:
         return [r.as_row() for r in self.rows]
 
 
-def _grid_for_modes(modes: Sequence[ModeIndex]) -> TorusGrid:
-    nmax = max(max(abs(m.n1), abs(m.n2)) for m in modes)
-    n = max(16, 4 * nmax)
-    return make_grid(n, n)
-
-
-def verify_theorem(b_list: Sequence[float], mode_list: Sequence[tuple[int, int]],
-                   grid: TorusGrid | None = None,
+def verify_theorem(b_list: Sequence[float], mode_list: Sequence[tuple[int, int]], grid: TorusGrid,
                    tolerance: float = DEFAULT_TOLERANCE,
                    pad_factor: int = DEFAULT_PAD_FACTOR) -> VerificationReport:
     """Residual table over a b sweep and a mode sweep.
 
     For each (b, n): the mode-wise linear-system residual with candidate
     (1 + n^2)(1,1), and the operator-level gap on the mode's real part on
-    grid (default: square, side max(16, 4 * largest index)), padded by pad_factor.
+    grid, padded by pad_factor.
     The report's consistent_b lists the b values with an all-zero row; over
     b_list containing {2, 3, 4} that is exactly (2.0,).
     """
     modes = [ModeIndex(n1, n2) for (n1, n2) in mode_list]
-    if not modes:
-        return VerificationReport(rows=(), tolerance=tolerance)
-    if grid is None:
-        grid = _grid_for_modes(modes)
     rows = []
     for b in b_list:
         b = validate_b(b)
@@ -255,4 +202,4 @@ def verify_theorem(b_list: Sequence[float], mode_list: Sequence[tuple[int, int]]
                 b=b, n1=mode.n1, n2=mode.n2,
                 gl3_residual=g3, gl1_residual=g1, tolerance=tolerance,
             ))
-    return VerificationReport(rows=tuple(rows), tolerance=tolerance)
+    return VerificationReport(rows=tuple(rows))

@@ -271,7 +271,7 @@ def test_09_one_dimensional_reductions():
 
 
 def test_10_uniqueness_algebra():
-    report = verify_theorem([2.0, 3.0, 4.0], [(1, 0), (0, 1), (1, 1), (2, 1)])
+    report = verify_theorem([2.0, 3.0, 4.0], [(1, 0), (0, 1), (1, 1), (2, 1)], make_grid(16, 16))
     b2_worst = max(
         max(r.gl3_residual, r.gl1_residual) for r in report.rows if r.b == 2.0
     )

@@ -90,6 +90,7 @@ class TestConfigHandling:
         ("verify", {"grid": [16, 16], "mode_list": [[0, 0]]}, []),
         ("verify", {"grid": [16, 16], "mode_list": [[1, 0], [8, 1]]}, []),
         ("curvature", {"grid": [16, 16], "pairing": "bogus"}, []),
+        ("curvature", {"grid": [16, 16], "pairing": "plain"}, []),
         ("simulate", FAST_SIM, ["--threads", "0"]),
         ("simulate", FAST_SIM, ["--threads", "-3"]),
         ("curvature", {"grid": [16, 16], "k_range": [1]}, ["--threads", "0"]),
@@ -98,7 +99,7 @@ class TestConfigHandling:
     ], ids=["fractional-pad", "fractional-grid", "bool-b", "string-dt", "negative-kmax",
             "nan-amplitude", "partial-step-with-snapshots", "string-snapshots",
             "negative-blowup-factor", "negative-tolerance", "int-past-float-range", "mode-triple",
-            "zero-mode", "unresolvable-verify-mode", "unknown-pairing", "zero-threads-simulate", "negative-threads-simulate",
+            "zero-mode", "unresolvable-verify-mode", "unknown-pairing", "plain-pairing", "zero-threads-simulate", "negative-threads-simulate",
             "zero-threads-curvature", "negative-threads-curvature", "reduce1d-unresolvable-kmax"])
     def test_bad_values_rejected_before_compute(self, tmp_path, capsys, command, config, extra):
         cfg = write_config(tmp_path, config)

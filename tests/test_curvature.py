@@ -202,19 +202,6 @@ class TestRTerm:
         r = sectional_direct(u, v) - gamma_terms(u, v)
         assert abs(r_term(u, v) - r) <= 1e-8 * (1.0 + abs(r))
 
-    def test_plain_pairing_is_a_different_functional(self, grid32):
-        u = rand(grid32, 36, kmax=2)
-        v = rand(grid32, 37, kmax=2)
-        metric = r_term(u, v, pairing="metric")
-        plain = r_term(u, v, pairing="plain")
-        assert np.isfinite(plain)
-        assert abs(metric - plain) > 1e-6
-
-    def test_unknown_pairing_rejected(self, grid32):
-        u = rand(grid32, 38, kmax=2)
-        with pytest.raises(ValueError):
-            r_term(u, u, pairing="sobolev")
-
 
 class TestClosedForm:
     def test_reference_value(self):

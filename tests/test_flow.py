@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -7,9 +8,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from torusflow import flow
+from torusflow import dynamics, flow
 from torusflow.cli import entry
-from torusflow.dynamics import hamiltonian, integrate
+from torusflow.dynamics import BlowupError, EulerState, hamiltonian, integrate
 from torusflow.flow import (
     DiffeoMap,
     GeodesicState,
@@ -256,11 +257,11 @@ class TestFlowFromVelocity:
         dt = 1e-3
         euler = integrate(u0, 2.0, t_end=0.05, dt=dt / 2)
         traj = flow_from_velocity(trajectory_velocity(euler), t_end=0.05, dt=dt)
-        i = len(traj.maps) // 2
-        d_prev, d_mid, d_next = (traj.maps[j].displacement for j in (i - 1, i, i + 1))
+        i = len(traj.states) // 2
+        d_prev, d_mid, d_next = (traj.states[j].displacement for j in (i - 1, i, i + 1))
         phi_t = (1.0 / (2.0 * dt)) * (d_next - d_prev)
         phi_tt = (1.0 / dt**2) * (d_next - 2.0 * d_mid + d_prev)
-        gamma = christoffel_conjugated(traj.maps[i], phi_t, phi_t, 2.0)
+        gamma = christoffel_conjugated(traj.states[i], phi_t, phi_t, 2.0)
         assert (phi_tt - gamma).sup_norm() < 1e-6
 
     def test_orientation_guard(self, grid32):
@@ -318,6 +319,42 @@ class TestGeodesic:
         u0 = sample_vector(grid32, lambda x, y: 0.02 * np.sin(TWO_PI * x), lambda x, y: 0.0 * x)
         with pytest.raises(OrientationError):
             geodesic_integrate(u0, 2.0, t_end=0.005, dt=1e-3, det_floor=0.99999)
+
+
+def _integrate_blows_up(grid):
+    u0 = random_bandlimited(grid, seed=84, kmax=2, amplitude=0.05)
+    integrate(u0, 3.0, t_end=0.01, dt=1e-3, blowup_factor=1e-6)
+
+
+def _geodesic_folds(grid):
+    u0 = random_bandlimited(grid, seed=0, kmax=2, amplitude=0.02)
+    geodesic_integrate(u0, 2.0, t_end=0.02, dt=5e-3, det_floor=0.9999)
+
+
+def _label_flow_folds(grid):
+    u = sample_vector(grid, lambda x, y: 0.05 * np.sin(TWO_PI * x), lambda x, y: 0.0 * x)
+    flow_from_velocity(lambda t: u, t_end=0.02, dt=5e-3, det_floor=0.9999)
+
+
+class TestMarchPartial:
+    """Every caller of dynamics.march leaves the same Trajectory type behind on abort."""
+
+    @pytest.mark.parametrize("run, dt, error, state_type", [
+        (_integrate_blows_up, 1e-3, BlowupError, EulerState),
+        (_geodesic_folds, 5e-3, OrientationError, GeodesicState),
+        (_label_flow_folds, 5e-3, OrientationError, DiffeoMap),
+    ], ids=["integrate", "geodesic_integrate", "flow_from_velocity"])
+    def test_partial_is_a_trajectory(self, run, dt, error, state_type):
+        with pytest.raises(error) as info:
+            run(make_grid(16, 16))
+        partial = info.value.partial
+        rejected = float(re.search(r"at t=(\S+)", str(info.value)).group(1))
+        assert isinstance(partial, dynamics.Trajectory)
+        assert partial.dt == dt
+        assert len(partial.times) == len(partial.states)
+        assert all(isinstance(s, state_type) for s in partial.states)
+        assert partial.times[-1] < rejected
+        assert partial.times[-1] == pytest.approx(rejected - dt, abs=1e-12)
 
 
 class TestExpMap:
