@@ -18,10 +18,11 @@ Conventions
 * One Nyquist rule: in each axis the unpaired -n/2 coefficient is a cosine,
   split evenly between -n/2 and +n/2, so the corner goes four ways.  First
   derivatives zero it; the Helmholtz symbol 1 + |k|^2 keeps every mode.
-* Products are dealiased: each factor is lifted once to real samples on a
-  pad_factor-times finer grid, the products of a term are summed there and
-  the sum is truncated once, reading each Nyquist row and column back as
-  the mean of the padded -n/2 and +n/2 ones.
+* Products are dealiased: each factor is lifted once to real samples on the
+  grid's padded_shape, the smallest grid on which a quadratic product is
+  exact (Orszag's rule), the products of a term are summed there and the
+  sum is truncated once, reading each Nyquist row and column back as the
+  mean of the padded -n/2 and +n/2 ones.
 """
 
 from __future__ import annotations
@@ -60,6 +61,20 @@ __all__ = [
 TWO_PI = 2.0 * np.pi
 
 DEFAULT_PAD_FACTOR = 2
+
+
+def _padded_size(n: int) -> int:
+    """Smallest even M >= 3n/2 + 2 with no prime factor above 5."""
+    m = 3 * n // 2 + 2
+    m += m % 2
+    while True:
+        rest = m
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return m
+        m += 2
 
 
 @dataclass(frozen=True)
@@ -124,6 +139,17 @@ class TorusGrid:
     @cached_property
     def helmholtz_symbol(self) -> np.ndarray:
         return 1.0 + self.ksq
+
+    @cached_property
+    def padded_shape(self) -> tuple[int, int]:
+        """Grid of the dealiased products: per axis the smallest even 5-smooth M >= 3n/2 + 2.
+
+        A product of two fields reaches modes +-n (the split Nyquist halves),
+        and on M points mode n folds onto n - M, outside the kept -n/2..n/2
+        only if M > 3n/2.  Sizes built from 2, 3 and 5 keep the FFTs on their
+        fastest radices.
+        """
+        return (_padded_size(self.nx), _padded_size(self.ny))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -311,7 +337,8 @@ def h1_inner(u: Field, v: Field) -> float:
 
 def _lift(f: Field, pad_factor: int, symbol=None) -> np.ndarray:
     """Samples of f, or of its image under the Fourier multiplier symbol, on the
-    pad_factor-times finer grid (pad_factor=1: the samples on f's grid).
+    grid's padded_shape (pad_factor=1: the samples on f's grid; any larger
+    pad_factor: the same padded grid).
 
     The Nyquist row and column are split evenly between -n/2 and +n/2, so
     the corner goes four ways.
@@ -320,7 +347,7 @@ def _lift(f: Field, pad_factor: int, symbol=None) -> np.ndarray:
     if pad_factor == 1:
         return f.values if symbol is None else np.fft.irfft2(s, s=f.grid.shape, norm="forward")
     hx, hy = f.grid.nx // 2, f.grid.ny // 2
-    px, py = pad_factor * f.grid.nx, pad_factor * f.grid.ny
+    px, py = f.grid.padded_shape
     # Columns past +n/2 of the padded half spectrum are zero; irfft2 pads them,
     # and mirrors column +n/2 onto -n/2.
     half = np.zeros(s.shape[:-2] + (px, hy + 1), dtype=np.complex128)
@@ -332,14 +359,15 @@ def _lift(f: Field, pad_factor: int, symbol=None) -> np.ndarray:
 
 
 def _truncate(grid: TorusGrid, samples: np.ndarray, pad_factor: int) -> Field:
-    """Field of the modes of grid in padded samples (pad_factor=1: the samples themselves).
+    """Field of the modes of grid in samples on its padded_shape (pad_factor=1:
+    the samples on grid themselves).
 
     The Nyquist row and column are the means of the padded -n/2 and +n/2
     ones, so the corner is the mean of the four padded corners.
     """
     if pad_factor == 1:
         return _owned(grid, samples)
-    hx, hy, px = grid.nx // 2, grid.ny // 2, pad_factor * grid.nx
+    hx, hy, px = grid.nx // 2, grid.ny // 2, grid.padded_shape[0]
     # Only the kept columns are transformed along x.
     r = np.fft.fft(np.fft.rfft(samples, norm="forward")[..., :hy + 1], axis=-2, norm="forward")
     half = np.concatenate([r[..., :hx, :], r[..., px - hx:, :]], axis=-2)
@@ -354,16 +382,18 @@ def _dealiased(f: Field, g: Field, pad_factor: int, combine) -> Field:
     """combine(lifted f, lifted g), formed on the padded grid and truncated once."""
     if f.grid != g.grid:
         raise ValueError("fields live on different grids")
-    if pad_factor < 1:
-        raise ValueError("pad_factor must be >= 1")
+    integral = isinstance(pad_factor, int) or isinstance(pad_factor, float) and pad_factor.is_integer()
+    if isinstance(pad_factor, bool) or not integral or pad_factor < 1:
+        raise ValueError(f"pad_factor must be an integer >= 1, not {pad_factor!r}")
     return _truncate(f.grid, combine(_lift(f, pad_factor), _lift(g, pad_factor)), pad_factor)
 
 
 def pointwise_product(f: Field, g: Field, pad_factor: int = DEFAULT_PAD_FACTOR) -> Field:
-    """Product fg evaluated on a pad_factor-times finer grid, then truncated.
+    """Product fg formed on the grid's padded_shape, then truncated.
 
-    Component axes broadcast.  Exact whenever the combined bandwidth of f and
-    g fits the padded grid; pad_factor=1 is the plain aliased grid product.
+    Component axes broadcast.  Every pad_factor >= 2 selects that one padded
+    grid, on which the product of any two fields of the grid is exact;
+    pad_factor=1 is the plain aliased grid product.
     """
     return _dealiased(f, g, pad_factor, np.multiply)
 

@@ -186,7 +186,7 @@ def verify_theorem(b_list: Sequence[float], mode_list: Sequence[tuple[int, int]]
 
     For each (b, n): the mode-wise linear-system residual with candidate
     (1 + n^2)(1,1), and the operator-level gap on the mode's real part on
-    grid, padded by pad_factor.
+    grid, its products exact for any pad_factor >= 2 (aliased at 1).
     The report's consistent_b lists the b values with an all-zero row; over
     b_list containing {2, 3, 4} that is exactly (2.0,).
     """

@@ -151,7 +151,7 @@ class TestEulerRhs:
 
 
 class TestTransformBudget:
-    """The fused kernels at 16^2: no complex FFT on the padded 32^2 grid, no
+    """The fused kernels at 16^2: no complex FFT on the padded grid, no
     complex 2D transform on any grid, and at most a fixed number of padded
     real transforms, counted in 2D planes.
 
@@ -160,7 +160,7 @@ class TestTransformBudget:
     rows of their gradients (24) and truncates two vectors (4).
     """
 
-    PADDED = (32, 32)
+    PADDED = make_grid(16, 16).padded_shape
 
     def count(self, monkeypatch, call):
         complex_padded, complex_2d, real_planes = [], [], 0

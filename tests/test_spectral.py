@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from torusflow.dynamics import euler_rhs, euler_rhs_geometric, momentum_transport
 from torusflow.spectral import (
     Field,
+    TorusGrid,
     VectorField,
     divergence,
     dot,
@@ -322,37 +323,84 @@ class TestPointwiseProduct:
         with pytest.raises(ValueError):
             pointwise_product(f, f, 0)
 
+    @pytest.mark.parametrize("pad", [-1, 0.0, 1.5, 2.5, True, False, "2", None, np.nan, np.inf])
+    def test_pad_factor_is_an_integer_at_least_one(self, grid32, pad):
+        f = Field(grid32, np.ones(grid32.shape))
+        with pytest.raises(ValueError, match="pad_factor"):
+            pointwise_product(f, f, pad)
+
+    @pytest.mark.parametrize("pad", [1.0, 2.0, 3.0])
+    def test_integral_float_pad_factor(self, grid32, pad):
+        f = random_bandlimited(grid32, 1, kmax=9, amplitude=1.0)
+        assert np.array_equal(dot(gradient(f), f, pad).values, dot(gradient(f), f, int(pad)).values)
+
+    def test_every_pad_factor_above_one_is_the_same_grid(self, grid32):
+        f = random_bandlimited(grid32, 1, kmax=15, amplitude=1.0)
+        products = [pointwise_product(f, f, pad).values for pad in (2, 3, 4)]
+        assert all(np.array_equal(products[0], p) for p in products[1:])
+
+
+def _five_smooth(m):
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
+class TestPaddedShape:
+    """Per axis, the smallest even 5-smooth size at least 3n/2 + 2."""
+
+    @staticmethod
+    def minimal(n):
+        return next(m for m in range(1, 4 * n)
+                    if m % 2 == 0 and _five_smooth(m) and 2 * m >= 3 * n + 4)
+
+    @pytest.mark.parametrize("n", range(4, 513, 2))
+    def test_minimal_admissible_size(self, n):
+        m = self.minimal(n)
+        assert make_grid(n, 4).padded_shape[0] == m
+        assert make_grid(4, n).padded_shape[1] == m
+
+    @pytest.mark.parametrize("n, m", [(16, 30), (32, 50), (64, 100), (128, 200), (256, 400)])
+    def test_paper_sizes(self, n, m):
+        # 7 is not a factor: 98 and 196 would be the 7-smooth choices at 64 and 128.
+        assert make_grid(n, n).padded_shape == (m, m)
+
+    @pytest.mark.parametrize("nx, ny", [(16, 24), (24, 16), (6, 512), (130, 18)])
+    def test_rectangular_per_axis(self, nx, ny):
+        assert make_grid(nx, ny).padded_shape == (self.minimal(nx), self.minimal(ny))
+
 
 # Factors for the dense oracle below: sums of terms a cos(2 pi j1 x + p1)
-# cos(2 pi j2 y + p2) on a 16^2 grid, each with content in the Nyquist row
-# (j1 = 8, cosine phase), the Nyquist column and the corner.  Such a sum is
-# its own trigonometric interpolant, with the unpaired Nyquist coefficient
-# split evenly between -8 and +8 in each axis, so products of the sums,
-# formed on a 4x grid where they are exact, are what the dealiased products
-# must return, read back under the same rule.
+# cos(2 pi j2 y + p2) on a 16^2 (or 16x24) grid, each with content in the
+# Nyquist row (j1 = nx/2, cosine phase), the Nyquist column and the corner.
+# Such a sum is its own trigonometric interpolant, with the unpaired Nyquist
+# coefficient split evenly between -n/2 and +n/2 in each axis, so products of
+# the sums, formed on a 4x grid where they are exact, are what the dealiased
+# products must return, read back under the same rule.
 ORACLE_N = 16
 NYQ = ORACLE_N // 2
 
 
-def oracle_terms(rng, count=3):
+def oracle_terms(rng, nyq=(NYQ, NYQ), count=3):
     a = rng.standard_normal(count + 3)
-    j = rng.integers(-NYQ + 1, NYQ, size=(count, 2))
+    j = rng.integers(1 - np.array(nyq), nyq, size=(count, 2))
     p = rng.uniform(0.0, TWO_PI, size=(count + 2, 2))
     terms = [(a[i], j[i, 0], p[i, 0], j[i, 1], p[i, 1]) for i in range(count)]
-    jr, jc = rng.integers(0, NYQ, size=2)
-    terms.append((a[count], NYQ, 0.0, jr, p[count, 1]))
-    terms.append((a[count + 1], jc, p[count + 1, 0], NYQ, 0.0))
-    # The corner mode cos(pi N x) cos(pi N y).
-    terms.append((a[count + 2], NYQ, 0.0, NYQ, 0.0))
+    jr, jc = rng.integers(0, nyq[::-1])
+    terms.append((a[count], nyq[0], 0.0, jr, p[count, 1]))
+    terms.append((a[count + 1], jc, p[count + 1, 0], nyq[1], 0.0))
+    # The corner mode cos(pi nx x) cos(pi ny y).
+    terms.append((a[count + 2], nyq[0], 0.0, nyq[1], 0.0))
     return terms
 
 
-def oracle_derivative(terms, axis):
+def oracle_derivative(terms, axis, nyq=(NYQ, NYQ)):
     """d/dx (axis 0) or d/dy (axis 1), zeroing the unpaired Nyquist mode as the library does."""
     out = []
     for a, j1, p1, j2, p2 in terms:
         j = (j1, j2)[axis]
-        if j != NYQ:
+        if j != nyq[axis]:
             shifted = [p1, p2]
             shifted[axis] += np.pi / 2
             out.append((TWO_PI * j * a, j1, shifted[0], j2, shifted[1]))
@@ -371,6 +419,16 @@ class TestDenseOracle:
     grid = make_grid(ORACLE_N, ORACLE_N)
     fine = make_grid(4 * ORACLE_N, 4 * ORACLE_N)
 
+    @property
+    def nyq(self):
+        return (self.grid.nx // 2, self.grid.ny // 2)
+
+    def terms(self, rng):
+        return oracle_terms(rng, self.nyq)
+
+    def derivative(self, terms, axis):
+        return oracle_derivative(terms, axis, self.nyq)
+
     def field(self, tree):
         return Field(self.grid, oracle_sample(tree, *self.grid.mesh))
 
@@ -380,17 +438,22 @@ class TestDenseOracle:
     def expected(self, dense, pad):
         if pad == 1:
             return dense[..., ::4, ::4]  # the aliased grid product
-        # The modes -N/2..N/2 of the dense product, the +-N/2 ones at half
+        # The modes -n/2..n/2 of the dense product, the +-n/2 ones at half
         # weight in each axis, summed directly at the coarse grid points.
-        idx = np.arange(-NYQ, NYQ + 1)
-        half = np.where(np.abs(idx) == NYQ, 0.5, 1.0)
-        spec = np.fft.fft2(dense, norm="forward")[..., idx[:, None], idx[None, :]] * np.outer(half, half)
-        basis = np.exp(2j * np.pi * np.outer(idx, self.grid.x))
-        return np.einsum("...jk,jx,ky->...xy", spec, basis, basis).real
+        idx = [np.arange(-h, h + 1) for h in self.nyq]
+        half = [np.where(np.abs(i) == h, 0.5, 1.0) for i, h in zip(idx, self.nyq)]
+        spec = np.fft.fft2(dense, norm="forward")[..., idx[0][:, None], idx[1][None, :]] * np.outer(*half)
+        bx = np.exp(2j * np.pi * np.outer(idx[0], self.grid.x))
+        by = np.exp(2j * np.pi * np.outer(idx[1], self.grid.y))
+        return np.einsum("...jk,jx,ky->...xy", spec, bx, by).real
+
+    def error(self, got, dense, pad):
+        """Sup-norm error of got against the oracle, relative to the oracle's sup-norm."""
+        want = self.expected(dense, pad)
+        return np.max(np.abs(got.values - want)) / np.max(np.abs(want))
 
     def check(self, got, dense, pad):
-        want = self.expected(dense, pad)
-        assert np.max(np.abs(got.values - want)) <= 1e-13 * np.max(np.abs(want))
+        assert self.error(got, dense, pad) <= 1e-13
         # The product's half spectrum is the spectrum of its samples: its
         # Nyquist column is Hermitian, as products reuse it unsynthesized.
         resampled = Field(self.grid, got.values).spectrum
@@ -399,9 +462,9 @@ class TestDenseOracle:
     @pytest.mark.parametrize("pad", [1, 2, 3])
     def test_products(self, pad):
         rng = np.random.default_rng(11)
-        f, g = oracle_terms(rng), oracle_terms(rng)
-        J = [[oracle_terms(rng) for _ in range(2)] for _ in range(2)]
-        v = [oracle_terms(rng) for _ in range(2)]
+        f, g = self.terms(rng), self.terms(rng)
+        J = [[self.terms(rng) for _ in range(2)] for _ in range(2)]
+        v = [self.terms(rng) for _ in range(2)]
         dJ, dv = self.dense(J), self.dense(v)
         self.check(pointwise_product(self.field(f), self.field(g), pad),
                    self.dense(f) * self.dense(g), pad)
@@ -413,10 +476,10 @@ class TestDenseOracle:
     @pytest.mark.parametrize("b", [2.0, 3.0])
     def test_momentum_transport(self, pad, b):
         rng = np.random.default_rng(12)
-        m, v = [oracle_terms(rng) for _ in range(2)], [oracle_terms(rng) for _ in range(2)]
+        m, v = [self.terms(rng) for _ in range(2)], [self.terms(rng) for _ in range(2)]
         dm, dv = self.dense(m), self.dense(v)
-        grad_m = [[self.dense(oracle_derivative(m[i], j)) for j in range(2)] for i in range(2)]
-        grad_v = [[self.dense(oracle_derivative(v[i], j)) for j in range(2)] for i in range(2)]
+        grad_m = [[self.dense(self.derivative(m[i], j)) for j in range(2)] for i in range(2)]
+        grad_v = [[self.dense(self.derivative(v[i], j)) for j in range(2)] for i in range(2)]
         div_v = grad_v[0][0] + grad_v[1][1]
         dense = np.stack([
             sum(grad_m[i][j] * dv[j] + grad_v[j][i] * dm[j] for j in range(2))
@@ -428,9 +491,36 @@ class TestDenseOracle:
     @pytest.mark.parametrize("pad", [1, 2, 3])
     @pytest.mark.parametrize("b", [2.0, 3.0])
     def test_euler_rhs_forms_agree(self, pad, b):
-        u = self.field([oracle_terms(np.random.default_rng(13)) for _ in range(2)])
+        u = self.field([self.terms(np.random.default_rng(13)) for _ in range(2)])
         direct = euler_rhs(u, b, pad)
         assert (direct - euler_rhs_geometric(u, b, pad)).sup_norm() <= 1e-13 * direct.sup_norm()
+
+    @pytest.mark.parametrize("margin, exact", [(2, True), (0, False)])
+    def test_padded_size_margin(self, monkeypatch, margin, exact):
+        # Nyquist x Nyquist terms reach +-n; on 3n/2 points they fold onto
+        # +-n/2, one point more (even: two) keeps them off the kept modes.
+        # d/dx keeps the y-Nyquist column, so derivative products fold too.
+        shape = tuple(3 * n // 2 + margin for n in self.grid.shape)
+        monkeypatch.setattr(TorusGrid, "padded_shape", property(lambda grid: shape))
+        rng = np.random.default_rng(11)  # test_products' scalar factors
+        f, g = self.terms(rng), self.terms(rng)
+        products = [
+            (pointwise_product(self.field(f), self.field(g)), self.dense(f) * self.dense(g)),
+            (pointwise_product(partial_x(self.field(f)), self.field(g)),
+             self.dense(self.derivative(f, 0)) * self.dense(g)),
+        ]
+        for got, dense in products:
+            if exact:
+                self.check(got, dense, 2)
+            else:
+                assert self.error(got, dense, 2) > 1e-2
+
+
+class TestDenseOracleRectangular(TestDenseOracle):
+    """The dense oracle on 16x24, padded to 30x40, with Nyquist content in both axes."""
+
+    grid = make_grid(ORACLE_N, 24)
+    fine = make_grid(4 * ORACLE_N, 4 * 24)
 
 
 def direct_sum(grid, spectra, xs, ys):
