@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from .dynamics import christoffel, commutator, validate_b
 from .flow import DiffeoMap, christoffel_conjugated
 from .spectral import (
-    DEFAULT_PAD_FACTOR,
     TWO_PI,
     Field,
     TorusGrid,
@@ -65,8 +64,7 @@ class CurvatureReport:
         return abs(self.s_formula - self.s_direct)
 
 
-def d1_gamma(w: Field, u: Field, v: Field, b=2.0,
-             pad_factor: int = DEFAULT_PAD_FACTOR) -> Field:
+def d1_gamma(w: Field, u: Field, v: Field, b=2.0) -> Field:
     """Derivative of the conjugated connection with respect to the
     configuration, in direction v, at the identity:
 
@@ -74,24 +72,22 @@ def d1_gamma(w: Field, u: Field, v: Field, b=2.0,
                          + grad(Gamma(w, u)) . v
     """
     b = validate_b(b)
-    gam = christoffel(w, u, b, pad_factor)
+    gam = christoffel(w, u, b)
     return (
-        dot(gradient(gam), v, pad_factor)
-        - christoffel(dot(gradient(w), v, pad_factor), u, b, pad_factor)
-        - christoffel(dot(gradient(u), v, pad_factor), w, b, pad_factor)
+        dot(gradient(gam), v)
+        - christoffel(dot(gradient(w), v), u, b)
+        - christoffel(dot(gradient(u), v), w, b)
     )
 
 
-def d1_gamma_fd(w: Field, u: Field, v: Field, b=2.0,
-                eps: float = 1e-4, pad_factor: int = DEFAULT_PAD_FACTOR) -> Field:
+def d1_gamma_fd(w: Field, u: Field, v: Field, b=2.0, eps: float = 1e-4) -> Field:
     """Central finite difference of eps -> Gamma_{id + eps v}(w, u); oracle for d1_gamma."""
-    plus = christoffel_conjugated(DiffeoMap(eps * v), w, u, b, pad_factor)
-    minus = christoffel_conjugated(DiffeoMap((-eps) * v), w, u, b, pad_factor)
+    plus = christoffel_conjugated(DiffeoMap(eps * v), w, u, b)
+    minus = christoffel_conjugated(DiffeoMap((-eps) * v), w, u, b)
     return (1.0 / (2.0 * eps)) * (plus - minus)
 
 
-def curvature_tensor(u: Field, v: Field, w: Field, b=2.0,
-                     pad_factor: int = DEFAULT_PAD_FACTOR) -> Field:
+def curvature_tensor(u: Field, v: Field, w: Field, b=2.0) -> Field:
     """Local curvature tensor R(u, v)w at the identity; antisymmetric in (u, v).
 
     By definition R(u,v)w = D1Gamma(w,u)v - D1Gamma(w,v)u
@@ -106,33 +102,29 @@ def curvature_tensor(u: Field, v: Field, w: Field, b=2.0,
     R(u,u)w is exactly zero.
     """
     b = validate_b(b)
-    p = pad_factor
     jw = gradient(w)
-    gwu, gwv = christoffel(w, u, b, p), christoffel(w, v, b, p)
+    gwu, gwv = christoffel(w, u, b), christoffel(w, v, b)
     return (
-        christoffel(gwv - dot(jw, v, p), u, b, p)
-        + christoffel(dot(jw, u, p) - gwu, v, b, p)
-        - christoffel(commutator(u, v, p), w, b, p)
-        + dot(gradient(gwu), v, p)
-        - dot(gradient(gwv), u, p)
+        christoffel(gwv - dot(jw, v), u, b)
+        + christoffel(dot(jw, u) - gwu, v, b)
+        - christoffel(commutator(u, v), w, b)
+        + dot(gradient(gwu), v)
+        - dot(gradient(gwv), u)
     )
 
 
-def sectional_direct(u: Field, v: Field, b=2.0,
-                     pad_factor: int = DEFAULT_PAD_FACTOR) -> float:
+def sectional_direct(u: Field, v: Field, b=2.0) -> float:
     """Unnormalized sectional curvature <R(u,v)v, u> through the tensor route."""
-    return h1_inner(curvature_tensor(u, v, v, b, pad_factor), u)
+    return h1_inner(curvature_tensor(u, v, v, b), u)
 
 
-def gamma_terms(u: Field, v: Field, b=2.0, pad_factor: int = DEFAULT_PAD_FACTOR) -> float:
+def gamma_terms(u: Field, v: Field, b=2.0) -> float:
     """<Gamma(u,v), Gamma(u,v)> - <Gamma(u,u), Gamma(v,v)>."""
-    guv = christoffel(u, v, b, pad_factor)
-    return h1_inner(guv, guv) - h1_inner(
-        christoffel(u, u, b, pad_factor), christoffel(v, v, b, pad_factor)
-    )
+    guv = christoffel(u, v, b)
+    return h1_inner(guv, guv) - h1_inner(christoffel(u, u, b), christoffel(v, v, b))
 
 
-def r_term(u: Field, v: Field, pad_factor: int = DEFAULT_PAD_FACTOR) -> float:
+def r_term(u: Field, v: Field) -> float:
     """The twelve-term residual part of the curvature formula.
 
     Vanishes identically when either argument is a constant field, but not
@@ -140,37 +132,36 @@ def r_term(u: Field, v: Field, pad_factor: int = DEFAULT_PAD_FACTOR) -> float:
     gamma_terms (at 32^2, kmax 2 and amplitude 1, seeds (0, 1) give about
     -1288 against 596), so there the sectional curvature is negative.
     """
-    p = pad_factor
     ju, jv = gradient(u), gradient(v)
-    uu, uv, vu, vv = dot(ju, u, p), dot(ju, v, p), dot(jv, u, p), dot(jv, v, p)
+    uu, uv, vu, vv = dot(ju, u), dot(ju, v), dot(jv, u), dot(jv, v)
     return (
         h1_inner(uu, vv)
         - h1_inner(uv, uv)
         + h1_inner(vu, uv)
         - h1_inner(vu, vu)
-        + h1_inner(dot(gradient(uu), v, p), v)
-        - h1_inner(dot(gradient(uv), v, p), u)
-        + h1_inner(dot(gradient(vu), v, p), u)
-        - h1_inner(dot(gradient(vu), u, p), v)
-        - h1_inner(dot(jv, uu, p), v)
-        - h1_inner(dot(ju, vv, p), u)
-        + h1_inner(dot(jv, vu, p), u)
-        + h1_inner(dot(ju, vu, p), v)
+        + h1_inner(dot(gradient(uu), v), v)
+        - h1_inner(dot(gradient(uv), v), u)
+        + h1_inner(dot(gradient(vu), v), u)
+        - h1_inner(dot(gradient(vu), u), v)
+        - h1_inner(dot(jv, uu), v)
+        - h1_inner(dot(ju, vv), u)
+        + h1_inner(dot(jv, vu), u)
+        + h1_inner(dot(ju, vu), v)
     )
 
 
-def sectional_formula(u: Field, v: Field, pad_factor: int = DEFAULT_PAD_FACTOR) -> CurvatureReport:
+def sectional_formula(u: Field, v: Field) -> CurvatureReport:
     """Both curvature routes for the plane span{u, v}.
 
     s_formula is gamma_terms + r_term by construction; s_direct comes from
     the tensor route, so the report's agreement field measures how well the
     two independent computations coincide.
     """
-    g = gamma_terms(u, v, 2.0, pad_factor)
-    r = r_term(u, v, pad_factor)
+    g = gamma_terms(u, v, 2.0)
+    r = r_term(u, v)
     return CurvatureReport(
         s_formula=g + r,
-        s_direct=sectional_direct(u, v, 2.0, pad_factor),
+        s_direct=sectional_direct(u, v, 2.0),
         gamma_terms=g,
         r_term=r,
     )

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import (
-    DEFAULT_PAD_FACTOR,
     Field,
     _dealiased,
     _lift,
@@ -145,7 +144,7 @@ def conservation_report(trajectory: Trajectory) -> ConservationReport:
     )
 
 
-def _transport(m: Field, lm: np.ndarray, v: Field, lv: np.ndarray, b: float, pad_factor: int,
+def _transport(m: Field, lm: np.ndarray, v: Field, lv: np.ndarray, b: float,
                sym: np.ndarray | None = None, lw: np.ndarray | None = None) -> np.ndarray:
     """Padded samples of grad(m).v + (grad v)^T m + (b-1) m div v, from m and v lifted.
 
@@ -155,26 +154,26 @@ def _transport(m: Field, lm: np.ndarray, v: Field, lv: np.ndarray, b: float, pad
     """
     acc = np.zeros_like(lm)
     for i in range(2):
-        lg = _lift(m[i], pad_factor, m.grid.grad_symbol)
+        lg = _lift(m[i], m.grid.grad_symbol)
         acc[i] += lg[0] * lv[0] + lg[1] * lv[1]
-        lg = _lift(v[i], pad_factor, v.grid.grad_symbol)
+        lg = _lift(v[i], v.grid.grad_symbol)
         acc += lg * lm[i] + (b - 1.0) * lg[i] * lm
         if sym is not None:
             sym[i] += lg[0] * lw[0] + lg[1] * lw[1]
     return acc
 
 
-def momentum_transport(m: Field, v: Field, b: float, pad_factor: int = DEFAULT_PAD_FACTOR) -> Field:
+def momentum_transport(m: Field, v: Field, b: float) -> Field:
     """Transport of the momentum m by the velocity v: grad(m).v + (grad v)^T m + (b-1) m div v."""
-    return _dealiased(m, v, pad_factor, lambda lm, lv: _transport(m, lm, v, lv, b, pad_factor))
+    return _dealiased(m, v, lambda lm, lv: _transport(m, lm, v, lv, b))
 
 
-def b_operator(u: Field, v: Field, b, pad_factor: int = DEFAULT_PAD_FACTOR) -> Field:
+def b_operator(u: Field, v: Field, b) -> Field:
     """Quadratic operator B(u, v) = -A^{-1}(grad(Au).v + (grad v)^T Au + (b-1) Au div v)."""
-    return -helmholtz_inverse(momentum_transport(helmholtz(u), v, validate_b(b), pad_factor))
+    return -helmholtz_inverse(momentum_transport(helmholtz(u), v, validate_b(b)))
 
 
-def christoffel(u: Field, v: Field, b, pad_factor: int = DEFAULT_PAD_FACTOR) -> Field:
+def christoffel(u: Field, v: Field, b) -> Field:
     """Connection bilinear form Gamma(u, v), symmetric in its arguments.
 
     Gamma(u, v) = (grad u . v + grad v . u + B(u, v) + B(v, u)) / 2.
@@ -184,53 +183,54 @@ def christoffel(u: Field, v: Field, b, pad_factor: int = DEFAULT_PAD_FACTOR) -> 
 
     def parts(lu, lv):
         acc = np.zeros((2,) + lu.shape)  # the symmetric part and the transport under A^{-1}
-        acc[1] = _transport(mu, _lift(mu, pad_factor), v, lv, b, pad_factor, acc[0], lu)
-        acc[1] += _transport(mv, _lift(mv, pad_factor), u, lu, b, pad_factor, acc[0], lv)
+        acc[1] = _transport(mu, _lift(mu), v, lv, b, acc[0], lu)
+        acc[1] += _transport(mv, _lift(mv), u, lu, b, acc[0], lv)
         return acc
 
-    p = _dealiased(u, v, pad_factor, parts)
+    p = _dealiased(u, v, parts)
     return 0.5 * (p[0] - helmholtz_inverse(p[1]))
 
 
-def euler_rhs(u: Field, b, pad_factor: int = DEFAULT_PAD_FACTOR) -> Field:
+def euler_rhs(u: Field, b) -> Field:
     """du/dt in the direct momentum form, i.e. B(u, u)."""
-    return b_operator(u, u, b, pad_factor)
+    return b_operator(u, u, b)
 
 
-def euler_rhs_geometric(u: Field, b, pad_factor: int = DEFAULT_PAD_FACTOR) -> Field:
+def euler_rhs_geometric(u: Field, b) -> Field:
     """du/dt written as Gamma(u, u) - grad(u).u; agrees with euler_rhs to roundoff."""
-    return christoffel(u, u, b, pad_factor) - dot(gradient(u), u, pad_factor)
+    return christoffel(u, u, b) - dot(gradient(u), u)
 
 
-def check_commuting_identity(u: Field, v: Field, pad_factor: int = DEFAULT_PAD_FACTOR) -> float:
+def check_commuting_identity(u: Field, v: Field) -> float:
     """Residual of grad(Av).u - A(grad v . u) against its derivative expansion.
 
     The expansion is grad(v).Lap(u) + 2 grad(v_x).u_x + 2 grad(v_y).u_y.
-    Returns the max-norm of the difference, which is pure roundoff whenever
-    the pairwise products of u and v fit the padded grid.
+    Returns the max-norm of the difference.  Every product is exact before
+    its truncation, so this is pure roundoff whenever the pairwise products
+    of u and v have no modes beyond the grid's.
     """
     gv = gradient(v)
-    lhs = dot(gradient(helmholtz(v)), u, pad_factor) - helmholtz(dot(gv, u, pad_factor))
+    lhs = dot(gradient(helmholtz(v)), u) - helmholtz(dot(gv, u))
     rhs = (
-        dot(gv, laplacian(u), pad_factor)
-        + 2.0 * dot(gradient(partial_x(v)), partial_x(u), pad_factor)
-        + 2.0 * dot(gradient(partial_y(v)), partial_y(u), pad_factor)
+        dot(gv, laplacian(u))
+        + 2.0 * dot(gradient(partial_x(v)), partial_x(u))
+        + 2.0 * dot(gradient(partial_y(v)), partial_y(u))
     )
     return (lhs - rhs).sup_norm()
 
 
-def commutator(u: Field, v: Field, pad_factor: int = DEFAULT_PAD_FACTOR) -> Field:
+def commutator(u: Field, v: Field) -> Field:
     """Vector field bracket [u, v] = grad(u).v - grad(v).u."""
-    return dot(gradient(u), v, pad_factor) - dot(gradient(v), u, pad_factor)
+    return dot(gradient(u), v) - dot(gradient(v), u)
 
 
-def ad_star(u: Field, w: Field, b=B_CAMASSA_HOLM, pad_factor: int = DEFAULT_PAD_FACTOR) -> Field:
+def ad_star(u: Field, w: Field, b=B_CAMASSA_HOLM) -> Field:
     """Coadjoint action ad*_u w = A^{-1}((grad u)^T Aw + grad(Aw).u + (b-1) (div u) Aw).
 
     With the default b = 2 this is minus the right-hand side when w = u,
     which is what makes that case a geodesic flow.
     """
-    return helmholtz_inverse(momentum_transport(helmholtz(w), u, validate_b(b), pad_factor))
+    return helmholtz_inverse(momentum_transport(helmholtz(w), u, validate_b(b)))
 
 
 def hamiltonian(u: Field) -> float:
@@ -243,7 +243,6 @@ def check_metric_compatibility(
     v: Field,
     w: Field,
     b=B_CAMASSA_HOLM,
-    pad_factor: int = DEFAULT_PAD_FACTOR,
 ) -> float:
     """Relative defect of the compatibility pairing at parameter b.
 
@@ -252,8 +251,8 @@ def check_metric_compatibility(
     by 1 + |left side|.  Roundoff-small at b = 2; order one for b != 2 on
     generic data.
     """
-    lhs = h1_inner(dot(gradient(v), u, pad_factor), w) + h1_inner(dot(gradient(w), u, pad_factor), v)
-    rhs = h1_inner(christoffel(u, v, b, pad_factor), w) + h1_inner(christoffel(u, w, b, pad_factor), v)
+    lhs = h1_inner(dot(gradient(v), u), w) + h1_inner(dot(gradient(w), u), v)
+    rhs = h1_inner(christoffel(u, v, b), w) + h1_inner(christoffel(u, w, b), v)
     return abs(lhs - rhs) / (1.0 + abs(lhs))
 
 
@@ -318,7 +317,6 @@ def integrate(
     dt: float,
     record_stride: int = 1,
     blowup_factor: float = 1e3,
-    pad_factor: int = DEFAULT_PAD_FACTOR,
 ) -> Trajectory:
     """Advance u0 to t_end with fixed steps, recording every record_stride-th state.
 
@@ -337,7 +335,7 @@ def integrate(
         if sup > blowup_factor * sup0:
             raise BlowupError(f"sup|u|={sup:.3g} exceeds {blowup_factor:g} x initial {sup0:.3g} at t={t:.6g}")
 
-    return march(lambda t, u: euler_rhs(u, b, pad_factor), u0, t_end, dt, record_stride, guard, EulerState)
+    return march(lambda t, u: euler_rhs(u, b), u0, t_end, dt, record_stride, guard, EulerState)
 
 
 # ---------------------------------------------------------------------------
@@ -378,11 +376,10 @@ def _pad_1d(spec: np.ndarray, p: int) -> np.ndarray:
     return np.fft.ifftshift(out)
 
 
-def _product_1d(f: np.ndarray, g: np.ndarray, pad_factor: int) -> np.ndarray:
-    if pad_factor == 1:
-        return f * g
+def _product_1d(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Product fg formed on 2n points, twice the grid, then truncated to n."""
     n = f.size
-    p = pad_factor * n
+    p = 2 * n
     ffine = np.fft.ifft(_pad_1d(np.fft.fft(f) / n, p) * p).real
     gfine = np.fft.ifft(_pad_1d(np.fft.fft(g) / n, p) * p).real
     spec = np.fft.fft(ffine * gfine) / p
@@ -408,29 +405,29 @@ def profile_1d(n: int, seed: int, kmax: int, amplitude: float) -> np.ndarray:
     return vals if sup == 0.0 else amplitude / sup * vals
 
 
-def rhs_1d_b(g, b, pad_factor: int = DEFAULT_PAD_FACTOR) -> np.ndarray:
+def rhs_1d_b(g, b) -> np.ndarray:
     """du/dt for the 1D family m_t = -(m_x u + b u_x m), m = u - u_xx."""
     b = validate_b(b)
     g = _check_1d(g)
     m = helmholtz_1d(g)
-    m_t = -(_product_1d(_dx_1d(m), g, pad_factor) + b * _product_1d(_dx_1d(g), m, pad_factor))
+    m_t = -(_product_1d(_dx_1d(m), g) + b * _product_1d(_dx_1d(g), m))
     return helmholtz_1d(m_t, inverse=True)
 
 
-def integrate_1d(g0, b, t_end: float, dt: float, pad_factor: int = DEFAULT_PAD_FACTOR) -> np.ndarray:
+def integrate_1d(g0, b, t_end: float, dt: float) -> np.ndarray:
     """RK4 trajectory of the 1D family; returns the final sample array."""
     b = validate_b(b)
     g = _check_1d(g0)
     for _ in range(_step_count(t_end, dt)):
-        k1 = rhs_1d_b(g, b, pad_factor)
-        k2 = rhs_1d_b(g + 0.5 * dt * k1, b, pad_factor)
-        k3 = rhs_1d_b(g + 0.5 * dt * k2, b, pad_factor)
-        k4 = rhs_1d_b(g + dt * k3, b, pad_factor)
+        k1 = rhs_1d_b(g, b)
+        k2 = rhs_1d_b(g + 0.5 * dt * k1, b)
+        k3 = rhs_1d_b(g + 0.5 * dt * k2, b)
+        k4 = rhs_1d_b(g + dt * k3, b)
         g = g + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return g
 
 
-def mch2_rhs(v, rho, pad_factor: int = DEFAULT_PAD_FACTOR) -> tuple[np.ndarray, np.ndarray]:
+def mch2_rhs(v, rho) -> tuple[np.ndarray, np.ndarray]:
     """Right-hand side (q_t, rho_t) of the two-component system
 
         q_t + v q_x + 2 q v_x + rho * (1 - dxx)^{-1} rho_x = 0,
@@ -445,9 +442,9 @@ def mch2_rhs(v, rho, pad_factor: int = DEFAULT_PAD_FACTOR) -> tuple[np.ndarray, 
         raise ValueError("v and rho must share one grid")
     q = helmholtz_1d(v)
     q_t = -(
-        _product_1d(v, _dx_1d(q), pad_factor)
-        + 2.0 * _product_1d(q, _dx_1d(v), pad_factor)
-        + _product_1d(rho, helmholtz_1d(_dx_1d(rho), inverse=True), pad_factor)
+        _product_1d(v, _dx_1d(q))
+        + 2.0 * _product_1d(q, _dx_1d(v))
+        + _product_1d(rho, helmholtz_1d(_dx_1d(rho), inverse=True))
     )
-    rho_t = -(_product_1d(_dx_1d(rho), v, pad_factor) + _product_1d(rho, _dx_1d(v), pad_factor))
+    rho_t = -(_product_1d(_dx_1d(rho), v) + _product_1d(rho, _dx_1d(v)))
     return q_t, rho_t

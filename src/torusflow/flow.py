@@ -28,7 +28,6 @@ import numpy as np
 
 from .dynamics import BlowupError, Trajectory, _step_count, christoffel, march, validate_b
 from .spectral import (
-    DEFAULT_PAD_FACTOR,
     Field,
     TorusGrid,
     VectorField,
@@ -37,9 +36,7 @@ from .spectral import (
     eval_spectra,
     gradient,
     helmholtz,
-    pointwise_product,
     stack,
-    tdot,
 )
 
 __all__ = [
@@ -207,8 +204,7 @@ def flow_from_velocity(
                  t_end, dt, record_stride, guard, lambda t, d: DiffeoMap(d))
 
 
-def christoffel_conjugated(phi: DiffeoMap, U: Field, V: Field, b,
-                           pad_factor: int = DEFAULT_PAD_FACTOR) -> Field:
+def christoffel_conjugated(phi: DiffeoMap, U: Field, V: Field, b) -> Field:
     """Conjugated connection Gamma_phi(U, V) = Gamma(U o phi^{-1}, V o phi^{-1}) o phi.
 
     U and V are composed with phi^{-1} as one stack, in one off-grid evaluation.
@@ -217,7 +213,7 @@ def christoffel_conjugated(phi: DiffeoMap, U: Field, V: Field, b,
     if U.grid != phi.grid or V.grid != phi.grid:
         raise ValueError("fields and map live on different grids")
     UVc = compose_field(stack([U, V]), invert(phi))
-    return compose_field(christoffel(UVc[0], UVc[1], b, pad_factor), phi)
+    return compose_field(christoffel(UVc[0], UVc[1], b), phi)
 
 
 @dataclass(frozen=True)
@@ -236,7 +232,6 @@ def geodesic_integrate(
     dt: float,
     record_stride: int = 1,
     det_floor: float = DET_FLOOR,
-    pad_factor: int = DEFAULT_PAD_FACTOR,
 ) -> Trajectory:
     """Geodesic from the identity with initial material velocity u0.
 
@@ -254,7 +249,7 @@ def geodesic_integrate(
         _checked_det(DiffeoMap(y[0]), det_floor, f"at t={t:.6g}")
 
     def rhs(t: float, y: Field) -> Field:
-        return stack([y[1], christoffel_conjugated(DiffeoMap(y[0]), y[1], y[1], b, pad_factor)])
+        return stack([y[1], christoffel_conjugated(DiffeoMap(y[0]), y[1], y[1], b)])
 
     y0 = stack([VectorField.zero(u0.grid), u0])
     return march(rhs, y0, t_end, dt, record_stride, guard,
@@ -266,10 +261,10 @@ def eulerian_velocity(state: GeodesicState) -> Field:
     return compose_field(state.phi_t, invert(state.phi))
 
 
-def exp_map(u0: Field, b=2.0, dt: float = 5e-3, pad_factor: int = DEFAULT_PAD_FACTOR) -> DiffeoMap:
+def exp_map(u0: Field, b=2.0, dt: float = 5e-3) -> DiffeoMap:
     """Geodesic exponential: the time-1 map of the geodesic with phi_t(0) = u0."""
     n_steps = _step_count(1.0, dt)
-    traj = geodesic_integrate(u0, b, 1.0, dt, record_stride=n_steps, pad_factor=pad_factor)
+    traj = geodesic_integrate(u0, b, 1.0, dt, record_stride=n_steps)
     return traj.final.phi
 
 
@@ -284,19 +279,21 @@ def adjoint(phi: DiffeoMap, v: Field) -> Field:
 def coadjoint(phi: DiffeoMap, w: Field) -> Field:
     """Dual action Ad*_phi w = (grad phi)^T (w o phi) det(grad phi).
 
-    No inversion is needed; products are plain grid products since the
-    composed factor is not band-limited anyway.
+    No inversion is needed.  The products are plain products of samples, not
+    dealiased ones, since the composed factor w o phi is not band-limited.
     """
     if w.grid != phi.grid:
         raise ValueError("field and map live on different grids")
     j = jacobian(phi)
-    return pointwise_product(tdot(j, compose_field(w, phi), pad_factor=1), det(j), pad_factor=1)
+    jv, wv = j.values, compose_field(w, phi).values
+    return Field(phi.grid, (jv[0] * wv[0] + jv[1] * wv[1]) * det(j).values)
 
 
 def body_velocity(state: GeodesicState, det_floor: float = DET_FLOOR) -> Field:
     """Body velocity U = (grad phi)^{-1} phi_t, solved pointwise."""
     _checked_det(state.phi, det_floor)
-    return dot(_inverse_jacobian(state.phi), state.phi_t, pad_factor=1)
+    inv, v = _inverse_jacobian(state.phi).values, state.phi_t.values
+    return Field(state.phi.grid, inv[:, 0] * v[0] + inv[:, 1] * v[1])
 
 
 def body_momentum(state: GeodesicState) -> Field:

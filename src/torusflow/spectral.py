@@ -18,11 +18,12 @@ Conventions
 * One Nyquist rule: in each axis the unpaired -n/2 coefficient is a cosine,
   split evenly between -n/2 and +n/2, so the corner goes four ways.  First
   derivatives zero it; the Helmholtz symbol 1 + |k|^2 keeps every mode.
-* Products are dealiased: each factor is lifted once to real samples on the
-  grid's padded_shape, the smallest grid on which a quadratic product is
-  exact (Orszag's rule), the products of a term are summed there and the
-  sum is truncated once, reading each Nyquist row and column back as the
-  mean of the padded -n/2 and +n/2 ones.
+* pointwise_product, dot and tdot are always dealiased (det alone multiplies
+  samples): each factor is lifted once to real samples on the grid's
+  padded_shape, the smallest grid on which a quadratic product is exact
+  (Orszag's rule), the products of a term are summed there and the sum is
+  truncated once, reading each Nyquist row and column back as the mean of
+  the padded -n/2 and +n/2 ones.
 """
 
 from __future__ import annotations
@@ -59,8 +60,6 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * np.pi
-
-DEFAULT_PAD_FACTOR = 2
 
 
 def _padded_size(n: int) -> int:
@@ -335,17 +334,14 @@ def h1_inner(u: Field, v: Field) -> float:
     return _parseval_sum(u, v, u.grid.helmholtz_symbol)
 
 
-def _lift(f: Field, pad_factor: int, symbol=None) -> np.ndarray:
+def _lift(f: Field, symbol=None) -> np.ndarray:
     """Samples of f, or of its image under the Fourier multiplier symbol, on the
-    grid's padded_shape (pad_factor=1: the samples on f's grid; any larger
-    pad_factor: the same padded grid).
+    grid's padded_shape.
 
     The Nyquist row and column are split evenly between -n/2 and +n/2, so
     the corner goes four ways.
     """
     s = f.spectrum if symbol is None else f.spectrum * symbol
-    if pad_factor == 1:
-        return f.values if symbol is None else np.fft.irfft2(s, s=f.grid.shape, norm="forward")
     hx, hy = f.grid.nx // 2, f.grid.ny // 2
     px, py = f.grid.padded_shape
     # Columns past +n/2 of the padded half spectrum are zero; irfft2 pads them,
@@ -358,15 +354,12 @@ def _lift(f: Field, pad_factor: int, symbol=None) -> np.ndarray:
     return np.fft.irfft2(half, s=(px, py), norm="forward")
 
 
-def _truncate(grid: TorusGrid, samples: np.ndarray, pad_factor: int) -> Field:
-    """Field of the modes of grid in samples on its padded_shape (pad_factor=1:
-    the samples on grid themselves).
+def _truncate(grid: TorusGrid, samples: np.ndarray) -> Field:
+    """Field of the modes of grid in samples on its padded_shape.
 
     The Nyquist row and column are the means of the padded -n/2 and +n/2
     ones, so the corner is the mean of the four padded corners.
     """
-    if pad_factor == 1:
-        return _owned(grid, samples)
     hx, hy, px = grid.nx // 2, grid.ny // 2, grid.padded_shape[0]
     # Only the kept columns are transformed along x.
     r = np.fft.fft(np.fft.rfft(samples, norm="forward")[..., :hy + 1], axis=-2, norm="forward")
@@ -378,34 +371,30 @@ def _truncate(grid: TorusGrid, samples: np.ndarray, pad_factor: int) -> Field:
     return _owned(grid, spectrum=half)
 
 
-def _dealiased(f: Field, g: Field, pad_factor: int, combine) -> Field:
+def _dealiased(f: Field, g: Field, combine) -> Field:
     """combine(lifted f, lifted g), formed on the padded grid and truncated once."""
     if f.grid != g.grid:
         raise ValueError("fields live on different grids")
-    integral = isinstance(pad_factor, int) or isinstance(pad_factor, float) and pad_factor.is_integer()
-    if isinstance(pad_factor, bool) or not integral or pad_factor < 1:
-        raise ValueError(f"pad_factor must be an integer >= 1, not {pad_factor!r}")
-    return _truncate(f.grid, combine(_lift(f, pad_factor), _lift(g, pad_factor)), pad_factor)
+    return _truncate(f.grid, combine(_lift(f), _lift(g)))
 
 
-def pointwise_product(f: Field, g: Field, pad_factor: int = DEFAULT_PAD_FACTOR) -> Field:
+def pointwise_product(f: Field, g: Field) -> Field:
     """Product fg formed on the grid's padded_shape, then truncated.
 
-    Component axes broadcast.  Every pad_factor >= 2 selects that one padded
-    grid, on which the product of any two fields of the grid is exact;
-    pad_factor=1 is the plain aliased grid product.
+    Component axes broadcast.  The product of any two fields of the grid is
+    exact there.
     """
-    return _dealiased(f, g, pad_factor, np.multiply)
+    return _dealiased(f, g, np.multiply)
 
 
-def dot(J: Field, v: Field, pad_factor: int = DEFAULT_PAD_FACTOR) -> Field:
+def dot(J: Field, v: Field) -> Field:
     """Matrix-vector product (J v)_i = sum_j J_ij v_j with dealiased products."""
-    return _dealiased(J, v, pad_factor, lambda j, v: j[:, 0] * v[0] + j[:, 1] * v[1])
+    return _dealiased(J, v, lambda j, v: j[:, 0] * v[0] + j[:, 1] * v[1])
 
 
-def tdot(J: Field, w: Field, pad_factor: int = DEFAULT_PAD_FACTOR) -> Field:
+def tdot(J: Field, w: Field) -> Field:
     """Transposed product (J^T w)_i = sum_j J_ji w_j with dealiased products."""
-    return _dealiased(J, w, pad_factor, lambda j, w: j[0] * w[0] + j[1] * w[1])
+    return _dealiased(J, w, lambda j, w: j[0] * w[0] + j[1] * w[1])
 
 
 def det(J: Field) -> Field:

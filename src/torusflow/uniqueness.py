@@ -25,7 +25,6 @@ import numpy as np
 
 from .dynamics import momentum_transport, validate_b
 from .spectral import (
-    DEFAULT_PAD_FACTOR,
     TWO_PI,
     Field,
     TorusGrid,
@@ -115,7 +114,7 @@ def gl3_residual(mode: ModeIndex, b, v_candidate) -> float:
     return float(max(abs(r0), abs(r1)))
 
 
-def gl1_residual(u: Field, b, pad_factor: int = DEFAULT_PAD_FACTOR) -> float:
+def gl1_residual(u: Field, b) -> float:
     """Sup-norm gap between the metric Euler equation and the b-family
     momentum equation, both for the Helmholtz operator.
 
@@ -125,8 +124,8 @@ def gl1_residual(u: Field, b, pad_factor: int = DEFAULT_PAD_FACTOR) -> float:
     """
     b = validate_b(b)
     m = helmholtz(u)
-    metric_side = helmholtz_inverse(momentum_transport(m, u, 2.0, pad_factor))
-    family_side = helmholtz_inverse(momentum_transport(m, u, b, pad_factor))
+    metric_side = helmholtz_inverse(momentum_transport(m, u, 2.0))
+    family_side = helmholtz_inverse(momentum_transport(m, u, b))
     return (metric_side - family_side).sup_norm()
 
 
@@ -180,13 +179,12 @@ class VerificationReport:
 
 
 def verify_theorem(b_list: Sequence[float], mode_list: Sequence[tuple[int, int]], grid: TorusGrid,
-                   tolerance: float = DEFAULT_TOLERANCE,
-                   pad_factor: int = DEFAULT_PAD_FACTOR) -> VerificationReport:
+                   tolerance: float = DEFAULT_TOLERANCE) -> VerificationReport:
     """Residual table over a b sweep and a mode sweep.
 
     For each (b, n): the mode-wise linear-system residual with candidate
     (1 + n^2)(1,1), and the operator-level gap on the mode's real part on
-    grid, its products exact for any pad_factor >= 2 (aliased at 1).
+    grid, its products exact.
     The report's consistent_b lists the b values with an all-zero row; over
     b_list containing {2, 3, 4} that is exactly (2.0,).
     """
@@ -197,7 +195,7 @@ def verify_theorem(b_list: Sequence[float], mode_list: Sequence[tuple[int, int]]
         for mode in modes:
             candidate = (1.0 + mode.n_sq) * np.ones(2, dtype=complex)
             g3 = gl3_residual(mode, b, candidate)
-            g1 = gl1_residual(cosine_mode(grid, mode.n1, mode.n2), b, pad_factor=pad_factor)
+            g1 = gl1_residual(cosine_mode(grid, mode.n1, mode.n2), b)
             rows.append(ModeResidual(
                 b=b, n1=mode.n1, n2=mode.n2,
                 gl3_residual=g3, gl1_residual=g1, tolerance=tolerance,

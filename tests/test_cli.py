@@ -74,6 +74,7 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("command, config, extra", [
         ("simulate", dict(FAST_SIM, pad_factor=1.7), []),
+        ("simulate", dict(FAST_SIM, pad_factor=1), []),
         ("simulate", dict(FAST_SIM, grid=[16.5, 16]), []),
         ("simulate", dict(FAST_SIM, b=True), []),
         ("simulate", dict(FAST_SIM, dt="0.001"), []),
@@ -96,7 +97,7 @@ class TestConfigHandling:
         ("curvature", {"grid": [16, 16], "k_range": [1]}, ["--threads", "0"]),
         ("curvature", {"grid": [16, 16], "k_range": [1]}, ["--threads", "-3"]),
         ("reduce1d", {"n": 16, "kmax": 12}, []),
-    ], ids=["fractional-pad", "fractional-grid", "bool-b", "string-dt", "negative-kmax",
+    ], ids=["fractional-pad", "aliased-pad", "fractional-grid", "bool-b", "string-dt", "negative-kmax",
             "nan-amplitude", "partial-step-with-snapshots", "string-snapshots",
             "negative-blowup-factor", "negative-tolerance", "int-past-float-range", "mode-triple",
             "zero-mode", "unresolvable-verify-mode", "unknown-pairing", "plain-pairing", "zero-threads-simulate", "negative-threads-simulate",
@@ -165,6 +166,30 @@ class TestConfigHandling:
         out = tmp_path / "out"
         assert run(command, "--config", cfg, "--out", str(out), *extra) == 0
         assert json.loads((out / report).read_text())["meta"]["config_sha256"] == digest
+
+    # pad_factor is kept only so old configs still run: every accepted value
+    # is the one padded grid, so only the recorded config digest may differ.
+    @pytest.mark.parametrize("command, config", [
+        ("simulate", dict(FAST_SIM, t_end=0.002, snapshots=True)),
+        ("geodesic", dict(FAST_GEO, t_end=0.004, snapshots=True)),
+        ("curvature", {"grid": [16, 16], "k_range": [1], "basis": [1, 2]}),
+        ("verify", {"grid": [16, 16], "identity_samples": 1, "mode_list": [[1, 0], [5, 0]]}),
+        ("reduce1d", {"n": 16, "t_end": 0.002, "mch2_steps": 1}),
+    ], ids=["simulate", "geodesic", "curvature", "verify", "reduce1d"])
+    def test_pad_factor_changes_no_output(self, tmp_path, command, config):
+        outputs = []
+        for pad in (None, 2, 3):
+            out = tmp_path / f"pad-{pad}"
+            payload = config if pad is None else dict(config, pad_factor=pad)
+            assert run(command, "--config", write_config(tmp_path, payload), "--out", str(out)) == 0
+            outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+        assert outputs[0] and outputs[1] == outputs[0]
+
+        def undigested(files):
+            return {name: [ln for ln in body.splitlines() if b"config_sha256" not in ln]
+                    for name, body in files.items()}
+
+        assert undigested(outputs[2]) == undigested(outputs[0])
 
 
 class TestSimulate:
@@ -327,19 +352,18 @@ class TestVerify:
         assert row["expected_fail"] is True
         assert body["pass"] is True
 
-    @pytest.mark.parametrize("pad", [1, 3])
-    def test_rows_use_configured_grid_and_pad(self, tmp_path, pad):
+    def test_rows_use_configured_grid_and_pad(self, tmp_path):
         # Mode (5, 0) on 16^2: the products alias unless padded, and the
         # grid the rows would pick by themselves is 20^2.
         cfg = write_config(tmp_path, {
             "grid": [16, 16], "b_list": [3.0], "mode_list": [[5, 0]],
-            "identity_samples": 0, "pad_factor": pad,
+            "identity_samples": 0, "pad_factor": 3,
         })
         out = tmp_path / "out"
         run("verify", "--config", cfg, "--out", str(out))
         (row,) = json.loads((out / "verification.json").read_text())["rows"]
         u = cosine_mode(make_grid(16, 16), 5, 0)
-        assert row["gl1_residual"] == gl1_residual(u, 3.0, pad_factor=pad)
+        assert row["gl1_residual"] == gl1_residual(u, 3.0)
 
 
 class TestReduce1d:

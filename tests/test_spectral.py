@@ -118,7 +118,7 @@ class TestTransform:
     def test_computed_forms_are_read_only(self, grid32):
         f = random_bandlimited(grid32, 6, kmax=3, amplitude=1.0)
         for h in (f, partial_x(f), gradient(f), divergence(f), f + f, 2.0 * f, stack([f[0], f[1]]),
-                  pointwise_product(f, f), pointwise_product(f, f, 1)):
+                  pointwise_product(f, f)):
             assert not h.values.flags.writeable and not h.spectrum.flags.writeable
 
     def test_size_mismatch(self, grid32):
@@ -255,13 +255,13 @@ class TestPointwiseProduct:
     def test_product_to_sum(self, grid32):
         f = sample_scalar(grid32, lambda x, y: np.sin(TWO_PI * x))
         expected = sample_scalar(grid32, lambda x, y: 0.5 * (1.0 - np.cos(2 * TWO_PI * x)))
-        got = pointwise_product(f, f, 2)
+        got = pointwise_product(f, f)
         assert_allclose(got.values, expected.values, atol=1e-13)
 
     def test_identity_factor(self, grid32):
         one = Field(grid32, np.ones(grid32.shape))
         g = random_bandlimited(grid32, 1, kmax=9, amplitude=1.0)[0]
-        assert (pointwise_product(one, g, 2) - g).sup_norm() < 1e-13
+        assert (pointwise_product(one, g) - g).sup_norm() < 1e-13
 
     def test_matches_closed_form(self, grid32):
         f = sample_scalar(grid32, lambda x, y: np.sin(TWO_PI * x) * np.cos(2 * TWO_PI * y))
@@ -270,7 +270,7 @@ class TestPointwiseProduct:
         # just the analytic product sampled at grid points
         X, Y = grid32.mesh
         expected = (np.sin(TWO_PI * X) * np.cos(2 * TWO_PI * Y)) * (np.cos(TWO_PI * X) * np.sin(TWO_PI * Y))
-        assert_allclose(pointwise_product(f, g, 2).values, expected, atol=1e-13)
+        assert_allclose(pointwise_product(f, g).values, expected, atol=1e-13)
 
     @given(s1=st.integers(0, 2**31 - 1), s2=st.integers(0, 2**31 - 1))
     @settings(max_examples=10, deadline=None)
@@ -279,7 +279,7 @@ class TestPointwiseProduct:
         g = make_grid(32, 32)
         f1 = random_bandlimited(g, s1, kmax=7, amplitude=1.0)[0]
         f2 = random_bandlimited(g, s2, kmax=7, amplitude=1.0)[0]
-        got = pointwise_product(f1, f2, 2)
+        got = pointwise_product(f1, f2)
         assert np.max(np.abs(got.values - f1.values * f2.values)) < 1e-12
 
     def test_truncation_drops_high_modes(self):
@@ -287,7 +287,7 @@ class TestPointwiseProduct:
         # mean survives truncation, while the aliased grid product would fold
         g = make_grid(32, 32)
         f = sample_scalar(g, lambda x, y: np.sin(15 * TWO_PI * x))
-        got = pointwise_product(f, f, 2)
+        got = pointwise_product(f, f)
         assert_allclose(got.values, 0.5, atol=1e-12)
 
     def test_oversampled_oracle(self):
@@ -315,29 +315,9 @@ class TestPointwiseProduct:
         idx = np.fft.fftfreq(16, d=1 / 16).astype(int)
         coarse_spec = dense_spec[np.ix_(idx, np.arange(9))]  # columns j2 = 0..8
         expected = Field.from_spectrum(g, coarse_spec)
-        got = pointwise_product(f, h, 2)
+        got = pointwise_product(f, h)
         assert (got - expected).sup_norm() < 1e-12
 
-    def test_rejects_bad_pad(self, grid32):
-        f = Field(grid32, np.ones(grid32.shape))
-        with pytest.raises(ValueError):
-            pointwise_product(f, f, 0)
-
-    @pytest.mark.parametrize("pad", [-1, 0.0, 1.5, 2.5, True, False, "2", None, np.nan, np.inf])
-    def test_pad_factor_is_an_integer_at_least_one(self, grid32, pad):
-        f = Field(grid32, np.ones(grid32.shape))
-        with pytest.raises(ValueError, match="pad_factor"):
-            pointwise_product(f, f, pad)
-
-    @pytest.mark.parametrize("pad", [1.0, 2.0, 3.0])
-    def test_integral_float_pad_factor(self, grid32, pad):
-        f = random_bandlimited(grid32, 1, kmax=9, amplitude=1.0)
-        assert np.array_equal(dot(gradient(f), f, pad).values, dot(gradient(f), f, int(pad)).values)
-
-    def test_every_pad_factor_above_one_is_the_same_grid(self, grid32):
-        f = random_bandlimited(grid32, 1, kmax=15, amplitude=1.0)
-        products = [pointwise_product(f, f, pad).values for pad in (2, 3, 4)]
-        assert all(np.array_equal(products[0], p) for p in products[1:])
 
 
 def _five_smooth(m):
@@ -435,9 +415,7 @@ class TestDenseOracle:
     def dense(self, tree):
         return oracle_sample(tree, *self.fine.mesh)
 
-    def expected(self, dense, pad):
-        if pad == 1:
-            return dense[..., ::4, ::4]  # the aliased grid product
+    def expected(self, dense):
         # The modes -n/2..n/2 of the dense product, the +-n/2 ones at half
         # weight in each axis, summed directly at the coarse grid points.
         idx = [np.arange(-h, h + 1) for h in self.nyq]
@@ -447,34 +425,31 @@ class TestDenseOracle:
         by = np.exp(2j * np.pi * np.outer(idx[1], self.grid.y))
         return np.einsum("...jk,jx,ky->...xy", spec, bx, by).real
 
-    def error(self, got, dense, pad):
+    def error(self, got, dense):
         """Sup-norm error of got against the oracle, relative to the oracle's sup-norm."""
-        want = self.expected(dense, pad)
+        want = self.expected(dense)
         return np.max(np.abs(got.values - want)) / np.max(np.abs(want))
 
-    def check(self, got, dense, pad):
-        assert self.error(got, dense, pad) <= 1e-13
+    def check(self, got, dense):
+        assert self.error(got, dense) <= 1e-13
         # The product's half spectrum is the spectrum of its samples: its
         # Nyquist column is Hermitian, as products reuse it unsynthesized.
         resampled = Field(self.grid, got.values).spectrum
         assert np.max(np.abs(got.spectrum - resampled)) <= 1e-13 * np.max(np.abs(resampled))
 
-    @pytest.mark.parametrize("pad", [1, 2, 3])
-    def test_products(self, pad):
+    def test_products(self):
         rng = np.random.default_rng(11)
         f, g = self.terms(rng), self.terms(rng)
         J = [[self.terms(rng) for _ in range(2)] for _ in range(2)]
         v = [self.terms(rng) for _ in range(2)]
         dJ, dv = self.dense(J), self.dense(v)
-        self.check(pointwise_product(self.field(f), self.field(g), pad),
-                   self.dense(f) * self.dense(g), pad)
-        self.check(pointwise_product(self.field(J), self.field(f), pad), dJ * self.dense(f), pad)
-        self.check(dot(self.field(J), self.field(v), pad), dJ[:, 0] * dv[0] + dJ[:, 1] * dv[1], pad)
-        self.check(tdot(self.field(J), self.field(v), pad), dJ[0] * dv[0] + dJ[1] * dv[1], pad)
+        self.check(pointwise_product(self.field(f), self.field(g)), self.dense(f) * self.dense(g))
+        self.check(pointwise_product(self.field(J), self.field(f)), dJ * self.dense(f))
+        self.check(dot(self.field(J), self.field(v)), dJ[:, 0] * dv[0] + dJ[:, 1] * dv[1])
+        self.check(tdot(self.field(J), self.field(v)), dJ[0] * dv[0] + dJ[1] * dv[1])
 
-    @pytest.mark.parametrize("pad", [1, 2, 3])
     @pytest.mark.parametrize("b", [2.0, 3.0])
-    def test_momentum_transport(self, pad, b):
+    def test_momentum_transport(self, b):
         rng = np.random.default_rng(12)
         m, v = [self.terms(rng) for _ in range(2)], [self.terms(rng) for _ in range(2)]
         dm, dv = self.dense(m), self.dense(v)
@@ -486,14 +461,13 @@ class TestDenseOracle:
             + (b - 1.0) * dm[i] * div_v
             for i in range(2)
         ])
-        self.check(momentum_transport(self.field(m), self.field(v), b, pad), dense, pad)
+        self.check(momentum_transport(self.field(m), self.field(v), b), dense)
 
-    @pytest.mark.parametrize("pad", [1, 2, 3])
     @pytest.mark.parametrize("b", [2.0, 3.0])
-    def test_euler_rhs_forms_agree(self, pad, b):
+    def test_euler_rhs_forms_agree(self, b):
         u = self.field([self.terms(np.random.default_rng(13)) for _ in range(2)])
-        direct = euler_rhs(u, b, pad)
-        assert (direct - euler_rhs_geometric(u, b, pad)).sup_norm() <= 1e-13 * direct.sup_norm()
+        direct = euler_rhs(u, b)
+        assert (direct - euler_rhs_geometric(u, b)).sup_norm() <= 1e-13 * direct.sup_norm()
 
     @pytest.mark.parametrize("margin, exact", [(2, True), (0, False)])
     def test_padded_size_margin(self, monkeypatch, margin, exact):
@@ -511,9 +485,9 @@ class TestDenseOracle:
         ]
         for got, dense in products:
             if exact:
-                self.check(got, dense, 2)
+                self.check(got, dense)
             else:
-                assert self.error(got, dense, 2) > 1e-2
+                assert self.error(got, dense) > 1e-2
 
 
 class TestDenseOracleRectangular(TestDenseOracle):
