@@ -177,14 +177,21 @@ def christoffel(u: Field, v: Field, b) -> Field:
     """Connection bilinear form Gamma(u, v), symmetric in its arguments.
 
     Gamma(u, v) = (grad u . v + grad v . u + B(u, v) + B(v, u)) / 2.
+
+    When v is u the two transports are equal, so one is computed and
+    doubled; x + x is exact, so the result has the same bits.
     """
     b = validate_b(b)
-    mu, mv = helmholtz(u), helmholtz(v)
+    mu = helmholtz(u)
 
     def parts(lu, lv):
         acc = np.zeros((2,) + lu.shape)  # the symmetric part and the transport under A^{-1}
         acc[1] = _transport(mu, _lift(mu), v, lv, b, acc[0], lu)
-        acc[1] += _transport(mv, _lift(mv), u, lu, b, acc[0], lv)
+        if v is u:
+            acc *= 2.0
+        else:
+            mv = helmholtz(v)
+            acc[1] += _transport(mv, _lift(mv), u, lu, b, acc[0], lv)
         return acc
 
     p = _dealiased(u, v, parts)

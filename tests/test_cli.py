@@ -276,6 +276,18 @@ class TestGeodesic:
         assert sorted(p.name for p in out1.iterdir()) == names
         assert all((out1 / n).read_bytes() == (out2 / n).read_bytes() for n in names)
 
+    def test_reruns_are_byte_identical_around_a_larger_run(self, tmp_path):
+        # The off-grid scratch is sized by the largest call so far: a 32^2
+        # run between two 16^2 runs leaves it larger, and no output may move.
+        cfg = write_config(tmp_path, dict(FAST_GEO, snapshots=True))
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert run("geodesic", "--config", cfg, "--out", str(out1)) == 0
+        larger = write_config(tmp_path, dict(FAST_GEO, grid=[32, 32]), name="larger.json")
+        assert run("geodesic", "--config", larger, "--out", str(tmp_path / "larger")) == 0
+        assert run("geodesic", "--config", cfg, "--out", str(out2)) == 0
+        names = ["diffeo_final.csv", "geodesic.json", "velocity_final.csv"]
+        assert all((out1 / n).read_bytes() == (out2 / n).read_bytes() for n in names)
+
     def test_orientation_abort_keeps_partial_outputs(self, tmp_path, capsys):
         cfg = write_config(tmp_path, ORIENTATION_ABORT)
         out = tmp_path / "out"

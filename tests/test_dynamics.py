@@ -116,6 +116,13 @@ class TestChristoffel:
         v = random_bandlimited(grid32, seed=seed + 77, kmax=3, amplitude=0.5)
         assert (christoffel(u, v, b) - christoffel(v, u, b)).sup_norm() < 1e-12
 
+    @pytest.mark.parametrize("b", [2.0, 3.0])
+    def test_equal_arguments_one_transport(self, grid32, b):
+        # christoffel(u, u) computes one transport and doubles it; a distinct
+        # copy of u takes the two-transport path.  Full band, Nyquist included.
+        u = Field(grid32, np.random.default_rng(41).standard_normal((2,) + grid32.shape))
+        assert np.array_equal(christoffel(u, u, b).values, christoffel(u, Field(u.grid, u.values), b).values)
+
     def test_left_slot_constant_reduction(self, grid64):
         v = random_bandlimited(grid64, seed=21, kmax=3, amplitude=0.5)
         got = christoffel(e1(grid64), v, 2.0)
@@ -157,7 +164,9 @@ class TestTransformBudget:
 
     euler_rhs lifts m, u and the four rows of grad m and grad u (12 planes)
     and truncates one vector (2); christoffel lifts u, v, Au, Av and the eight
-    rows of their gradients (24) and truncates two vectors (4).
+    rows of their gradients (24) and truncates two vectors (4); christoffel
+    of u with itself runs one transport, lifting u twice, Au and the four
+    rows of grad u and grad Au (14), and truncates two vectors (4).
     """
 
     PADDED = make_grid(16, 16).padded_shape
@@ -185,11 +194,12 @@ class TestTransformBudget:
         call()
         return complex_padded, complex_2d, real_planes
 
-    @pytest.mark.parametrize("name, ceiling", [("euler_rhs", 14), ("christoffel", 28)])
+    @pytest.mark.parametrize("name, ceiling", [("euler_rhs", 14), ("christoffel", 28), ("christoffel_self", 18)])
     def test_padded_transforms(self, monkeypatch, name, ceiling):
         grid = make_grid(16, 16)
         u, v = random_bandlimited(grid, 1, 3, 0.5), random_bandlimited(grid, 2, 3, 0.5)
-        calls = {"euler_rhs": lambda: euler_rhs(u, 2.0), "christoffel": lambda: christoffel(u, v, 2.0)}
+        calls = {"euler_rhs": lambda: euler_rhs(u, 2.0), "christoffel": lambda: christoffel(u, v, 2.0),
+                 "christoffel_self": lambda: christoffel(u, u, 2.0)}
         complex_padded, complex_2d, real_planes = self.count(monkeypatch, calls[name])
         assert complex_padded == []
         assert complex_2d == []

@@ -2,6 +2,7 @@ import importlib.util
 import json
 import re
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,7 @@ from torusflow.flow import (
 )
 from torusflow.dynamics import christoffel
 from torusflow.spectral import (
+    Field,
     VectorField,
     det,
     eval_spectra,
@@ -192,6 +194,24 @@ class TestInvert:
             invert(DiffeoMap(d))
 
 
+class TestThreadedEvaluation:
+    def test_pool_matches_serial(self, grid16, grid32):
+        # Each thread evaluates off-grid on its own scratch, as the curvature
+        # pool does; the grids alternate so the buffers grow and shrink.
+        def work(case):
+            grid, seed = case
+            phi = small_map(grid, seed, amplitude=0.03)
+            u = random_bandlimited(grid, seed + 10, kmax=3, amplitude=0.5)
+            return compose_field(u, phi).values, invert(phi).displacement.values
+
+        cases = [(grid, seed) for seed in range(3) for grid in (grid16, grid32)]
+        serial = [work(case) for case in cases]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            threaded = list(pool.map(work, cases + cases[::-1]))
+        for want, got in zip(serial + serial[::-1], threaded):
+            assert all(np.array_equal(a, b) for a, b in zip(want, got))
+
+
 class TestInvertBudget:
     """Inversion always starts cold, from e = -d.  On near-identity maps, at
     the amplitude of a band-limited geodesic initial velocity, Newton then
@@ -291,6 +311,23 @@ class TestChristoffelConjugated:
         left = christoffel_conjugated(compose(phi, tau), compose_field(U, tau), compose_field(V, tau), 2.0)
         right = compose_field(christoffel_conjugated(phi, U, V, 2.0), tau)
         assert (left - right).sup_norm() < 1e-9
+
+    def test_equal_arguments_compose_once(self, grid32, monkeypatch):
+        phi = small_map(grid32, seed=16, amplitude=0.03)
+        U = random_bandlimited(grid32, seed=17, kmax=3, amplitude=0.3)
+        copy = Field(U.grid, U.values)
+        shapes = []
+
+        def recorded(grid, spectra, *args, **kwargs):
+            shapes.append(np.shape(spectra))
+            return eval_spectra(grid, spectra, *args, **kwargs)
+
+        monkeypatch.setattr(flow, "eval_spectra", recorded)
+        same = christoffel_conjugated(phi, U, U, 2.0)
+        alone = shapes[-2]
+        assert np.array_equal(same.values, christoffel_conjugated(phi, U, copy, 2.0).values)
+        # U o phi^{-1} is composed alone; a distinct copy goes as a stack with U.
+        assert (alone, shapes[-2]) == (U.spectrum.shape, (2,) + U.spectrum.shape)
 
 
 class TestGeodesic:

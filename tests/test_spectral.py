@@ -1,3 +1,6 @@
+import threading
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -520,6 +523,17 @@ def offgrid_points(seed, count=200):
     return np.concatenate([pts, np.stack([edge, edge[::-1]], axis=1)])
 
 
+# Square grids by size, and two rectangular ones: rows +-j1 fold in pairs
+# along x only, so nx != ny keeps the two bases apart.
+OFFGRID_GRIDS = [32, 64, 128, pytest.param((16, 24), id="16x24"), pytest.param((24, 16), id="24x16")]
+
+
+def offgrid_grid(n):
+    """The grid of an OFFGRID_GRIDS entry, and its mean side as a seed."""
+    shape = n if isinstance(n, tuple) else (n, n)
+    return make_grid(*shape), sum(shape) // 2
+
+
 class TestEvalOffgrid:
     def test_closed_form_point(self, grid32):
         f = sample_scalar(grid32, lambda x, y: np.sin(TWO_PI * x))
@@ -553,19 +567,19 @@ class TestEvalOffgrid:
         expected = oracle_sample(terms, pts[:, 0], pts[:, 1])
         assert_allclose(eval_spectra(g, f.spectrum, pts[:, 0], pts[:, 1]), expected, atol=1e-13)
 
-    @pytest.mark.parametrize("n", [32, 64, 128])
+    @pytest.mark.parametrize("n", OFFGRID_GRIDS)
     def test_matches_direct_sum(self, n):
         # Full-band spectra: the Nyquist row, column and corner all carry content.
-        g = make_grid(n, n)
+        g, n = offgrid_grid(n)
         spectra = Field(g, np.random.default_rng(n).standard_normal((2,) + g.shape)).spectrum
         pts = offgrid_points(n + 1)
         expected = direct_sum(g, spectra, pts[:, 0], pts[:, 1])
         got = eval_spectra(g, spectra, pts[:, 0], pts[:, 1])
         assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
-    @pytest.mark.parametrize("n", [32, 64, 128])
+    @pytest.mark.parametrize("n", OFFGRID_GRIDS)
     def test_gradient_matches_direct_sum(self, n):
-        g = make_grid(n, n)
+        g, n = offgrid_grid(n)
         f = Field(g, np.random.default_rng(n + 2).standard_normal((2,) + g.shape))
         pts = offgrid_points(n + 3)
         vals, grad = eval_spectra(g, f.spectrum, pts[:, 0], pts[:, 1], gradient=True)
@@ -584,6 +598,51 @@ class TestEvalOffgrid:
         for axis in (0, 1):
             expected = oracle_sample(oracle_derivative(terms, axis), pts[:, 0], pts[:, 1])
             assert_allclose(grad[axis], expected, atol=1e-12)
+
+
+def full_band(grid, seed, components=(2,)):
+    return Field(grid, np.random.default_rng(seed).standard_normal(components + grid.shape))
+
+
+def in_fresh_thread(call):
+    """call() run on a new thread, whose evaluation scratch starts empty."""
+    out = []
+    worker = threading.Thread(target=lambda: out.append(call()))
+    worker.start()
+    worker.join()
+    return out[0]
+
+
+class TestEvalScratch:
+    """eval_spectra reuses per-thread buffers; no result may depend on them."""
+
+    def test_result_survives_later_calls(self):
+        # The later calls are no larger than the first, so they reuse its scratch.
+        g, small = make_grid(32, 32), make_grid(16, 16)
+        pts = offgrid_points(3)
+        first = eval_spectra(g, full_band(g, 1).spectrum, pts[:, 0], pts[:, 1], gradient=True)
+        kept = [a.copy() for a in first]
+        eval_spectra(small, full_band(small, 2, (2, 2)).spectrum, pts[:100, 0], pts[:100, 1], gradient=True)
+        eval_spectra(g, full_band(g, 3).spectrum, pts[:40, 0], pts[:40, 1])
+        assert all(np.array_equal(a, b) for a, b in zip(first, kept))
+
+    def test_grow_then_shrink_matches_fresh_calls(self):
+        # Points and fields grow, then shrink, on one thread; each call must
+        # give the bits of the same call on a thread with empty scratch.
+        calls = []
+        for n, components, count, grad in [(16, (), 20, False), (32, (2,), 300, True),
+                                           (32, (2, 2), 1200, True), (16, (2,), 60, True),
+                                           (32, (), 5, False)]:
+            g = make_grid(n, n)
+            spectra = full_band(g, len(calls), components).spectrum
+            pts = offgrid_points(len(calls) + 10, count=count)
+            calls.append(partial(eval_spectra, g, spectra, pts[:, 0], pts[:, 1], gradient=grad))
+        for call in calls:
+            got, fresh = call(), in_fresh_thread(call)
+            if isinstance(got, tuple):
+                assert all(np.array_equal(a, b) for a, b in zip(got, fresh))
+            else:
+                assert np.array_equal(got, fresh)
 
 
 class TestRandomBandlimited:
