@@ -388,11 +388,14 @@ def _cmd_geodesic(p: dict, cfg: dict, out: Path, threads: int) -> int:
     b = p["b"]
     tol = p["tolerances"]["body_momentum_drift"]
     digest = config_digest(cfg)
+    traj = None
     try:
         traj = geodesic_integrate(p["initial_condition"], b, p["t_end"], p["dt"],
                                   record_stride=p["record_stride"], det_floor=p["det_floor"])
+        final = traj.final
+        u_final = eulerian_velocity(final)  # the final map's first inversion
     except (BlowupError, InversionError, OrientationError) as err:
-        last = err.partial.final
+        last = (err.partial if traj is None else traj).final
         write_diffeo_csv(out / "diffeo_final.csv", last.phi, digest)
         write_json(out / "geodesic.json", {
             "aborted": True,
@@ -402,8 +405,6 @@ def _cmd_geodesic(p: dict, cfg: dict, out: Path, threads: int) -> int:
             "recorded_until": last.t,
         }, digest)
         raise
-    final = traj.final
-    u_final = eulerian_velocity(final)
     # The last momentum reuses u_final rather than inverting the final map again.
     momenta = [body_momentum(s) for s in traj.states[:-1]]
     momenta.append(coadjoint(final.phi, helmholtz(u_final)))
@@ -474,7 +475,7 @@ def _cmd_verify(p: dict, cfg: dict, out: Path, threads: int) -> int:
     digest = config_digest(cfg)
 
     report = verify_theorem(b_list, p["mode_list"], p["grid"], tol["uniqueness_zero"])
-    rows = [dict(row, expected_fail=row["b"] != 2.0) for row in report.as_rows()]
+    rows = [dict(row, expected_fail=row["b"] != 2.0) for row in report.rows]
 
     def sample(offset):
         return random_bandlimited(p["grid"], seed=p["seed"] + offset, kmax=p["kmax"],
@@ -495,7 +496,7 @@ def _cmd_verify(p: dict, cfg: dict, out: Path, threads: int) -> int:
         "metric_negative_control": control > tol["uniqueness_nonzero"],
     }
     if 2.0 in b_list:
-        gates["uniqueness_b2"] = report.passes_for(2.0)
+        gates["uniqueness_b2"] = 2.0 in report.consistent_b
     for b in b_list:
         if b != 2.0:
             worst = max(

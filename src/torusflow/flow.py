@@ -101,10 +101,12 @@ def jacobian(phi: DiffeoMap) -> Field:
 
 
 def _checked_det(phi: DiffeoMap, det_floor: float, where: str = "on the grid") -> np.ndarray:
-    """Samples of det(grad phi); OrientationError unless all exceed det_floor."""
+    """Samples of det(grad phi); OrientationError unless all exceed det_floor, which NaN never does."""
     jdet = det(jacobian(phi)).values
-    if float(np.min(jdet)) <= det_floor:
-        raise OrientationError(f"det(grad phi) <= {det_floor:g} {where}")
+    lowest = float(np.min(jdet))
+    if not lowest > det_floor:
+        problem = "is not finite" if np.isnan(lowest) else f"<= {det_floor:g}"
+        raise OrientationError(f"det(grad phi) {problem} {where}")
     return jdet
 
 

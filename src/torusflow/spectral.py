@@ -482,6 +482,10 @@ def eval_spectra(grid: TorusGrid, spectra: np.ndarray, xs: np.ndarray, ys: np.nd
     """
     spectra = np.asarray(spectra, dtype=np.complex128)
     lead, shape = spectra.shape[:-2], np.shape(xs)
+    if spectra.shape[-2:] != grid.half_shape:
+        raise ValueError(f"spectra of shape {spectra.shape} do not end in the half shape {grid.half_shape}")
+    if np.shape(ys) != shape:
+        raise ValueError(f"xs of shape {shape} and ys of shape {np.shape(ys)} differ")
     xs = np.ravel(np.asarray(xs, dtype=np.float64))
     ys = np.ravel(np.asarray(ys, dtype=np.float64))
     n, hx, hy = xs.size, grid.nx // 2, grid.ny // 2

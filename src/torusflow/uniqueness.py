@@ -35,8 +35,6 @@ from .spectral import (
 
 __all__ = [
     "ModeIndex",
-    "DiagonalPair",
-    "ModeResidual",
     "VerificationReport",
     "build_diagonals",
     "gl3_residual",
@@ -70,16 +68,8 @@ class ModeIndex:
         return w1 * w1 + w2 * w2
 
 
-@dataclass(frozen=True)
-class DiagonalPair:
-    """Diagonals of the 2x2 matrices entering the mode-wise linear system."""
-
-    alpha: tuple[float, float]
-    beta: tuple[float, float]
-
-
-def build_diagonals(mode: ModeIndex, b) -> DiagonalPair:
-    """alpha_n and beta_n for one mode.
+def build_diagonals(mode: ModeIndex, b) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Diagonals (alpha_n, beta_n) of the 2x2 matrices of one mode's linear system.
 
     beta never depends on b; alpha is affine in b.  Both are in physical
     (2*pi-scaled) wavenumber units.
@@ -93,7 +83,7 @@ def build_diagonals(mode: ModeIndex, b) -> DiagonalPair:
         (w2 * (b + 1.0) + (b - 1.0) * w1) / denom + adv,
     )
     beta = (3.0 * w1 + w2, 3.0 * w2 + w1)
-    return DiagonalPair(alpha=alpha, beta=beta)
+    return alpha, beta
 
 
 def gl3_residual(mode: ModeIndex, b, v_candidate) -> float:
@@ -106,11 +96,11 @@ def gl3_residual(mode: ModeIndex, b, v_candidate) -> float:
     c = np.asarray(v_candidate, dtype=complex)
     if c.shape != (2,):
         raise ValueError("candidate must be a pair of complex amplitudes")
-    d = build_diagonals(mode, b)
+    alpha, beta = build_diagonals(mode, b)
     w1, w2 = mode.n
     adv = w1 + w2
-    r0 = (adv - d.alpha[0]) * c[0] + d.beta[0]
-    r1 = (adv - d.alpha[1]) * c[1] + d.beta[1]
+    r0 = (adv - alpha[0]) * c[0] + beta[0]
+    r1 = (adv - alpha[1]) * c[1] + beta[1]
     return float(max(abs(r0), abs(r1)))
 
 
@@ -130,74 +120,35 @@ def gl1_residual(u: Field, b) -> float:
 
 
 @dataclass(frozen=True)
-class ModeResidual:
-    b: float
-    n1: int
-    n2: int
-    gl3_residual: float
-    gl1_residual: float
-    tolerance: float = DEFAULT_TOLERANCE
-
-    @property
-    def passed(self) -> bool:
-        return max(self.gl3_residual, self.gl1_residual) <= self.tolerance
-
-    def as_row(self) -> dict:
-        return {
-            "b": self.b,
-            "n1": self.n1,
-            "n2": self.n2,
-            "gl3_residual": self.gl3_residual,
-            "gl1_residual": self.gl1_residual,
-            "pass": self.passed,
-        }
-
-
-@dataclass(frozen=True)
 class VerificationReport:
-    rows: tuple[ModeResidual, ...]
+    """Residual rows as verification.json prints them, and the b values all of whose rows pass."""
 
-    @property
-    def b_values(self) -> tuple[float, ...]:
-        seen: list[float] = []
-        for row in self.rows:
-            if row.b not in seen:
-                seen.append(row.b)
-        return tuple(seen)
-
-    def passes_for(self, b: float) -> bool:
-        rows = [r for r in self.rows if r.b == b]
-        return bool(rows) and all(r.passed for r in rows)
-
-    @property
-    def consistent_b(self) -> tuple[float, ...]:
-        """The b values whose every tested mode has vanishing residuals."""
-        return tuple(b for b in self.b_values if self.passes_for(b))
-
-    def as_rows(self) -> list[dict]:
-        return [r.as_row() for r in self.rows]
+    rows: tuple[dict, ...]
+    consistent_b: tuple[float, ...]
 
 
 def verify_theorem(b_list: Sequence[float], mode_list: Sequence[tuple[int, int]], grid: TorusGrid,
                    tolerance: float = DEFAULT_TOLERANCE) -> VerificationReport:
     """Residual table over a b sweep and a mode sweep.
 
-    For each (b, n): the mode-wise linear-system residual with candidate
-    (1 + n^2)(1,1), and the operator-level gap on the mode's real part on
-    grid, its products exact.
-    The report's consistent_b lists the b values with an all-zero row; over
-    b_list containing {2, 3, 4} that is exactly (2.0,).
+    For each (b, n), one row {b, n1, n2, gl3_residual, gl1_residual, pass}:
+    the mode-wise linear-system residual with candidate (1 + n^2)(1,1), and
+    the operator-level gap on the mode's real part on grid, its products
+    exact; the row passes when both are at most tolerance.
+    The report's consistent_b lists, in sweep order, the b values with rows
+    that all pass; over b_list containing {2, 3, 4} that is exactly (2.0,).
     """
     modes = [ModeIndex(n1, n2) for (n1, n2) in mode_list]
-    rows = []
-    for b in b_list:
-        b = validate_b(b)
+    rows, consistent_b = [], []
+    for b in map(validate_b, b_list):
+        b_rows = []
         for mode in modes:
             candidate = (1.0 + mode.n_sq) * np.ones(2, dtype=complex)
             g3 = gl3_residual(mode, b, candidate)
             g1 = gl1_residual(cosine_mode(grid, mode.n1, mode.n2), b)
-            rows.append(ModeResidual(
-                b=b, n1=mode.n1, n2=mode.n2,
-                gl3_residual=g3, gl1_residual=g1, tolerance=tolerance,
-            ))
-    return VerificationReport(rows=tuple(rows))
+            b_rows.append({"b": b, "n1": mode.n1, "n2": mode.n2, "gl3_residual": g3,
+                           "gl1_residual": g1, "pass": max(g3, g1) <= tolerance})
+        rows += b_rows
+        if b_rows and all(row["pass"] for row in b_rows) and b not in consistent_b:
+            consistent_b.append(b)
+    return VerificationReport(tuple(rows), tuple(consistent_b))

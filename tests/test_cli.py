@@ -11,8 +11,9 @@ import pytest
 
 from torusflow import cli
 from torusflow.cli import entry
+from torusflow.flow import InversionError
 from torusflow.spectral import cosine_mode, make_grid
-from torusflow.uniqueness import gl1_residual
+from torusflow.uniqueness import gl1_residual, verify_theorem
 
 FAST_SIM = {
     "grid": [16, 16],
@@ -300,6 +301,24 @@ class TestGeodesic:
         assert lines[2] == "x,y,d1,d2"
         assert len(lines) == 3 + 16 * 16
 
+    def test_readback_abort_keeps_partial_outputs(self, tmp_path, capsys, monkeypatch):
+        # The velocity readback is the final map's first inversion.
+        def stalled(state):
+            raise InversionError("inversion stalled at residual nan after 100 iterations")
+
+        cfg = write_config(tmp_path, dict(FAST_GEO, t_end=0.004))
+        assert run("geodesic", "--config", cfg, "--out", str(tmp_path / "full")) == 0
+        monkeypatch.setattr(cli, "eulerian_velocity", stalled)
+        out = tmp_path / "out"
+        assert run("geodesic", "--config", cfg, "--out", str(out)) == 2
+        assert "runtime abort: inversion stalled" in capsys.readouterr().err
+        assert sorted(f.name for f in out.iterdir()) == ["diffeo_final.csv", "geodesic.json"]
+        body = json.loads((out / "geodesic.json").read_text())
+        assert body["aborted"] is True
+        assert body["recorded_until"] == pytest.approx(0.004)
+        assert "inversion stalled" in body["diagnostic"]
+        assert (out / "diffeo_final.csv").read_bytes() == (tmp_path / "full" / "diffeo_final.csv").read_bytes()
+
 
 class TestCurvature:
     def test_sweep_positive_and_consistent(self, tmp_path):
@@ -348,6 +367,17 @@ class TestVerify:
         assert body["pass"] is True
         assert body["consistent_b"] == [2.0]
         assert all(g for g in body["gates"].values())
+
+    def test_rows_are_the_reports_rows(self, tmp_path):
+        cfg = write_config(tmp_path, {
+            "grid": [16, 16], "b_list": [2.0, 3.0], "mode_list": [[1, 0], [1, 1]], "identity_samples": 0,
+        })
+        out = tmp_path / "out"
+        assert run("verify", "--config", cfg, "--out", str(out)) == 0
+        body = json.loads((out / "verification.json").read_text())
+        report = verify_theorem([2.0, 3.0], [(1, 0), (1, 1)], make_grid(16, 16), 1e-11)
+        assert body["rows"] == [dict(row, expected_fail=row["b"] != 2.0) for row in report.rows]
+        assert body["consistent_b"] == list(report.consistent_b) == [2.0]
 
     def test_off_metric_rows_marked_expected_fail(self, tmp_path):
         cfg = write_config(tmp_path, {

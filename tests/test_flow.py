@@ -193,6 +193,16 @@ class TestInvert:
         with pytest.raises(OrientationError):
             invert(DiffeoMap(d))
 
+    def test_non_finite_map_rejected_before_any_evaluation(self, grid16, monkeypatch):
+        # NaN compares false against the floor; it must not reach the Newton loop.
+        d = np.zeros((2,) + grid16.shape)
+        d[0, 3, 5] = np.nan
+        calls = []
+        monkeypatch.setattr(flow, "eval_spectra", lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(OrientationError, match="not finite"):
+            invert(DiffeoMap(Field(grid16, d)))
+        assert calls == []
+
 
 class TestThreadedEvaluation:
     def test_pool_matches_serial(self, grid16, grid32):
@@ -288,6 +298,14 @@ class TestFlowFromVelocity:
         u = sample_vector(grid32, lambda x, y: 0.05 * np.sin(TWO_PI * x), lambda x, y: 0.0 * x)
         with pytest.raises(OrientationError):
             flow_from_velocity(lambda t: u, t_end=0.01, dt=5e-3, det_floor=0.9999)
+
+    def test_orientation_guard_rejects_non_finite_maps(self, grid16):
+        values = np.zeros((2,) + grid16.shape)
+        values[1, 7, 2] = np.nan
+        u = Field(grid16, values)
+        with pytest.raises(OrientationError, match="not finite at t=0.005") as err:
+            flow_from_velocity(lambda t: u, t_end=0.01, dt=5e-3)
+        assert len(err.value.partial.states) == 1  # the identity alone
 
 
 class TestChristoffelConjugated:

@@ -1,3 +1,4 @@
+import re
 import threading
 from functools import partial
 
@@ -539,6 +540,16 @@ class TestEvalOffgrid:
         f = sample_scalar(grid32, lambda x, y: np.sin(TWO_PI * x))
         value = eval_spectra(grid32, f.spectrum, np.array([0.25]), np.array([0.9]))[0]
         assert value == pytest.approx(1.0, abs=1e-13)
+
+    @pytest.mark.parametrize("spectra_shape, xs_shape, ys_shape, named", [
+        ((9, 16), (4,), (4,), "(9, 16)"),
+        ((16, 9), (2,), (1,), "(1,)"),
+        ((16, 9), (2, 3), (6,), "(6,)"),
+    ], ids=["transposed-spectrum", "broadcast-ys", "flat-ys"])
+    def test_mis_shaped_input_rejected(self, grid16, spectra_shape, xs_shape, ys_shape, named):
+        spectra = np.zeros(spectra_shape, dtype=complex)
+        with pytest.raises(ValueError, match=re.escape(named)):
+            eval_spectra(grid16, spectra, np.zeros(xs_shape), np.zeros(ys_shape))
 
     def test_matches_grid_samples(self, grid32):
         f = random_bandlimited(grid32, 21, kmax=10, amplitude=1.0)[0]

@@ -17,7 +17,6 @@ from torusflow.spectral import (
     stack,
 )
 from torusflow.uniqueness import (
-    DiagonalPair,
     ModeIndex,
     build_diagonals,
     gl1_residual,
@@ -49,29 +48,24 @@ class TestModeIndex:
 
 class TestBuildDiagonals:
     def test_beta_reference_values(self):
-        d = build_diagonals(ModeIndex(1, 0), 2.0)
-        assert d.beta == pytest.approx((3 * TWO_PI, TWO_PI), rel=1e-15)
+        _, beta = build_diagonals(ModeIndex(1, 0), 2.0)
+        assert beta == pytest.approx((3 * TWO_PI, TWO_PI), rel=1e-15)
 
     @pytest.mark.parametrize("mode", [(1, 0), (1, 1), (2, -1)])
     def test_beta_independent_of_b(self, mode):
         m = ModeIndex(*mode)
-        betas = {build_diagonals(m, b).beta for b in (2.0, 3.0, 7.5)}
+        betas = {build_diagonals(m, b)[1] for b in (2.0, 3.0, 7.5)}
         assert len(betas) == 1
 
     def test_alpha_affine_in_b(self):
         m = ModeIndex(2, 1)
-        a2 = np.array(build_diagonals(m, 2.0).alpha)
-        a3 = np.array(build_diagonals(m, 3.0).alpha)
-        a4 = np.array(build_diagonals(m, 4.0).alpha)
+        a2, a3, a4 = (np.array(build_diagonals(m, b)[0]) for b in (2.0, 3.0, 4.0))
         np.testing.assert_allclose(a4 - a3, a3 - a2, atol=1e-12)
 
     def test_alpha_symmetric_on_diagonal_modes(self):
         for b in (2.0, 3.0, 4.5):
-            d = build_diagonals(ModeIndex(3, 3), b)
-            assert d.alpha[0] == d.alpha[1]
-
-    def test_returns_pair_type(self):
-        assert isinstance(build_diagonals(ModeIndex(1, 2), 3.0), DiagonalPair)
+            alpha, _ = build_diagonals(ModeIndex(3, 3), b)
+            assert alpha[0] == alpha[1]
 
 
 class TestGl3Residual:
@@ -142,29 +136,33 @@ class TestVerifyTheorem:
         rep = verify_theorem([2.0, 3.0, 4.0], [(1, 0), (0, 1), (1, 1), (2, 1)], make_grid(16, 16))
         assert rep.consistent_b == (2.0,)
         for row in rep.rows:
-            if row.b == 2.0:
-                assert row.gl3_residual <= 1e-11
-                assert row.gl1_residual <= 1e-11
+            if row["b"] == 2.0:
+                assert row["gl3_residual"] <= 1e-11
+                assert row["gl1_residual"] <= 1e-11
         for b in (3.0, 4.0):
             worst = max(
-                max(r.gl3_residual, r.gl1_residual)
-                for r in rep.rows if r.b == b
+                max(r["gl3_residual"], r["gl1_residual"])
+                for r in rep.rows if r["b"] == b
             )
             assert worst > 1e-3
 
     def test_row_schema(self):
         rep = verify_theorem([2.0], [(1, 1)], make_grid(16, 16))
-        (row,) = rep.as_rows()
+        (row,) = rep.rows
         assert set(row) == {"b", "n1", "n2", "gl3_residual", "gl1_residual", "pass"}
         assert row["pass"] is True
 
     def test_empty_mode_list(self):
         rep = verify_theorem([2.0, 3.0], [], make_grid(16, 16))
         assert rep.rows == ()
-        assert rep.as_rows() == []
         assert rep.consistent_b == ()
+
+    def test_consistent_b_once_each_in_sweep_order(self):
+        rep = verify_theorem([3.0, 2.0, 2.0], [(1, 0)], make_grid(16, 16))
+        assert [row["b"] for row in rep.rows] == [3.0, 2.0, 2.0]
+        assert rep.consistent_b == (2.0,)
 
     def test_explicit_grid_accepted(self):
         grid = make_grid(32, 32)
         rep = verify_theorem([2.0], [(1, 0)], grid=grid)
-        assert rep.rows[0].passed
+        assert rep.rows[0]["pass"]
