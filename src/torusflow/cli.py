@@ -20,7 +20,13 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
 
-import numpy as np
+# --threads is a run's only parallelism, so a CLI process starts numpy's
+# OpenBLAS on one thread, whose idle worker would otherwise spin beside the
+# solver; a launcher that sets the variable keeps its value.  Only a setting
+# made before numpy loads reaches OpenBLAS's pool.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
 
 from .curvature import basis_field, closed_form_S, mode_field, sectional_formula
 from .dynamics import (
@@ -616,6 +622,8 @@ def _one_blas_thread():
 
     --threads is a run's only parallelism; an OpenBLAS helper thread would
     spin between the small matmuls of the off-grid sum and save no time.
+    A CLI process already starts OpenBLAS on one thread (see the top of this
+    module); this covers entry() called where numpy had loaded first.
     """
     blas = _openblas_threads()
     if blas is None:

@@ -27,6 +27,8 @@ from .spectral import (
     Field,
     _dealiased,
     _lift,
+    _pair_sum,
+    _scratch_array,
     dot,
     gradient,
     h1_inner,
@@ -144,28 +146,43 @@ def conservation_report(trajectory: Trajectory) -> ConservationReport:
     )
 
 
-def _transport(m: Field, lm: np.ndarray, v: Field, lv: np.ndarray, b: float,
+def _zeroed(name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """This thread's scratch array `name` of this shape, set to zero."""
+    acc = _scratch_array(name, shape)
+    acc.fill(0.0)
+    return acc
+
+
+def _transport(m: Field, lm: np.ndarray, v: Field, lv: np.ndarray, b: float, acc: np.ndarray,
                sym: np.ndarray | None = None, lw: np.ndarray | None = None) -> np.ndarray:
-    """Padded samples of grad(m).v + (grad v)^T m + (b-1) m div v, from m and v lifted.
+    """Adds to acc the padded samples of grad(m).v + (grad v)^T m + (b-1) m div v,
+    from m and v lifted, and returns acc.
 
     The rows of grad m and grad v are lifted one at a time, straight from the
     spectra, and div v is summed from the diagonal of grad v; given sym and w
-    lifted, grad(v).w is added to sym from the same rows.
+    lifted, grad(v).w is added to sym from the same rows.  Every product is
+    formed in this thread's scratch, in the order of
+    acc[i] += g[0] v[0] + g[1] v[1] and acc += g m[i] + ((b-1) g[i]) m.
     """
-    acc = np.zeros_like(lm)
+    symbol = m.grid.grad_symbol
+    t, s = _scratch_array("tmp_a", lm.shape), _scratch_array("tmp_b", lm.shape)
     for i in range(2):
-        lg = _lift(m[i], m.grid.grad_symbol)
-        acc[i] += lg[0] * lv[0] + lg[1] * lv[1]
-        lg = _lift(v[i], v.grid.grad_symbol)
-        acc += lg * lm[i] + (b - 1.0) * lg[i] * lm
+        lg = _lift(m[i], "lift_grad", symbol)
+        acc[i] += _pair_sum(lg[0], lv[0], lg[1], lv[1], t[0], t[1])
+        lg = _lift(v[i], "lift_grad", symbol)
+        np.multiply(lg[i], b - 1.0, out=s[1])
+        np.multiply(s[1], lm[0], out=s[0])
+        np.multiply(s[1], lm[1], out=s[1])
+        np.multiply(lg, lm[i], out=t)
+        acc += np.add(t, s, out=t)
         if sym is not None:
-            sym[i] += lg[0] * lw[0] + lg[1] * lw[1]
+            sym[i] += _pair_sum(lg[0], lw[0], lg[1], lw[1], t[0], t[1])
     return acc
 
 
 def momentum_transport(m: Field, v: Field, b: float) -> Field:
     """Transport of the momentum m by the velocity v: grad(m).v + (grad v)^T m + (b-1) m div v."""
-    return _dealiased(m, v, lambda lm, lv: _transport(m, lm, v, lv, b))
+    return _dealiased(m, v, lambda lm, lv: _transport(m, lm, v, lv, b, _zeroed("acc", lm.shape)))
 
 
 def b_operator(u: Field, v: Field, b) -> Field:
@@ -178,20 +195,20 @@ def christoffel(u: Field, v: Field, b) -> Field:
 
     Gamma(u, v) = (grad u . v + grad v . u + B(u, v) + B(v, u)) / 2.
 
-    When v is u the two transports are equal, so one is computed and
-    doubled; x + x is exact, so the result has the same bits.
+    When v is u it is lifted once and the two transports are equal, so one
+    is computed and doubled; x + x is exact, so the result has the same bits.
     """
     b = validate_b(b)
     mu = helmholtz(u)
 
     def parts(lu, lv):
-        acc = np.zeros((2,) + lu.shape)  # the symmetric part and the transport under A^{-1}
-        acc[1] = _transport(mu, _lift(mu), v, lv, b, acc[0], lu)
+        acc = _zeroed("acc", (2,) + lu.shape)  # the symmetric part and the transport under A^{-1}
+        _transport(mu, _lift(mu, "lift_m"), v, lv, b, acc[1], acc[0], lu)
         if v is u:
             acc *= 2.0
         else:
             mv = helmholtz(v)
-            acc[1] += _transport(mv, _lift(mv), u, lu, b, acc[0], lv)
+            acc[1] += _transport(mv, _lift(mv, "lift_m"), u, lu, b, _zeroed("acc_v", lu.shape), acc[0], lv)
         return acc
 
     p = _dealiased(u, v, parts)

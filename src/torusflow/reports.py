@@ -11,12 +11,17 @@ place, so a crashed run never leaves a half-written report.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
 from pathlib import Path
 from typing import Iterable, Sequence
+
+# CPython's built-in sha256: hashlib would also load OpenSSL's libcrypto.
+try:
+    from _sha2 import sha256  # CPython >= 3.12
+except ImportError:
+    from _sha256 import sha256  # CPython 3.10 and 3.11
 
 from . import __version__
 from .flow import DiffeoMap
@@ -37,7 +42,7 @@ FLOAT_FORMAT = "%.17g"
 
 def config_digest(config: dict) -> str:
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def _format_cell(value) -> str:

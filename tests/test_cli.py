@@ -473,6 +473,70 @@ class TestBlasCap:
         assert blas_threads() == 2
 
 
+# Every name `import torusflow` re-exported when the package imported its
+# modules eagerly.
+PACKAGE_NAMES = (
+    "Field", "TorusGrid", "VectorField", "h1_inner", "helmholtz", "helmholtz_inverse", "l2_inner",
+    "make_grid", "random_bandlimited",
+    "B_CAMASSA_HOLM", "BlowupError", "EulerState", "Trajectory", "b_operator", "christoffel",
+    "conservation_report", "euler_rhs", "hamiltonian", "integrate",
+    "DiffeoMap", "GeodesicState", "InversionError", "OrientationError", "adjoint", "body_momentum",
+    "body_velocity", "coadjoint", "eulerian_velocity", "exp_map", "geodesic_integrate", "invert",
+    "CurvatureReport", "closed_form_S", "curvature_tensor", "sectional_direct", "sectional_formula",
+    "verify_theorem",
+)
+
+
+def fresh_python(code: str, **env) -> str:
+    """stdout of code run in a new interpreter that imports this checkout's torusflow.
+
+    OPENBLAS_NUM_THREADS is passed only when given, as a launcher would set it.
+    """
+    src = str(Path(cli.__file__).resolve().parents[1])
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    base["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+    proc = subprocess.run([sys.executable, "-c", code], env={**base, **env},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestImportPath:
+    """A CLI process sets numpy's OpenBLAS thread default before numpy loads."""
+
+    def test_package_import_loads_no_numpy(self):
+        out = fresh_python(
+            "import sys, torusflow\n"
+            "print('numpy' in sys.modules)\n"
+            f"names = {PACKAGE_NAMES!r}\n"
+            "from torusflow import curvature, dynamics, flow, spectral, uniqueness\n"
+            "homes = (curvature, dynamics, flow, spectral, uniqueness)\n"
+            "print(all(any(getattr(torusflow, n) is getattr(m, n, None) for m in homes) for n in names))\n"
+            "from torusflow import *\n"
+            "print(all(n in globals() for n in names))\n"
+        )
+        assert out.split() == ["False", "True", "True"]
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs /proc/self/task and at least 2 CPUs for OpenBLAS to start a worker")
+    def test_cli_import_starts_one_thread(self):
+        out = fresh_python("import os, torusflow.cli\nprint(len(os.listdir('/proc/self/task')))")
+        assert out.split() == ["1"]
+
+    @pytest.mark.parametrize("launcher, expected", [(None, "1"), ("2", "2")], ids=["unset", "launcher-2"])
+    def test_launcher_value_kept(self, launcher, expected):
+        env = {} if launcher is None else {"OPENBLAS_NUM_THREADS": launcher}
+        out = fresh_python(
+            "import os, torusflow.cli as cli\n"
+            "blas = cli._openblas_threads()\n"
+            "print(os.environ['OPENBLAS_NUM_THREADS'], 0 if blas is None else blas[0]())\n", **env)
+        value, blas_threads = out.split()
+        assert value == expected
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+        if blas_threads != "0" and cpus >= int(expected):
+            assert blas_threads == expected
+
+
 class TestConsoleEntryPoint:
     def test_module_invocation(self, tmp_path):
         cfg = tmp_path / "c.json"
