@@ -16,7 +16,6 @@ import ctypes
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -31,10 +30,11 @@ import numpy as np  # noqa: E402
 from .curvature import basis_field, closed_form_S, mode_field, sectional_formula
 from .dynamics import (
     BlowupError,
+    ConservationReport,
     _step_count,
     check_commuting_identity,
     check_metric_compatibility,
-    conservation_report,
+    conservation_row,
     euler_rhs,
     helmholtz_1d,
     integrate,
@@ -66,7 +66,6 @@ from .spectral import (
     make_grid,
     random_bandlimited,
 )
-from .uniqueness import ModeIndex, verify_theorem
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -290,6 +289,8 @@ def _curvature_rules(p: dict) -> None:
 
 
 def _verify_rules(p: dict) -> None:
+    from .uniqueness import ModeIndex  # verify alone loads the sweep
+
     grid = p["grid"] = make_grid(*p["grid"])
     for pair in p["mode_list"]:
         ModeIndex(*pair), cosine_mode(grid, *pair)
@@ -353,11 +354,19 @@ def _cmd_simulate(p: dict, cfg: dict, out: Path, threads: int) -> int:
     digest = config_digest(cfg)
     if p["snapshots"]:
         write_field_csv(out / "field_initial.csv", u0, digest)
+    newest = u0
+
+    def record(t: float, u) -> tuple:
+        # A row of scalars; of the fields only the newest is kept.
+        nonlocal newest
+        newest = u
+        return conservation_row(t, u)
+
     try:
         traj = integrate(u0, b, p["t_end"], p["dt"], record_stride=p["record_stride"],
-                         blowup_factor=p["blowup_factor"])
+                         blowup_factor=p["blowup_factor"], state=record)
     except BlowupError as err:
-        report = conservation_report(err.partial)
+        report = ConservationReport.from_rows(err.partial.states)
         write_trajectory_csv(out / "trajectory.csv", report, digest)
         write_json(out / "conservation.json", {
             "aborted": True,
@@ -367,7 +376,7 @@ def _cmd_simulate(p: dict, cfg: dict, out: Path, threads: int) -> int:
             "recorded_until": report.times[-1],
         }, digest)
         raise
-    report = conservation_report(traj)
+    report = ConservationReport.from_rows(traj.states)
     write_trajectory_csv(out / "trajectory.csv", report, digest)
     write_json(out / "conservation.json", {
         "aborted": False,
@@ -376,10 +385,10 @@ def _cmd_simulate(p: dict, cfg: dict, out: Path, threads: int) -> int:
         "t_end": cfg["t_end"],
         "hamiltonian_drift": report.hamiltonian_drift,
         "h1_drift": report.h1_drift,
-        "final_sup_u": traj.final.u.sup_norm(),
+        "final_sup_u": report.sup_u[-1],
     }, digest)
     if p["snapshots"]:
-        write_field_csv(out / "field_final.csv", traj.final.u, digest)
+        write_field_csv(out / "field_final.csv", newest, digest)
     if tol is not None and report.hamiltonian_drift > tol:
         return _gate_failed(f"hamiltonian drift {report.hamiltonian_drift:.3g} > {tol:g}")
     return EXIT_OK
@@ -452,6 +461,8 @@ def _curvature_case(grid, i: int, j1: int, j2: int) -> dict:
 
 def _cmd_curvature(p: dict, cfg: dict, out: Path, threads: int) -> int:
     """sweep closed-form curvature planes through both routes"""
+    from concurrent.futures import ThreadPoolExecutor  # curvature alone runs a pool
+
     k_range = p["k_range"]
     tol = p["tolerances"]["two_route"]
     digest = config_digest(cfg)
@@ -477,6 +488,8 @@ def _cmd_curvature(p: dict, cfg: dict, out: Path, threads: int) -> int:
 
 def _cmd_verify(p: dict, cfg: dict, out: Path, threads: int) -> int:
     """run the identity and uniqueness residual suites"""
+    from .uniqueness import verify_theorem
+
     tol, b_list, n = p["tolerances"], p["b_list"], p["identity_samples"]
     digest = config_digest(cfg)
 
@@ -598,19 +611,19 @@ def _openblas_threads():
     """get and set of numpy's bundled OpenBLAS thread count, or None.
 
     Only a library numpy has already loaded is opened (RTLD_NOLOAD): the
-    wheels' libscipy_openblas (numpy >= 2) or libopenblas (numpy 1.x).  Any
-    other BLAS, or a platform without RTLD_NOLOAD, gives None.
+    numpy >= 2 wheels' libscipy_openblas, its symbols suffixed 64_ in the
+    ILP64 build.  Any other BLAS, or a platform without RTLD_NOLOAD, gives
+    None.
     """
     if not hasattr(os, "RTLD_NOLOAD"):
         return None
     root = Path(np.__file__).parent
-    for path in [*root.parent.glob("numpy.libs/lib*openblas*"), *root.glob(".dylibs/lib*openblas*")]:
+    for path in [*root.parent.glob("numpy.libs/libscipy_openblas*"), *root.glob(".dylibs/libscipy_openblas*")]:
         try:
             lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
         except OSError:
             continue
-        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
-                     "scipy_openblas_{}_num_threads", "openblas_{}_num_threads"):
+        for name in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads"):
             if hasattr(lib, name.format("get")) and hasattr(lib, name.format("set")):
                 return getattr(lib, name.format("get")), getattr(lib, name.format("set"))
     return None

@@ -45,6 +45,7 @@ __all__ = [
     "EulerState",
     "Trajectory",
     "ConservationReport",
+    "conservation_row",
     "validate_b",
     "momentum_transport",
     "b_operator",
@@ -117,6 +118,12 @@ def _relative_drift(q: np.ndarray) -> float:
     return float(np.max(np.abs(q - q[0])) / max(abs(float(q[0])), DRIFT_FLOOR))
 
 
+def conservation_row(t: float, u: Field) -> tuple[float, float, float, float]:
+    """(t, hamiltonian, h1_energy, sup_u) of the velocity u at time t: one row of a ConservationReport."""
+    energy = h1_inner(u, u)
+    return t, 0.5 * energy, energy, u.sup_norm()
+
+
 @dataclass(frozen=True)
 class ConservationReport:
     """Scalar diagnostics along a trajectory and their relative drifts."""
@@ -125,6 +132,11 @@ class ConservationReport:
     hamiltonian: np.ndarray
     h1_energy: np.ndarray
     sup_u: np.ndarray
+
+    @classmethod
+    def from_rows(cls, rows) -> "ConservationReport":
+        """The report of conservation_row rows, in time order."""
+        return cls(*(np.array(column) for column in zip(*rows)))
 
     @property
     def hamiltonian_drift(self) -> float:
@@ -136,14 +148,7 @@ class ConservationReport:
 
 
 def conservation_report(trajectory: Trajectory) -> ConservationReport:
-    energies = np.array([h1_inner(s.u, s.u) for s in trajectory.states])
-    sups = np.array([s.u.sup_norm() for s in trajectory.states])
-    return ConservationReport(
-        times=trajectory.times,
-        hamiltonian=0.5 * energies,
-        h1_energy=energies,
-        sup_u=sups,
-    )
+    return ConservationReport.from_rows(conservation_row(s.t, s.u) for s in trajectory.states)
 
 
 def _zeroed(name: str, shape: tuple[int, ...]) -> np.ndarray:
@@ -161,20 +166,23 @@ def _transport(m: Field, lm: np.ndarray, v: Field, lv: np.ndarray, b: float, acc
     The rows of grad m and grad v are lifted one at a time, straight from the
     spectra, and div v is summed from the diagonal of grad v; given sym and w
     lifted, grad(v).w is added to sym from the same rows.  Every product is
-    formed in this thread's scratch, in the order of
-    acc[i] += g[0] v[0] + g[1] v[1] and acc += g m[i] + ((b-1) g[i]) m.
+    formed in three one-plane temporaries of this thread's scratch, in the
+    order of acc[i] += g[0] v[0] + g[1] v[1] and
+    acc[j] += g[j] m[i] + ((b-1) g[i]) m[j].
     """
     symbol = m.grid.grad_symbol
-    t, s = _scratch_array("tmp_a", lm.shape), _scratch_array("tmp_b", lm.shape)
+    plane = lm.shape[1:]
+    t = _scratch_array("tmp_a", (2,) + plane)
+    s = _scratch_array("tmp_b", plane)
     for i in range(2):
         lg = _lift(m[i], "lift_grad", symbol)
         acc[i] += _pair_sum(lg[0], lv[0], lg[1], lv[1], t[0], t[1])
         lg = _lift(v[i], "lift_grad", symbol)
-        np.multiply(lg[i], b - 1.0, out=s[1])
-        np.multiply(s[1], lm[0], out=s[0])
-        np.multiply(s[1], lm[1], out=s[1])
-        np.multiply(lg, lm[i], out=t)
-        acc += np.add(t, s, out=t)
+        np.multiply(lg[i], b - 1.0, out=s)
+        for j in range(2):
+            np.multiply(lg[j], lm[i], out=t[0])
+            np.multiply(s, lm[j], out=t[1])
+            acc[j] += np.add(t[0], t[1], out=t[0])
         if sym is not None:
             sym[i] += _pair_sum(lg[0], lw[0], lg[1], lw[1], t[0], t[1])
     return acc
@@ -281,12 +289,23 @@ def check_metric_compatibility(
 
 
 def rk4(rhs, t: float, y, dt: float):
-    """One classical fourth-order Runge-Kutta step of dy/dt = rhs(t, y)."""
-    k1 = rhs(t, y)
-    k2 = rhs(t + 0.5 * dt, y + (0.5 * dt) * k1)
-    k3 = rhs(t + 0.5 * dt, y + (0.5 * dt) * k2)
-    k4 = rhs(t + dt, y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    """One classical fourth-order Runge-Kutta step of dy/dt = rhs(t, y).
+
+    The stage derivatives are summed as each one finishes, in the order
+    ((k1 + 2 k2) + 2 k3) + k4, and each is dropped once the next stage's
+    input is formed, so at most one is alive beside the running sum.
+    """
+    half = 0.5 * dt
+    acc = k = rhs(t, y)
+    y_stage, k = y + half * k, None
+    k = rhs(t + half, y_stage)
+    acc = acc + 2.0 * k
+    y_stage, k = y + half * k, None
+    k = rhs(t + half, y_stage)
+    acc = acc + 2.0 * k
+    y_stage, k = y + dt * k, None
+    acc = acc + rhs(t + dt, y_stage)
+    return y + (dt / 6.0) * acc
 
 
 def _step_count(t_end: float, dt: float) -> int:
@@ -304,7 +323,9 @@ def march(rhs, y0, t_end: float, dt: float, record_stride: int, guard, state) ->
     """Fixed RK4 steps of dy/dt = rhs(t, y) from y(0) = y0 up to t_end.
 
     Records the start, every record_stride-th state and the final one, each
-    as state(t, y), and returns them as a Trajectory.  guard(t, y) raises to
+    as state(t, y) built when it is taken, and returns them as a Trajectory.
+    Only what state returns is kept, so a state that drops y keeps the
+    march's memory independent of its step count.  guard(t, y) raises to
     reject a new state.  A RuntimeError from a step or its guard aborts the
     march; it leaves with err.partial, the Trajectory of the records extended
     by the last accepted state, so callers can emit partial output.
@@ -313,25 +334,28 @@ def march(rhs, y0, t_end: float, dt: float, record_stride: int, guard, state) ->
     if record_stride < 1:
         raise ValueError("record_stride must be >= 1")
     t, y = 0.0, y0
-    records = [(t, y)]
+    times, states = [t], [state(t, y)]
+    recorded = 0  # step index of the newest record
 
-    def recorded() -> Trajectory:
-        return Trajectory(dt=float(dt), times=np.array([rt for rt, _ in records]),
-                          states=tuple(state(rt, ry) for rt, ry in records))
+    def trajectory() -> Trajectory:
+        return Trajectory(dt=float(dt), times=np.array(times), states=tuple(states))
 
     for i in range(1, n_steps + 1):
         try:
             y_next = rk4(rhs, t, y, dt)
             guard(i * dt, y_next)
         except RuntimeError as err:
-            if records[-1][1] is not y:
-                records.append((t, y))
-            err.partial = recorded()
+            if recorded != i - 1:
+                times.append(t)
+                states.append(state(t, y))
+            err.partial = trajectory()
             raise
         t, y = i * dt, y_next
         if i % record_stride == 0 or i == n_steps:
-            records.append((t, y))
-    return recorded()
+            times.append(t)
+            states.append(state(t, y))
+            recorded = i
+    return trajectory()
 
 
 def integrate(
@@ -341,13 +365,15 @@ def integrate(
     dt: float,
     record_stride: int = 1,
     blowup_factor: float = 1e3,
+    state=EulerState,
 ) -> Trajectory:
     """Advance u0 to t_end with fixed steps, recording every record_stride-th state.
 
-    Aborts with BlowupError when the velocity goes non-finite or its sup norm
-    exceeds blowup_factor times the initial one; the final state is always
-    recorded, and on abort err.partial holds the trajectory up to the last
-    accepted state.
+    Each record is state(t, u), an EulerState unless another is given; the
+    march keeps nothing else of u.  Aborts with BlowupError when the
+    velocity goes non-finite or its sup norm exceeds blowup_factor times the
+    initial one; the final state is always recorded, and on abort
+    err.partial holds the trajectory up to the last accepted state.
     """
     b = validate_b(b)
     sup0 = u0.sup_norm()
@@ -359,7 +385,7 @@ def integrate(
         if sup > blowup_factor * sup0:
             raise BlowupError(f"sup|u|={sup:.3g} exceeds {blowup_factor:g} x initial {sup0:.3g} at t={t:.6g}")
 
-    return march(lambda t, u: euler_rhs(u, b), u0, t_end, dt, record_stride, guard, EulerState)
+    return march(lambda t, u: euler_rhs(u, b), u0, t_end, dt, record_stride, guard, state)
 
 
 # ---------------------------------------------------------------------------

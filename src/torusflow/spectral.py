@@ -27,8 +27,8 @@ Conventions
   products live in per-thread scratch that grows to the largest call and
   is reused; only the truncated half spectrum is fresh.  After euler_rhs,
   christoffel, dot, tdot and pointwise_product on an n-by-n grid padded to
-  M-by-M, each thread keeps 192 M^2 + 64 M + 16 n^2 + 32 n bytes, 0.50 MB
-  at 32^2, 1.99 MB at 64^2 and 7.96 MB at 128^2.
+  M-by-M, each thread keeps 184 M^2 + 64 M bytes, 0.46 MB at 32^2, 1.85 MB
+  at 64^2 and 7.37 MB at 128^2.
 * eval_spectra sums off-grid on real cos/sin bases, one real matmul per
   field over x, in per-thread scratch that grows to the largest call and is
   reused: for values and gradients at all n^2 points of an n-by-n grid
@@ -366,22 +366,23 @@ def _lift(f: Field, name: str, symbol=None) -> np.ndarray:
 
     The Nyquist row and column are split evenly between -n/2 and +n/2, so
     the corner goes four ways.  The padded half spectrum is built in scratch
-    too and taken through the two passes of irfft2: over x in place, then
-    over y into the samples.
+    too, the symbol multiplied straight into it, and taken through the two
+    passes of irfft2: over x in place, then over y into the samples.
     """
     s = f.spectrum
-    if symbol is not None:
-        shape = np.broadcast_shapes(s.shape, symbol.shape)
-        s = np.multiply(s, symbol, out=_scratch_array("symbol", shape, np.complex128))
+    lead = s.shape[:-2] if symbol is None else np.broadcast_shapes(s.shape, symbol.shape)[:-2]
     hx, hy = f.grid.nx // 2, f.grid.ny // 2
     px, py = f.grid.padded_shape
-    lead = s.shape[:-2]
     # Columns past +n/2 of the padded half spectrum are zero; irfft pads them,
     # and mirrors column +n/2 onto -n/2.
     half = _scratch_array("spectrum", lead + (px, hy + 1), np.complex128)
-    half[..., :hx + 1, :] = s[..., :hx + 1, :]  # rows 0..n/2-1, then -n/2 at +n/2
+    # Rows 0..n/2-1, then -n/2 at +n/2; and rows -n/2..-1 at the end.
+    for to, take in ((slice(0, hx + 1), slice(0, hx + 1)), (slice(px - hx, px), slice(hx, None))):
+        if symbol is None:
+            half[..., to, :] = s[..., take, :]
+        else:
+            np.multiply(s[..., take, :], symbol[..., take, :], out=half[..., to, :])
     half[..., hx + 1:px - hx, :] = 0.0
-    half[..., px - hx:, :] = s[..., hx:, :]     # rows -n/2..-1
     half[..., :, hy] *= 0.5
     half[..., hx, :] *= 0.5
     half[..., px - hx, :] *= 0.5

@@ -1,9 +1,11 @@
 """End-to-end checks of the batch interface: configs, exit codes, file outputs."""
 
+import gc
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,7 @@ import pytest
 from torusflow import cli
 from torusflow.cli import entry
 from torusflow.flow import InversionError
-from torusflow.spectral import cosine_mode, make_grid
+from torusflow.spectral import cosine_mode, make_grid, random_bandlimited
 from torusflow.uniqueness import gl1_residual, verify_theorem
 
 FAST_SIM = {
@@ -227,6 +229,25 @@ class TestSimulate:
         body = json.loads((out / "conservation.json").read_text())
         assert body["aborted"] is True
         assert (out / "trajectory.csv").exists()
+
+    def test_peak_memory_does_not_grow_with_steps(self, tmp_path):
+        # The run keeps a row of scalars per record and only the newest field.
+        u = random_bandlimited(make_grid(32, 32), seed=0, kmax=2, amplitude=0.02)
+        field_bytes = u.values.nbytes + u.spectrum.nbytes
+
+        def peak(steps: int) -> int:
+            cfg = write_config(tmp_path, {"grid": [32, 32], "dt": 1e-3, "t_end": steps * 1e-3,
+                                          "snapshots": True}, f"{steps}.json")
+            gc.collect()
+            tracemalloc.start()
+            try:
+                assert run("simulate", "--config", cfg, "--out", str(tmp_path / str(steps))) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(4)  # grows this thread's product scratch to 32^2
+        assert abs(peak(32) - peak(4)) < field_bytes
 
     def test_drift_gate_failure_exits_3(self, tmp_path):
         cfg = write_config(tmp_path, dict(
@@ -516,6 +537,15 @@ class TestImportPath:
             "print(all(n in globals() for n in names))\n"
         )
         assert out.split() == ["False", "True", "True"]
+
+    def test_simulate_loads_no_sweep_modules(self, tmp_path):
+        cfg = write_config(tmp_path, FAST_SIM)
+        out = fresh_python(
+            "import sys\n"
+            "from torusflow.cli import entry\n"
+            f"assert entry(['simulate', '--config', {cfg!r}, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+            "print(*(name in sys.modules for name in ('torusflow.uniqueness', 'concurrent.futures')))\n")
+        assert out.split() == ["False", "False"]
 
     @pytest.mark.skipif(not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2,
                         reason="needs /proc/self/task and at least 2 CPUs for OpenBLAS to start a worker")

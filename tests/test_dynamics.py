@@ -18,12 +18,14 @@ from torusflow.dynamics import (
     christoffel,
     commutator,
     conservation_report,
+    conservation_row,
     euler_rhs,
     euler_rhs_geometric,
     hamiltonian,
     helmholtz_1d,
     integrate,
     integrate_1d,
+    march,
     mch2_rhs,
     rhs_1d_b,
     rk4,
@@ -416,6 +418,52 @@ class TestIntegration:
         assert report.h1_drift < 1e-8
         assert_allclose(report.h1_energy, 2.0 * report.hamiltonian, rtol=1e-15)
 
+    def test_state_is_built_once_per_record(self, grid16):
+        u0 = random_bandlimited(grid16, seed=87, kmax=2, amplitude=0.05)
+        built = []
+
+        def state(t, u):
+            built.append(t)
+            return EulerState(t, u)
+
+        traj = integrate(u0, 2.0, t_end=0.01, dt=1e-3, record_stride=3, state=state)
+        assert built == list(traj.times)
+        assert [round(t / 1e-3) for t in built] == [0, 3, 6, 9, 10]
+        default = integrate(u0, 2.0, t_end=0.01, dt=1e-3, record_stride=3)
+        assert all(np.array_equal(a.u.values, b.u.values) for a, b in zip(traj.states, default.states))
+
+    @pytest.mark.parametrize("seed, steps", [(1, [0, 3, 6, 7]), (2, [0, 3, 6, 9])],
+                             ids=["last-accepted-added", "last-accepted-recorded"])
+    def test_partial_rows_on_blowup(self, grid16, seed, steps):
+        # Rows built at record time are the rows of the recorded fields, and the
+        # last accepted step is added once, whether or not the stride took it.
+        u0 = random_bandlimited(grid16, seed=seed, kmax=2, amplitude=50.0)
+
+        def partial(state):
+            with pytest.raises(BlowupError) as info:
+                integrate(u0, 2.0, t_end=0.05, dt=1e-3, record_stride=3, state=state)
+            return info.value.partial
+
+        fields, rows = partial(EulerState), partial(conservation_row)
+        assert [round(t / 1e-3) for t in rows.times] == steps
+        assert np.array_equal(rows.times, fields.times)
+        got, expected = ConservationReport.from_rows(rows.states), conservation_report(fields)
+        for name in ("times", "hamiltonian", "h1_energy", "sup_u"):
+            assert np.array_equal(getattr(got, name), getattr(expected, name)), name
+
+    @pytest.mark.parametrize("rejected", [1, 7, 8])
+    def test_abort_records_the_last_accepted_step_once(self, rejected):
+        def guard(t, y):
+            if round(t / 0.1) == rejected:
+                raise RuntimeError("rejected")
+
+        with pytest.raises(RuntimeError) as info:
+            march(lambda t, y: y, 1.0, 1.0, 0.1, 3, guard, lambda t, y: (round(t / 0.1), y))
+        steps = [0, 3, 6, 9][:(rejected - 1) // 3 + 1]
+        if (rejected - 1) % 3:
+            steps.append(rejected - 1)
+        assert [step for step, _ in info.value.partial.states] == steps
+
     def test_drift_definition(self):
         report = ConservationReport(
             times=np.array([0.0, 1.0, 2.0]),
@@ -436,11 +484,56 @@ class TestRK4:
         expected = u.values * (1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0)
         assert np.max(np.abs(got.values - expected)) <= 8 * np.finfo(float).eps * u.sup_norm()
 
+    def test_stage_sum_has_the_textbook_bits(self, grid16):
+        # The running sum ((k1 + 2 k2) + 2 k3) + k4 rounds as the one-line formula does.
+        u = random_bandlimited(grid16, seed=88, kmax=3, amplitude=0.5)
+        dt = 1e-2
+
+        def rhs(t, y):
+            return euler_rhs(y, 3.0)
+
+        k1 = rhs(0.0, u)
+        k2 = rhs(0.5 * dt, u + (0.5 * dt) * k1)
+        k3 = rhs(0.5 * dt, u + (0.5 * dt) * k2)
+        k4 = rhs(dt, u + dt * k3)
+        expected = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        assert np.array_equal(rk4(rhs, 0.0, u, dt).values, expected.values)
+
     def test_stages_see_their_times(self):
         # dy/dt = t is integrated exactly: y(t0 + dt) - y(t0) = dt (t0 + dt / 2)
         t0, dt = 0.3, 0.25
         got = rk4(lambda t, y: t, t0, 1.0, dt)
         assert got == pytest.approx(1.0 + dt * (t0 + dt / 2.0), rel=1e-15)
+
+
+class TestMeanVelocity:
+    """The mean of u, its (0, 0) mode, moves at the rate (2 - b) mean((Au) div u).
+
+    Of the transport, grad(Au).u integrates to -mean((Au) div u) and
+    (grad u)^T Au to zero, so the mean is conserved at b = 2 alone.
+    """
+
+    @pytest.mark.parametrize("b", [0.5, 2.0, 2.5, 3.0])
+    def test_rate(self, grid32, b):
+        for seed in (0, 1, 2):
+            u = random_bandlimited(grid32, seed=seed, kmax=4, amplitude=0.5)
+            source = pointwise_product(helmholtz(u), divergence(u)).spectrum[:, 0, 0].real
+            rate = euler_rhs(u, b).spectrum[:, 0, 0].real
+            # Seen at 2e-14 against a source of about 50.
+            assert np.max(np.abs(rate - (2.0 - b) * source)) <= 1e-13 * np.max(np.abs(source))
+
+    def test_conserved_at_b2_drifts_at_b3(self, grid32):
+        u0 = random_bandlimited(grid32, seed=3, kmax=3, amplitude=0.2)
+
+        def drift(b):
+            means = np.array([s.u.spectrum[:, 0, 0].real for s in integrate(u0, b, 0.02, 1e-3).states])
+            return np.max(np.abs(means - means[0]))
+
+        # Seen: 6e-18 at b = 2, 0.029 at b = 2.5 and 0.058 at b = 3, on a sup
+        # norm of 0.2.  The drift is (2 - b) t mean((Au0) div u0) up to O(t^2).
+        assert drift(2.0) <= 1e-14 * u0.sup_norm()
+        assert drift(3.0) > 1e-2 * u0.sup_norm()
+        assert drift(2.5) / drift(3.0) == pytest.approx(0.5, abs=0.01)
 
 
 class TestOneDimensional:
