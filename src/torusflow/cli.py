@@ -12,17 +12,16 @@ output; exit 1 means only that a check failed.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import json
 import os
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
 # --threads is a run's only parallelism, so a CLI process starts numpy's
 # OpenBLAS on one thread, whose idle worker would otherwise spin beside the
 # solver; a launcher that sets the variable keeps its value.  Only a setting
-# made before numpy loads reaches OpenBLAS's pool.
+# made before numpy loads reaches OpenBLAS's pool, so entry() called after
+# numpy has loaded runs on the caller's pool.  No report byte depends on it.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np  # noqa: E402
@@ -305,12 +304,15 @@ def _reduce1d_rules(p: dict) -> None:
 
 def _parse(schema: dict, rules, raw: dict, seed: int | None) -> tuple[dict, dict]:
     """Typed values and echo of a subcommand config, with --seed applied."""
-    if seed is not None and "seed" in schema:
-        raw = dict(raw, seed=seed)
-    elif seed is not None and "initial_condition" in schema:
+    if seed is not None:
         ic = raw.get("initial_condition", INITIAL_CONDITION[0])
-        if isinstance(ic, dict) and ic.get("type") == "random":
+        if "seed" in schema:
+            raw = dict(raw, seed=seed)
+        elif "initial_condition" in schema and isinstance(ic, dict) and ic.get("type") == "random":
             raw = dict(raw, initial_condition=dict(ic, seed=seed))
+        else:
+            raise ConfigError("--seed has no seed to set: this config has no seed key "
+                              "and no random initial_condition")
     params, echo = _check_object(schema, raw)
     try:
         rules(params)
@@ -607,50 +609,6 @@ COMMANDS = {
 }
 
 
-def _openblas_threads():
-    """get and set of numpy's bundled OpenBLAS thread count, or None.
-
-    Only a library numpy has already loaded is opened (RTLD_NOLOAD): the
-    numpy >= 2 wheels' libscipy_openblas, its symbols suffixed 64_ in the
-    ILP64 build.  Any other BLAS, or a platform without RTLD_NOLOAD, gives
-    None.
-    """
-    if not hasattr(os, "RTLD_NOLOAD"):
-        return None
-    root = Path(np.__file__).parent
-    for path in [*root.parent.glob("numpy.libs/libscipy_openblas*"), *root.glob(".dylibs/libscipy_openblas*")]:
-        try:
-            lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
-        except OSError:
-            continue
-        for name in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads"):
-            if hasattr(lib, name.format("get")) and hasattr(lib, name.format("set")):
-                return getattr(lib, name.format("get")), getattr(lib, name.format("set"))
-    return None
-
-
-@contextmanager
-def _one_blas_thread():
-    """Numpy's bundled OpenBLAS on one thread inside the block, as before after it.
-
-    --threads is a run's only parallelism; an OpenBLAS helper thread would
-    spin between the small matmuls of the off-grid sum and save no time.
-    A CLI process already starts OpenBLAS on one thread (see the top of this
-    module); this covers entry() called where numpy had loaded first.
-    """
-    blas = _openblas_threads()
-    if blas is None:
-        yield
-        return
-    get, set_ = blas
-    before = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(before)
-
-
 class _Parser(argparse.ArgumentParser):
     # Usage problems are config errors here, not the default exit(2).
     def error(self, message):
@@ -667,8 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=None,
                         help="override the config's random seed")
         sp.add_argument("--threads", type=int, default=1,
-                        help="worker threads for sweeps, the run's only parallelism "
-                             "(numpy's BLAS runs on one thread during a subcommand)")
+                        help="worker threads for sweeps, the run's only parallelism")
     return parser
 
 
@@ -688,8 +645,7 @@ def entry(argv=None) -> int:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        with _one_blas_thread():
-            return handler(params, cfg, out, threads)
+        return handler(params, cfg, out, threads)
     except (BlowupError, InversionError, OrientationError) as err:
         print(f"runtime abort: {err}", file=sys.stderr)
         return EXIT_RUNTIME

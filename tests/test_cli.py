@@ -8,7 +8,6 @@ import sys
 import tracemalloc
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from torusflow import cli
@@ -41,6 +40,8 @@ FAST_GEO = {
     "dt": 2e-3,
     "initial_condition": {"type": "random", "seed": 0, "kmax": 2, "amplitude": 0.02},
 }
+
+MODES_IC = {"type": "modes", "modes": [{"j1": 1, "j2": 0, "amplitude": 0.01}]}
 
 
 class TestConfigHandling:
@@ -100,11 +101,15 @@ class TestConfigHandling:
         ("curvature", {"grid": [16, 16], "k_range": [1]}, ["--threads", "0"]),
         ("curvature", {"grid": [16, 16], "k_range": [1]}, ["--threads", "-3"]),
         ("reduce1d", {"n": 16, "kmax": 12}, []),
+        ("curvature", {"grid": [16, 16], "k_range": [1]}, ["--seed", "7"]),
+        ("simulate", dict(FAST_SIM, initial_condition=MODES_IC), ["--seed", "7"]),
+        ("geodesic", dict(FAST_GEO, initial_condition=MODES_IC), ["--seed", "7"]),
     ], ids=["fractional-pad", "aliased-pad", "fractional-grid", "bool-b", "string-dt", "negative-kmax",
             "nan-amplitude", "partial-step-with-snapshots", "string-snapshots",
             "negative-blowup-factor", "negative-tolerance", "int-past-float-range", "mode-triple",
             "zero-mode", "unresolvable-verify-mode", "unknown-pairing", "plain-pairing", "zero-threads-simulate", "negative-threads-simulate",
-            "zero-threads-curvature", "negative-threads-curvature", "reduce1d-unresolvable-kmax"])
+            "zero-threads-curvature", "negative-threads-curvature", "reduce1d-unresolvable-kmax",
+            "seed-curvature", "seed-modes-simulate", "seed-modes-geodesic"])
     def test_bad_values_rejected_before_compute(self, tmp_path, capsys, command, config, extra):
         cfg = write_config(tmp_path, config)
         assert run(command, "--config", cfg, "--out", str(tmp_path / "out"), *extra) == 1
@@ -451,49 +456,6 @@ class TestReduce1d:
         assert body["rows"] == []  # the first planar run, b = 2, blows up
 
 
-def bundled_openblas() -> list:
-    root = Path(np.__file__).parent
-    return [*root.parent.glob("numpy.libs/lib*openblas*"), *root.glob(".dylibs/lib*openblas*")]
-
-
-class TestBlasCap:
-    """A subcommand runs with numpy's bundled OpenBLAS on one thread and puts
-    the caller's thread count back when entry() returns."""
-
-    @pytest.fixture
-    def blas_threads(self):
-        if not hasattr(os, "RTLD_NOLOAD") or not bundled_openblas():
-            pytest.skip("numpy's BLAS is not a bundled OpenBLAS")
-        blas = cli._openblas_threads()
-        assert blas is not None, "bundled OpenBLAS present but its thread count not reached"
-        get, set_ = blas
-        before = get()
-        set_(2)  # a known count the cap must change and then restore
-        assert get() == 2
-        yield get
-        set_(before)
-
-    @pytest.mark.parametrize("config, extra, code", [
-        (FAST_GEO, [], 0),
-        (ORIENTATION_ABORT, [], 2),
-        (FAST_GEO, ["--threads", "0"], 1),
-    ], ids=["exit-0", "exit-2", "exit-1"])
-    def test_one_thread_while_running_then_restored(self, tmp_path, monkeypatch, blas_threads,
-                                                     config, extra, code):
-        seen = []
-        solve = cli.geodesic_integrate
-
-        def watched(*args, **kwargs):
-            seen.append(blas_threads())
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr("torusflow.cli.geodesic_integrate", watched)
-        cfg = write_config(tmp_path, config)
-        assert run("geodesic", "--config", cfg, "--out", str(tmp_path / "out"), *extra) == code
-        assert seen == ([] if code == 1 else [1])
-        assert blas_threads() == 2
-
-
 # Every name `import torusflow` re-exported when the package imported its
 # modules eagerly.
 PACKAGE_NAMES = (
@@ -506,6 +468,9 @@ PACKAGE_NAMES = (
     "CurvatureReport", "closed_form_S", "curvature_tensor", "sectional_direct", "sectional_formula",
     "verify_theorem",
 )
+
+
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def fresh_python(code: str, **env) -> str:
@@ -523,7 +488,8 @@ def fresh_python(code: str, **env) -> str:
 
 
 class TestImportPath:
-    """A CLI process sets numpy's OpenBLAS thread default before numpy loads."""
+    """A CLI process sets numpy's OpenBLAS thread default before numpy loads,
+    and no output byte depends on the BLAS thread count."""
 
     def test_package_import_loads_no_numpy(self):
         out = fresh_python(
@@ -547,24 +513,30 @@ class TestImportPath:
             "print(*(name in sys.modules for name in ('torusflow.uniqueness', 'concurrent.futures')))\n")
         assert out.split() == ["False", "False"]
 
-    @pytest.mark.skipif(not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2,
+    @pytest.mark.skipif(not sys.platform.startswith("linux") or CPUS < 2,
                         reason="needs /proc/self/task and at least 2 CPUs for OpenBLAS to start a worker")
-    def test_cli_import_starts_one_thread(self):
-        out = fresh_python("import os, torusflow.cli\nprint(len(os.listdir('/proc/self/task')))")
-        assert out.split() == ["1"]
-
     @pytest.mark.parametrize("launcher, expected", [(None, "1"), ("2", "2")], ids=["unset", "launcher-2"])
-    def test_launcher_value_kept(self, launcher, expected):
+    def test_cli_import_starts_one_thread(self, launcher, expected):
+        # One OS thread unless the launcher asked OpenBLAS for more.
         env = {} if launcher is None else {"OPENBLAS_NUM_THREADS": launcher}
-        out = fresh_python(
-            "import os, torusflow.cli as cli\n"
-            "blas = cli._openblas_threads()\n"
-            "print(os.environ['OPENBLAS_NUM_THREADS'], 0 if blas is None else blas[0]())\n", **env)
-        value, blas_threads = out.split()
-        assert value == expected
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-        if blas_threads != "0" and cpus >= int(expected):
-            assert blas_threads == expected
+        out = fresh_python("import os, torusflow.cli\n"
+                           "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])",
+                           **env)
+        assert out.split() == [expected, expected]
+
+    @pytest.mark.skipif(CPUS < 2, reason="needs at least 2 CPUs for OpenBLAS to run a second thread")
+    def test_bytes_independent_of_blas_threads(self, tmp_path):
+        # 32^2 is large enough for OpenBLAS to split the off-grid matmul.
+        cfg = write_config(tmp_path, dict(FAST_GEO, grid=[32, 32], t_end=0.004, snapshots=True))
+        outputs = []
+        for blas in ("1", "2"):
+            out = tmp_path / blas
+            fresh_python("import sys\n"
+                         "from torusflow.cli import entry\n"
+                         f"sys.exit(entry(['geodesic', '--config', {cfg!r}, '--out', {str(out)!r}]))",
+                         OPENBLAS_NUM_THREADS=blas)
+            outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+        assert len(outputs[0]) == 3 and outputs[1] == outputs[0]
 
 
 class TestConsoleEntryPoint:
