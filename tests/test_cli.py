@@ -515,14 +515,22 @@ class TestImportPath:
 
     @pytest.mark.skipif(not sys.platform.startswith("linux") or CPUS < 2,
                         reason="needs /proc/self/task and at least 2 CPUs for OpenBLAS to start a worker")
-    @pytest.mark.parametrize("launcher, expected", [(None, "1"), ("2", "2")], ids=["unset", "launcher-2"])
-    def test_cli_import_starts_one_thread(self, launcher, expected):
-        # One OS thread unless the launcher asked OpenBLAS for more.
-        env = {} if launcher is None else {"OPENBLAS_NUM_THREADS": launcher}
+    def test_cli_import_starts_one_thread(self):
         out = fresh_python("import os, torusflow.cli\n"
-                           "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])",
-                           **env)
-        assert out.split() == [expected, expected]
+                           "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])")
+        assert out.split() == ["1", "1"]
+
+    @pytest.mark.parametrize("launcher, expected", [(None, "1"), ("2", "2")], ids=["unset", "launcher-2"])
+    def test_launcher_value_kept(self, launcher, expected):
+        # The launcher's value is kept, and OpenBLAS starts that many OS threads.
+        env = {} if launcher is None else {"OPENBLAS_NUM_THREADS": launcher}
+        out = fresh_python("import os, sys, torusflow.cli\n"
+                           "tasks = len(os.listdir('/proc/self/task')) if sys.platform.startswith('linux') else 0\n"
+                           "print(os.environ['OPENBLAS_NUM_THREADS'], tasks)", **env)
+        value, tasks = out.split()
+        assert value == expected
+        if tasks != "0" and CPUS >= int(expected):
+            assert tasks == expected
 
     @pytest.mark.skipif(CPUS < 2, reason="needs at least 2 CPUs for OpenBLAS to run a second thread")
     def test_bytes_independent_of_blas_threads(self, tmp_path):
