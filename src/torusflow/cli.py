@@ -282,7 +282,7 @@ def _march_rules(p: dict) -> None:
 def _curvature_rules(p: dict) -> None:
     grid = p["grid"] = make_grid(*p["grid"])
     for j in p["k_range"]:
-        mode_field(grid, TWO_PI * j, TWO_PI * j)
+        mode_field(grid, j, j)
     for i in p["basis"]:
         basis_field(grid, i)
 
@@ -345,6 +345,11 @@ def _gate_failed(what: str) -> int:
     return EXIT_TOLERANCE
 
 
+def _write_aborted(path: Path, err: Exception, digest: str, **recorded) -> None:
+    """The report of a runtime abort: its diagnostic and what the run had recorded."""
+    write_json(path, {"aborted": True, "diagnostic": str(err), **recorded}, digest)
+
+
 # --------------------------------------------------------------------------
 # simulate
 
@@ -370,13 +375,8 @@ def _cmd_simulate(p: dict, cfg: dict, out: Path, threads: int) -> int:
     except BlowupError as err:
         report = ConservationReport.from_rows(err.partial.states)
         write_trajectory_csv(out / "trajectory.csv", report, digest)
-        write_json(out / "conservation.json", {
-            "aborted": True,
-            "diagnostic": str(err),
-            "b": b,
-            "dt": cfg["dt"],
-            "recorded_until": report.times[-1],
-        }, digest)
+        _write_aborted(out / "conservation.json", err, digest,
+                       b=b, dt=cfg["dt"], recorded_until=report.times[-1])
         raise
     report = ConservationReport.from_rows(traj.states)
     write_trajectory_csv(out / "trajectory.csv", report, digest)
@@ -414,13 +414,7 @@ def _cmd_geodesic(p: dict, cfg: dict, out: Path, threads: int) -> int:
     except (BlowupError, InversionError, OrientationError) as err:
         last = (err.partial if traj is None else traj).final
         write_diffeo_csv(out / "diffeo_final.csv", last.phi, digest)
-        write_json(out / "geodesic.json", {
-            "aborted": True,
-            "diagnostic": str(err),
-            "b": b,
-            "dt": cfg["dt"],
-            "recorded_until": last.t,
-        }, digest)
+        _write_aborted(out / "geodesic.json", err, digest, b=b, dt=cfg["dt"], recorded_until=last.t)
         raise
     # The last momentum reuses u_final rather than inverting the final map again.
     momenta = [body_momentum(s) for s in traj.states[:-1]]
@@ -449,13 +443,12 @@ def _cmd_geodesic(p: dict, cfg: dict, out: Path, threads: int) -> int:
 
 
 def _curvature_case(grid, i: int, j1: int, j2: int) -> dict:
-    k1, k2 = TWO_PI * j1, TWO_PI * j2
-    rep = sectional_formula(basis_field(grid, i), mode_field(grid, k1, k2))
+    rep = sectional_formula(basis_field(grid, i), mode_field(grid, j1, j2))
     return {
-        "k1": k1, "k2": k2, "i": i,
+        "k1": TWO_PI * j1, "k2": TWO_PI * j2, "i": i,
         "S_formula": rep.s_formula,
         "S_direct": rep.s_direct,
-        "S_closed_form": closed_form_S(i, k1, k2),
+        "S_closed_form": closed_form_S(i, j1, j2),
         "gamma_terms": rep.gamma_terms,
         "r_term": rep.r_term,
     }
@@ -569,11 +562,7 @@ def _cmd_reduce1d(p: dict, cfg: dict, out: Path, threads: int) -> int:
         # against the coupled 1D system along a short b = 2 run.
         traj = integrate(u_embed, 2.0, p["mch2_steps"] * dt, dt, record_stride=1)
     except BlowupError as err:
-        write_json(out / "reduction.json", {
-            "aborted": True,
-            "diagnostic": str(err),
-            "rows": rows,
-        }, digest)
+        _write_aborted(out / "reduction.json", err, digest, rows=rows)
         raise
     mch2_worst = 0.0
     for state in traj.states:

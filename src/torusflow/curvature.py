@@ -15,9 +15,9 @@ Two independent routes to the same number:
   expression in gradients of u and v.
 
 Their agreement on random band-limited data is the main correctness oracle;
-closed-form positive values on span{e_i, sin(k1 x) sin(k2 y) (1,1)} pin the
-absolute normalization.  Every pairing is the metric (A-weighted) inner
-product h1_inner.
+closed-form positive values on span{e_i, sin(k1 x) sin(k2 y) (1,1)}, with
+k = 2*pi*j for a positive integer mode j, pin the absolute normalization.
+Every pairing is the metric (A-weighted) inner product h1_inner.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .spectral import (
     Field,
     TorusGrid,
     VectorField,
+    _integral,
     cosine_mode,
     dot,
     gradient,
@@ -167,21 +168,20 @@ def sectional_formula(u: Field, v: Field) -> CurvatureReport:
     )
 
 
-def _mode_index(k: float) -> int:
-    j = k / TWO_PI
-    ji = int(round(j))
-    if ji < 1 or abs(j - ji) > 1e-9:
-        raise ValueError(f"wavenumber {k} is not a positive multiple of 2*pi")
-    return ji
+def _check_plane_mode(j1: int, j2: int) -> None:
+    """ValueError unless the mode (j1, j2) of a curvature plane is a pair of positive integers."""
+    if min(_integral(j1, "j1"), _integral(j2, "j2")) < 1:
+        raise ValueError(f"curvature plane mode ({j1}, {j2}) must have positive indices")
 
 
-def closed_form_S(i: int, k1: float, k2: float) -> float:
-    """Closed-form sectional curvature on span{e_i, sin(k1 x) sin(k2 y) (1,1)}.
+def closed_form_S(i: int, j1: int, j2: int) -> float:
+    """Closed-form sectional curvature on span{e_i, mode_field(j1, j2)}.
 
-    S(e1, v) = (1/8)(2 k1^2 + k2^2)/(1 + k1^2 + k2^2) and S(e2, v) swaps the
-    roles of k1 and k2; positive for every admissible wavenumber pair.
+    With k = 2*pi*j, S(e1, v) = (1/8)(2 k1^2 + k2^2)/(1 + k1^2 + k2^2) and
+    S(e2, v) swaps the roles of k1 and k2; positive for every plane mode.
     """
-    _mode_index(k1), _mode_index(k2)
+    _check_plane_mode(j1, j2)
+    k1, k2 = TWO_PI * j1, TWO_PI * j2
     if i == 2:
         k1, k2 = k2, k1
     elif i != 1:
@@ -198,8 +198,8 @@ def basis_field(grid: TorusGrid, i: int) -> Field:
     raise ValueError("basis index must be 1 or 2")
 
 
-def mode_field(grid: TorusGrid, k1: float, k2: float) -> Field:
-    """The product mode sin(k1 x) sin(k2 y) in both components, as a difference of cosine modes."""
-    j1, j2 = _mode_index(k1), _mode_index(k2)
+def mode_field(grid: TorusGrid, j1: int, j2: int) -> Field:
+    """sin(2 pi j1 x) sin(2 pi j2 y) in both components, as a difference of cosine modes."""
+    _check_plane_mode(j1, j2)
     plus = cosine_mode(grid, j1, j2, 0.5)
     return cosine_mode(grid, j1, -j2, 0.5) - plus

@@ -100,20 +100,21 @@ def jacobian(phi: DiffeoMap) -> Field:
     return Field(phi.grid, np.eye(2)[:, :, None, None] + gradient(phi.displacement).values)
 
 
-def _checked_det(phi: DiffeoMap, det_floor: float, where: str = "on the grid") -> np.ndarray:
-    """Samples of det(grad phi); OrientationError unless all exceed det_floor, which NaN never does."""
-    jdet = det(jacobian(phi)).values
+def _checked_det(phi: DiffeoMap, det_floor: float, where: str = "on the grid") -> tuple[np.ndarray, np.ndarray]:
+    """Samples of grad d and det(I + grad d); OrientationError unless every det > det_floor, never so for NaN."""
+    g = gradient(phi.displacement).values
+    jdet = (1.0 + g[0, 0]) * (1.0 + g[1, 1]) - g[0, 1] * g[1, 0]
     lowest = float(np.min(jdet))
     if not lowest > det_floor:
         problem = "is not finite" if np.isnan(lowest) else f"<= {det_floor:g}"
         raise OrientationError(f"det(grad phi) {problem} {where}")
-    return jdet
+    return g, jdet
 
 
-def _inverse_jacobian(phi: DiffeoMap) -> Field:
-    """Pointwise matrix inverse (grad phi)^{-1}."""
-    inv = np.linalg.inv(np.moveaxis(jacobian(phi).values, (0, 1), (-2, -1)))
-    return Field(phi.grid, np.moveaxis(inv, (-2, -1), (0, 1)))
+def _solve(g: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Pointwise solution x of (I + g) x = r by Cramer's rule; g[i, j] and r[j] broadcast."""
+    a, b, c, h = 1.0 + g[0, 0], g[0, 1], g[1, 0], 1.0 + g[1, 1]
+    return np.stack([h * r[0] - b * r[1], a * r[1] - c * r[0]]) / (a * h - b * c)
 
 
 def apply(phi: DiffeoMap, points: np.ndarray) -> np.ndarray:
@@ -145,7 +146,7 @@ def invert(phi: DiffeoMap, max_iter: int = INVERT_MAX_ITER) -> DiffeoMap:
 
     Starts from e = -d, since the inverse of z + d is about z - d.  Each
     iteration is one off-grid evaluation of d and grad d at z + e, and solves
-    with the pointwise 2x2 inverse of I + grad d(z + e); once the sup-norm
+    with I + grad d(z + e) pointwise by Cramer's rule; once the sup-norm
     residual drops below INVERT_TOL, that last step is taken and the result
     returned.  Raises InversionError after max_iter evaluations.
     """
@@ -158,8 +159,7 @@ def invert(phi: DiffeoMap, max_iter: int = INVERT_MAX_ITER) -> DiffeoMap:
         f, g = eval_spectra(phi.grid, d.spectrum, X + e[0], Y + e[1], gradient=True)
         r = e + f
         residual = float(np.max(np.abs(r)))
-        a, b, c, h = 1.0 + g[0, 0], g[0, 1], g[1, 0], 1.0 + g[1, 1]
-        e = e - np.stack([h * r[0] - b * r[1], a * r[1] - c * r[0]]) / (a * h - b * c)
+        e = e - _solve(g, r)
         if residual < INVERT_TOL:
             return DiffeoMap(Field(phi.grid, e))
     raise InversionError(f"inversion stalled at residual {residual:.3e} after {max_iter} iterations")
@@ -304,9 +304,8 @@ def coadjoint(phi: DiffeoMap, w: Field) -> Field:
 
 def body_velocity(state: GeodesicState, det_floor: float = DET_FLOOR) -> Field:
     """Body velocity U = (grad phi)^{-1} phi_t, solved pointwise."""
-    _checked_det(state.phi, det_floor)
-    inv, v = _inverse_jacobian(state.phi).values, state.phi_t.values
-    return Field(state.phi.grid, inv[:, 0] * v[0] + inv[:, 1] * v[1])
+    g, _ = _checked_det(state.phi, det_floor)
+    return Field(state.phi.grid, _solve(g, state.phi_t.values))
 
 
 def body_momentum(state: GeodesicState) -> Field:
@@ -323,11 +322,11 @@ def metric_at(phi: DiffeoMap, U: Field, V: Field) -> float:
     """
     if U.grid != phi.grid or V.grid != phi.grid:
         raise ValueError("fields and map live on different grids")
-    jdet = _checked_det(phi, 0.0)
-    inv = _inverse_jacobian(phi).values
+    g, jdet = _checked_det(phi, 0.0)
 
     def pulled(f: Field) -> np.ndarray:
-        return np.einsum("ik...,kl...->il...", gradient(f).values, inv)
+        # Row i of grad(f) (grad phi)^{-1} solves (grad phi)^T x = row i; x[l, i] holds entry [i, l].
+        return _solve(g.swapaxes(0, 1), gradient(f).values.swapaxes(0, 1))
 
     integrand = np.sum(U.values * V.values, axis=0) + np.sum(pulled(U) * pulled(V), axis=(0, 1))
     return float(np.mean(integrand * jdet))

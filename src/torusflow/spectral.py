@@ -185,9 +185,16 @@ class TorusGrid:
         return (self.nx, self.ny // 2 + 1)
 
 
+def _integral(value, name: str) -> int:
+    """value as an int; ValueError if it is not a whole number, which is never truncated."""
+    if not float(value).is_integer():
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    return int(value)
+
+
 def make_grid(nx: int, ny: int) -> TorusGrid:
-    """Build a TorusGrid; rejects odd or undersized dimensions."""
-    return TorusGrid(int(nx), int(ny))
+    """Build a TorusGrid; rejects fractional, odd or undersized dimensions."""
+    return TorusGrid(_integral(nx, "nx"), _integral(ny, "ny"))
 
 
 def _read_only(array: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -566,7 +573,8 @@ def eval_spectra(grid: TorusGrid, spectra: np.ndarray, xs: np.ndarray, ys: np.nd
 
 def cosine_mode(grid: TorusGrid, j1: int, j2: int, amplitude: float = 1.0,
                 direction=(1.0, 1.0)) -> Field:
-    """Vector field amplitude * cos(2*pi*(j1 x + j2 y)) * direction."""
+    """Vector field amplitude * cos(2*pi*(j1 x + j2 y)) * direction; j1 and j2 are integers."""
+    j1, j2 = _integral(j1, "j1"), _integral(j2, "j2")
     if abs(j1) >= grid.nx // 2 or abs(j2) >= grid.ny // 2:
         raise ValueError(f"mode ({j1}, {j2}) is not resolvable on grid {grid.shape}")
     X, Y = grid.mesh

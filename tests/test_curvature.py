@@ -130,7 +130,7 @@ class TestConnectionBudget:
         assert self.count(monkeypatch, lambda: curvature_tensor(u, v, w)) == 5
 
     def test_sectional_formula_plane(self, grid32, monkeypatch):
-        e, v = basis_field(grid32, 1), mode_field(grid32, TWO_PI, TWO_PI)
+        e, v = basis_field(grid32, 1), mode_field(grid32, 1, 1)
         assert self.count(monkeypatch, lambda: sectional_formula(e, v)) == 8
 
 
@@ -146,16 +146,16 @@ class TestSectional:
 
     @pytest.mark.parametrize("i", [1, 2])
     def test_lowest_mode_closed_form(self, grid64, i):
-        rep = sectional_formula(basis_field(grid64, i), mode_field(grid64, TWO_PI, TWO_PI))
-        expected = closed_form_S(i, TWO_PI, TWO_PI)
+        rep = sectional_formula(basis_field(grid64, i), mode_field(grid64, 1, 1))
+        expected = closed_form_S(i, 1, 1)
         assert abs(rep.s_formula - expected) <= 1e-7
         assert abs(rep.s_direct - expected) <= 1e-7
         assert abs(expected - 0.1851549) <= 1e-7
 
     def test_mixed_mode_closed_form(self, grid64):
-        k1, k2 = TWO_PI, 2 * TWO_PI
-        rep = sectional_formula(basis_field(grid64, 2), mode_field(grid64, k1, k2))
-        assert abs(rep.s_formula - closed_form_S(2, k1, k2)) <= 1e-7
+        j1, j2 = 1, 2
+        rep = sectional_formula(basis_field(grid64, 2), mode_field(grid64, j1, j2))
+        assert abs(rep.s_formula - closed_form_S(2, j1, j2)) <= 1e-7
 
     def test_report_decomposition_is_exact(self, grid32):
         u = rand(grid32, 21, kmax=2)
@@ -203,35 +203,53 @@ class TestRTerm:
 
 class TestClosedForm:
     def test_reference_value(self):
-        got = closed_form_S(1, TWO_PI, TWO_PI)
+        got = closed_form_S(1, 1, 1)
         k2 = TWO_PI**2
         assert got == pytest.approx(0.125 * 3 * k2 / (1 + 2 * k2), rel=1e-14)
+        assert got == 0.18515498472381303  # the README's value
 
     def test_component_swap_symmetry(self):
-        assert closed_form_S(1, TWO_PI, 3 * TWO_PI) == closed_form_S(2, 3 * TWO_PI, TWO_PI)
+        assert closed_form_S(1, 1, 3) == closed_form_S(2, 3, 1)
 
     def test_positive_on_admissible_modes(self):
         for j1 in (1, 2, 3):
             for j2 in (1, 2, 3):
                 for i in (1, 2):
-                    assert closed_form_S(i, TWO_PI * j1, TWO_PI * j2) > 0.0
+                    assert closed_form_S(i, j1, j2) > 0.0
 
-    @pytest.mark.parametrize("bad", [3.0, 0.0, -TWO_PI, 1.5 * TWO_PI])
+    @pytest.mark.parametrize("bad", [TWO_PI, 0.0, -TWO_PI, 1.5 * TWO_PI])
     def test_rejects_inadmissible_wavenumbers(self, bad):
-        with pytest.raises(ValueError):
-            closed_form_S(1, bad, TWO_PI)
+        # Modes are integer indices j, k = 2 pi j: an old-style call with a
+        # physical wavenumber fails loudly instead of building another mode.
+        for mode in ((bad, 1), (1, bad)):
+            with pytest.raises(ValueError):
+                closed_form_S(1, *mode)
+            with pytest.raises(ValueError):
+                mode_field(make_grid(64, 64), *mode)
+
+    @pytest.mark.parametrize("j", [0, -1, -3, 0.5, 2 + 1e-9, float("nan")])
+    def test_rejects_non_positive_or_fractional_indices(self, j):
+        for mode in ((j, 1), (1, j)):
+            with pytest.raises(ValueError):
+                closed_form_S(1, *mode)
+            with pytest.raises(ValueError):
+                mode_field(make_grid(16, 16), *mode)
+
+    def test_integral_floats_are_the_same_mode(self, grid32):
+        assert closed_form_S(2, 1.0, 3.0) == closed_form_S(2, 1, 3)
+        np.testing.assert_array_equal(mode_field(grid32, 2.0, 1.0).values, mode_field(grid32, 2, 1).values)
 
     def test_rejects_bad_basis_index(self):
         with pytest.raises(ValueError):
-            closed_form_S(3, TWO_PI, TWO_PI)
+            closed_form_S(3, 1, 1)
         with pytest.raises(ValueError):
             basis_field(make_grid(8, 8), 0)
 
     def test_mode_field_needs_resolvable_mode(self):
         grid = make_grid(8, 8)
         with pytest.raises(ValueError):
-            mode_field(grid, 4 * TWO_PI, TWO_PI)
-        v = mode_field(grid, TWO_PI, 3 * TWO_PI)
+            mode_field(grid, 4, 1)
+        v = mode_field(grid, 1, 3)
         np.testing.assert_array_equal(v[0].values, v[1].values)
 
 
@@ -240,8 +258,8 @@ class TestGammaTerms:
         # On span{e_i, v} the residual part vanishes, so the whole value
         # is carried by <Gamma(e_i,v), Gamma(e_i,v)>.
         e1 = basis_field(grid64, 1)
-        v = mode_field(grid64, TWO_PI, TWO_PI)
+        v = mode_field(grid64, 1, 1)
         gam = christoffel(e1, v, 2.0)
         norm_sq = h1_inner(gam, gam)
         assert abs(gamma_terms(e1, v) - norm_sq) <= 1e-12
-        assert abs(norm_sq - closed_form_S(1, TWO_PI, TWO_PI)) <= 1e-7
+        assert abs(norm_sq - closed_form_S(1, 1, 1)) <= 1e-7

@@ -204,6 +204,54 @@ class TestInvert:
         assert calls == []
 
 
+class TestCramerSolve:
+    """flow._solve, the one pointwise 2x2 solve, against LAPACK's np.linalg.solve."""
+
+    @staticmethod
+    def lapack(g, r):
+        """x with (I + g) x = r at every point, by np.linalg.solve."""
+        mats = np.moveaxis(np.eye(2)[:, :, None, None] + g, (0, 1), (-2, -1))
+        return np.moveaxis(np.linalg.solve(mats, np.moveaxis(r, 0, -1)[..., None])[..., 0], -1, 0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("scale", [1e-3, 0.1, 0.5])
+    def test_near_identity_jacobians(self, seed, scale):
+        rng = np.random.default_rng(seed)
+        g = scale * rng.standard_normal((2, 2, 16, 16))
+        r = rng.standard_normal((2, 16, 16))
+        ref = self.lapack(g, r)
+        assert np.max(np.abs(flow._solve(g, r) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_newton_system_from_invert(self, grid32, monkeypatch):
+        solve, systems = flow._solve, []
+
+        def recorded(g, r):
+            systems.append((g.copy(), r.copy()))
+            return solve(g, r)
+
+        monkeypatch.setattr(flow, "_solve", recorded)
+        invert(small_map(grid32, seed=9, amplitude=0.05))
+        assert len(systems) >= 2  # every Newton step solves through the helper
+        g, r = systems[0]
+        ref = self.lapack(g, r)
+        assert np.max(np.abs(solve(g, r) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_body_velocity_and_metric_at_match_lapack(self, grid32):
+        phi = small_map(grid32, seed=10, amplitude=0.05)
+        U = random_bandlimited(grid32, seed=11, kmax=3, amplitude=0.5)
+        V = random_bandlimited(grid32, seed=12, kmax=3, amplitude=0.5)
+        g = gradient(phi.displacement).values
+        got = body_velocity(GeodesicState(0.0, phi, U)).values
+        ref = self.lapack(g, U.values)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        inv = np.moveaxis(np.linalg.inv(np.moveaxis(np.eye(2)[:, :, None, None] + g, (0, 1), (-2, -1))),
+                          (-2, -1), (0, 1))
+        pulled_u, pulled_v = (np.einsum("ik...,kl...->il...", gradient(f).values, inv) for f in (U, V))
+        integrand = np.sum(U.values * V.values, axis=0) + np.sum(pulled_u * pulled_v, axis=(0, 1))
+        want = float(np.mean(integrand * det(jacobian(phi)).values))
+        assert metric_at(phi, U, V) == pytest.approx(want, rel=1e-13)
+
+
 class TestThreadedEvaluation:
     def test_pool_matches_serial(self, grid16, grid32):
         # Each thread evaluates off-grid on its own scratch, as the curvature

@@ -13,6 +13,7 @@ from torusflow.spectral import (
     Field,
     TorusGrid,
     VectorField,
+    cosine_mode,
     divergence,
     dot,
     eval_spectra,
@@ -52,6 +53,18 @@ class TestGrid:
     def test_rejects_bad_dimensions(self, nx, ny):
         with pytest.raises(ValueError):
             make_grid(nx, ny)
+
+    @pytest.mark.parametrize("nx,ny", [(32.5, 32.9), (32, 32.5), (16.000001, 16), (float("nan"), 16),
+                                       (float("inf"), 16)])
+    def test_rejects_fractional_dimensions(self, nx, ny):
+        # Never truncated: make_grid(32.5, 32.9) once built a 32-by-32 grid.
+        with pytest.raises(ValueError, match="must be an integer"):
+            make_grid(nx, ny)
+
+    @pytest.mark.parametrize("nx,ny", [(16.0, 16), (np.int64(16), 8), (8, np.float64(16.0))])
+    def test_integral_dimensions_of_any_type(self, nx, ny):
+        g = make_grid(nx, ny)
+        assert g == TorusGrid(int(nx), int(ny)) and type(g.nx) is int and type(g.ny) is int
 
 
 class TestTransform:
@@ -654,6 +667,17 @@ class TestEvalScratch:
                 assert all(np.array_equal(a, b) for a, b in zip(got, fresh))
             else:
                 assert np.array_equal(got, fresh)
+
+
+class TestCosineMode:
+    @pytest.mark.parametrize("j1,j2", [(1.5, 0), (0, 1.5), (1, 1e-9), (TWO_PI, TWO_PI), (float("nan"), 1)])
+    def test_rejects_fractional_indices(self, grid16, j1, j2):
+        # Never reinterpreted: cosine_mode(grid, 1.5, 0) once sampled cos(3 pi x), not a torus mode.
+        with pytest.raises(ValueError, match="must be an integer"):
+            cosine_mode(grid16, j1, j2)
+
+    def test_integral_floats_are_the_same_mode(self, grid16):
+        assert np.array_equal(cosine_mode(grid16, 3.0, -2.0).values, cosine_mode(grid16, 3, -2).values)
 
 
 class TestRandomBandlimited:
