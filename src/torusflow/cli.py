@@ -42,6 +42,7 @@ from .dynamics import (
     profile_1d,
 )
 from .flow import (
+    GeodesicState,
     InversionError,
     OrientationError,
     body_momentum,
@@ -328,7 +329,7 @@ def _load_config(path) -> dict:
         cfg = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}")
-    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+    except ValueError as err:  # undecodable bytes, bad JSON, or an integer past the parser's digit limit
         raise ConfigError(f"malformed JSON in {path}: {err}")
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
@@ -405,23 +406,32 @@ def _cmd_geodesic(p: dict, cfg: dict, out: Path, threads: int) -> int:
     b = p["b"]
     tol = p["tolerances"]["body_momentum_drift"]
     digest = config_digest(cfg)
-    traj = None
+    newest = first = worst = None  # the newest state, the first body momentum, its largest change
+
+    def take(m) -> None:
+        nonlocal first, worst
+        first = m if first is None else first
+        gap = (m - first).sup_norm()
+        worst = gap if worst is None else max(worst, gap)
+
+    def record(t: float, phi, phi_t) -> None:
+        # Only the newest state is kept; its momentum is taken once the next step has inverted its map.
+        nonlocal newest
+        if newest is not None:
+            take(body_momentum(newest))
+        newest = GeodesicState(t, phi, phi_t)
+
     try:
         traj = geodesic_integrate(p["initial_condition"], b, p["t_end"], p["dt"],
-                                  record_stride=p["record_stride"], det_floor=p["det_floor"])
-        final = traj.final
-        u_final = eulerian_velocity(final)  # the final map's first inversion
+                                  record_stride=p["record_stride"], det_floor=p["det_floor"], state=record)
+        u_final = eulerian_velocity(newest)  # the final map's first inversion
     except (BlowupError, InversionError, OrientationError) as err:
-        last = (err.partial if traj is None else traj).final
-        write_diffeo_csv(out / "diffeo_final.csv", last.phi, digest)
-        _write_aborted(out / "geodesic.json", err, digest, b=b, dt=cfg["dt"], recorded_until=last.t)
+        write_diffeo_csv(out / "diffeo_final.csv", newest.phi, digest)
+        _write_aborted(out / "geodesic.json", err, digest, b=b, dt=cfg["dt"], recorded_until=newest.t)
         raise
-    # The last momentum reuses u_final rather than inverting the final map again.
-    momenta = [body_momentum(s) for s in traj.states[:-1]]
-    momenta.append(coadjoint(final.phi, helmholtz(u_final)))
-    ref_sup = max(momenta[0].sup_norm(), 1e-14)
-    drift = max((m - momenta[0]).sup_norm() / ref_sup for m in momenta)
-    write_diffeo_csv(out / "diffeo_final.csv", final.phi, digest)
+    take(coadjoint(newest.phi, helmholtz(u_final)))  # the final momentum reuses u_final
+    drift = worst / max(first.sup_norm(), 1e-14)
+    write_diffeo_csv(out / "diffeo_final.csv", newest.phi, digest)
     if p["snapshots"]:
         write_field_csv(out / "velocity_final.csv", u_final, digest)
     write_json(out / "geodesic.json", {
@@ -429,7 +439,7 @@ def _cmd_geodesic(p: dict, cfg: dict, out: Path, threads: int) -> int:
         "b": b,
         "dt": cfg["dt"],
         "t_end": cfg["t_end"],
-        "states_recorded": len(traj.states),
+        "states_recorded": len(traj.times),
         "body_momentum_drift": drift,
         "final_velocity_sup": u_final.sup_norm(),
     }, digest)
@@ -552,25 +562,25 @@ def _cmd_reduce1d(p: dict, cfg: dict, out: Path, threads: int) -> int:
     n_steps = _step_count(t_end, dt)
     u0 = VectorField.from_values(grid, _lift(grid, g0), np.zeros(grid.shape))
     u_embed = VectorField.from_values(grid, _lift(grid, g0), _lift(grid, w0))
+
+    def mch2_gap(t: float, u) -> float:  # planar momentum rate against the coupled 1D system's
+        v, w = u.values[:, :, 0]
+        q_t, rho_t = mch2_rhs(v, helmholtz_1d(w))
+        m_t = helmholtz(euler_rhs(u, 2.0)).values[:, :, 0]
+        return float(np.max(np.abs(m_t - np.stack([q_t, rho_t]))))
+
     try:
         for b in p["b_list"]:
-            traj = integrate(u0, b, t_end, dt, record_stride=max(1, n_steps))
+            traj = integrate(u0, b, t_end, dt, record_stride=max(1, n_steps),
+                             state=lambda t, u: u.values[0, :, 0])
             final_1d = integrate_1d(g0, b, t_end, dt)
-            gap = float(np.max(np.abs(traj.final.u.values[0, :, 0] - final_1d)))
+            gap = float(np.max(np.abs(traj.final - final_1d)))
             rows.append({"b": b, "reduction_residual": gap, "pass": gap <= tol["reduction"]})
-        # y-independent two-component embedding: compare planar momentum rates
-        # against the coupled 1D system along a short b = 2 run.
-        traj = integrate(u_embed, 2.0, p["mch2_steps"] * dt, dt, record_stride=1)
+        traj = integrate(u_embed, 2.0, p["mch2_steps"] * dt, dt, record_stride=1, state=mch2_gap)
     except BlowupError as err:
         _write_aborted(out / "reduction.json", err, digest, rows=rows)
         raise
-    mch2_worst = 0.0
-    for state in traj.states:
-        v, w = state.u.values[:, :, 0]
-        q_t, rho_t = mch2_rhs(v, helmholtz_1d(w))
-        m_t = helmholtz(euler_rhs(state.u, 2.0)).values[:, :, 0]
-        gap = float(np.max(np.abs(m_t - np.stack([q_t, rho_t]))))
-        mch2_worst = max(mch2_worst, gap)
+    mch2_worst = max((0.0, *traj.states))
     mch2_ok = mch2_worst <= tol["mch2"]
     all_ok = mch2_ok and all(row["pass"] for row in rows)
 

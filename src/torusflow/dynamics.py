@@ -101,8 +101,8 @@ class EulerState:
 class Trajectory:
     """Recorded states of one march, in time order, and their times.
 
-    integrate records EulerStates, flow.geodesic_integrate GeodesicStates
-    and flow.flow_from_velocity DiffeoMaps.
+    integrate records EulerStates and flow.geodesic_integrate GeodesicStates
+    unless given another state; flow.flow_from_velocity records DiffeoMaps.
     """
 
     dt: float

@@ -244,14 +244,16 @@ def geodesic_integrate(
     dt: float,
     record_stride: int = 1,
     det_floor: float = DET_FLOOR,
+    state=GeodesicState,
 ) -> Trajectory:
     """Geodesic from the identity with initial material velocity u0.
 
-    States are recorded every record_stride steps (plus the final one);
-    each accepted step is guarded by the orientation floor.  On abort
-    (BlowupError for a non-finite velocity, OrientationError, or
-    InversionError) err.partial holds the trajectory up to the last
-    accepted state.
+    Records the start, every record_stride-th step and the final one, each
+    as state(t, phi, phi_t), a GeodesicState unless another is given; the
+    march keeps nothing else of the map or its velocity.  Each accepted
+    step is guarded by the orientation floor.  On abort (BlowupError for a
+    non-finite velocity, OrientationError, or InversionError) err.partial
+    holds the trajectory up to the last accepted state.
     """
     b = validate_b(b)
 
@@ -265,8 +267,7 @@ def geodesic_integrate(
         return stack([w, christoffel_conjugated(DiffeoMap(y[0]), w, w, b)])
 
     y0 = stack([VectorField.zero(u0.grid), u0])
-    return march(rhs, y0, t_end, dt, record_stride, guard,
-                 lambda t, y: GeodesicState(t, DiffeoMap(y[0]), y[1]))
+    return march(rhs, y0, t_end, dt, record_stride, guard, lambda t, y: state(t, DiffeoMap(y[0]), y[1]))
 
 
 def eulerian_velocity(state: GeodesicState) -> Field:

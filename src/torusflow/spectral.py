@@ -186,9 +186,12 @@ class TorusGrid:
 
 
 def _integral(value, name: str) -> int:
-    """value as an int; ValueError if it is not a whole number, which is never truncated."""
-    if not float(value).is_integer():
-        raise ValueError(f"{name} must be an integer, not {value!r}")
+    """value as an int; ValueError if it is not a whole number, which is never truncated, or is past float range."""
+    try:
+        if not float(value).is_integer():
+            raise ValueError(f"{name} must be an integer, not {value!r}")
+    except OverflowError:
+        raise ValueError(f"{name} is too large") from None
     return int(value)
 
 

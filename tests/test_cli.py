@@ -12,8 +12,14 @@ import pytest
 
 from torusflow import cli
 from torusflow.cli import entry
-from torusflow.flow import InversionError
-from torusflow.spectral import cosine_mode, make_grid, random_bandlimited
+from torusflow.flow import (
+    InversionError,
+    body_momentum,
+    coadjoint,
+    eulerian_velocity,
+    geodesic_integrate,
+)
+from torusflow.spectral import cosine_mode, helmholtz, make_grid, random_bandlimited
 from torusflow.uniqueness import gl1_residual, verify_theorem
 
 FAST_SIM = {
@@ -60,6 +66,13 @@ class TestConfigHandling:
         assert run("simulate", "--config", str(path), "--out", str(tmp_path / "out")) == 1
         assert "malformed JSON" in capsys.readouterr().err
 
+    def test_integer_past_the_digit_limit_rejected(self, tmp_path, capsys):
+        path = tmp_path / "digits.json"
+        path.write_text('{"n": ' + "9" * 5000 + "}")
+        assert run("reduce1d", "--config", str(path), "--out", str(tmp_path / "out")) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: malformed JSON")
+
     def test_non_object_root_rejected(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")
@@ -104,12 +117,20 @@ class TestConfigHandling:
         ("curvature", {"grid": [16, 16], "k_range": [1]}, ["--seed", "7"]),
         ("simulate", dict(FAST_SIM, initial_condition=MODES_IC), ["--seed", "7"]),
         ("geodesic", dict(FAST_GEO, initial_condition=MODES_IC), ["--seed", "7"]),
+        ("simulate", dict(FAST_SIM, grid=[10**400, 16]), []),
+        ("geodesic", dict(FAST_GEO, grid=[16, 10**400]), []),
+        ("verify", {"grid": [10**400, 16]}, []),
+        ("reduce1d", {"n": 10**400}, []),
+        ("curvature", {"grid": [16, 16], "k_range": [10**400]}, []),
+        ("simulate", dict(FAST_SIM, initial_condition={
+            "type": "modes", "modes": [{"j1": 10**400, "j2": 0, "amplitude": 0.1}]}), []),
     ], ids=["fractional-pad", "aliased-pad", "fractional-grid", "bool-b", "string-dt", "negative-kmax",
             "nan-amplitude", "partial-step-with-snapshots", "string-snapshots",
             "negative-blowup-factor", "negative-tolerance", "int-past-float-range", "mode-triple",
             "zero-mode", "unresolvable-verify-mode", "unknown-pairing", "plain-pairing", "zero-threads-simulate", "negative-threads-simulate",
             "zero-threads-curvature", "negative-threads-curvature", "reduce1d-unresolvable-kmax",
-            "seed-curvature", "seed-modes-simulate", "seed-modes-geodesic"])
+            "seed-curvature", "seed-modes-simulate", "seed-modes-geodesic", "huge-grid-simulate",
+            "huge-grid-geodesic", "huge-grid-verify", "huge-n-reduce1d", "huge-k-range", "huge-mode"])
     def test_bad_values_rejected_before_compute(self, tmp_path, capsys, command, config, extra):
         cfg = write_config(tmp_path, config)
         assert run(command, "--config", cfg, "--out", str(tmp_path / "out"), *extra) == 1
@@ -326,6 +347,47 @@ class TestGeodesic:
         lines = (out / "diffeo_final.csv").read_text().splitlines()
         assert lines[2] == "x,y,d1,d2"
         assert len(lines) == 3 + 16 * 16
+
+    def test_peak_memory_does_not_grow_with_steps(self, tmp_path):
+        # The run keeps the first body momentum and the newest state, not a
+        # record (phi and phi_t) per step.
+        u = random_bandlimited(make_grid(32, 32), seed=0, kmax=2, amplitude=0.02)
+        record_bytes = 2 * (u.values.nbytes + u.spectrum.nbytes)
+
+        def peak(steps: int) -> int:
+            cfg = write_config(tmp_path, {"grid": [32, 32], "dt": 5e-3, "t_end": steps * 5e-3,
+                                          "snapshots": True}, f"{steps}.json")
+            gc.collect()
+            tracemalloc.start()
+            try:
+                assert run("geodesic", "--config", cfg, "--out", str(tmp_path / str(steps))) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(4)  # grows this thread's off-grid and product scratch to 32^2
+        assert abs(peak(32) - peak(4)) < record_bytes
+
+    @pytest.mark.parametrize("b", [2.0, 3.0])
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_drift_is_the_after_march_reduction(self, tmp_path, b, stride):
+        # The drift folded in as the march records equals, bit for bit, the
+        # reduction over every recorded state after the march; 10 steps leave
+        # a short last stride at 3.
+        config = dict(FAST_GEO, b=b, record_stride=stride)
+        assert run("geodesic", "--config", write_config(tmp_path, config), "--out", str(tmp_path)) == 0
+        body = json.loads((tmp_path / "geodesic.json").read_text())
+        ic = config["initial_condition"]
+        u0 = random_bandlimited(make_grid(16, 16), ic["seed"], ic["kmax"], ic["amplitude"])
+        traj = geodesic_integrate(u0, b, config["t_end"], config["dt"], record_stride=stride)
+        u_final = eulerian_velocity(traj.final)
+        momenta = [body_momentum(s) for s in traj.states[:-1]]
+        momenta.append(coadjoint(traj.final.phi, helmholtz(u_final)))
+        ref_sup = max(momenta[0].sup_norm(), 1e-14)
+        drift = max((m - momenta[0]).sup_norm() / ref_sup for m in momenta)
+        assert body["states_recorded"] == len(traj.states) == (11 if stride == 1 else 5)
+        assert body["body_momentum_drift"] == drift
+        assert body["final_velocity_sup"] == u_final.sup_norm()
 
     def test_readback_abort_keeps_partial_outputs(self, tmp_path, capsys, monkeypatch):
         # The velocity readback is the final map's first inversion.
