@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+import threading
 from pathlib import Path
 
 # --threads is a run's only parallelism, so a CLI process starts numpy's
@@ -28,6 +29,7 @@ import numpy as np  # noqa: E402
 
 from .curvature import basis_field, closed_form_S, mode_field, sectional_formula
 from .dynamics import (
+    DRIFT_FLOOR,
     BlowupError,
     ConservationReport,
     _step_count,
@@ -176,6 +178,7 @@ def _check_object(schema: dict, value, name: str = "") -> tuple[dict, dict]:
 
 
 GRID = _list(_int(), length=2)
+GRID_KEYS = ("grid[0]", "grid[1]")  # the names grid errors give its entries
 FLOATS = _list(_float())
 COUNT = _int(minimum=0)
 TOLERANCE = _float(minimum=0.0)
@@ -275,13 +278,13 @@ def _build_initial(grid, ic: dict):
 
 
 def _march_rules(p: dict) -> None:
-    p["grid"] = make_grid(*p["grid"])
+    p["grid"] = make_grid(*p["grid"], names=GRID_KEYS)
     _step_count(p["t_end"], p["dt"])
     p["initial_condition"] = _build_initial(p["grid"], p["initial_condition"])
 
 
 def _curvature_rules(p: dict) -> None:
-    grid = p["grid"] = make_grid(*p["grid"])
+    grid = p["grid"] = make_grid(*p["grid"], names=GRID_KEYS)
     for j in p["k_range"]:
         mode_field(grid, j, j)
     for i in p["basis"]:
@@ -291,14 +294,14 @@ def _curvature_rules(p: dict) -> None:
 def _verify_rules(p: dict) -> None:
     from .uniqueness import ModeIndex  # verify alone loads the sweep
 
-    grid = p["grid"] = make_grid(*p["grid"])
+    grid = p["grid"] = make_grid(*p["grid"], names=GRID_KEYS)
     for pair in p["mode_list"]:
         ModeIndex(*pair), cosine_mode(grid, *pair)
     random_bandlimited(p["grid"], p["seed"], p["kmax"], p["amplitude"])
 
 
 def _reduce1d_rules(p: dict) -> None:
-    p["grid"] = make_grid(p["n"], p["ny"])
+    p["grid"] = make_grid(p["n"], p["ny"], names=("n", "ny"))
     _step_count(p["t_end"], p["dt"])
     profile_1d(p["n"], p["seed"], p["kmax"], p["amplitude"])
 
@@ -430,7 +433,7 @@ def _cmd_geodesic(p: dict, cfg: dict, out: Path, threads: int) -> int:
         _write_aborted(out / "geodesic.json", err, digest, b=b, dt=cfg["dt"], recorded_until=newest.t)
         raise
     take(coadjoint(newest.phi, helmholtz(u_final)))  # the final momentum reuses u_final
-    drift = worst / max(first.sup_norm(), 1e-14)
+    drift = worst / max(first.sup_norm(), DRIFT_FLOOR)
     write_diffeo_csv(out / "diffeo_final.csv", newest.phi, digest)
     if p["snapshots"]:
         write_field_csv(out / "velocity_final.csv", u_final, digest)
@@ -464,16 +467,60 @@ def _curvature_case(grid, i: int, j1: int, j2: int) -> dict:
     }
 
 
+def _sweep(task, items: list, threads: int) -> list:
+    """[task(item) for item in items] on the calling thread and at most threads - 1 workers.
+
+    The caller runs the first item alone, so one thread makes the run's first
+    solver call (the call bench/launch.py's setup probe stamps before it exits).
+    Then all take items in order from one locked queue, each worker started
+    with its first item in hand, so none starts idle.  After an item raises,
+    none takes another, and once every worker has stopped the earliest item's
+    error is raised: the one a serial loop would meet first.
+    """
+    if not items:
+        return []
+    results, errors = [task(items[0])] + [None] * (len(items) - 1), {}
+    queue, lock = iter(enumerate(items[1:], 1)), threading.Lock()
+
+    def take():
+        with lock:
+            return None if errors else next(queue, None)
+
+    def work(job) -> None:
+        while job is not None:
+            k, item = job
+            try:
+                results[k] = task(item)
+            except BaseException as err:
+                with lock:
+                    errors[k] = err
+            job = take()
+
+    own, workers = take(), []
+    try:
+        for _ in range(threads - 1):
+            job = take()
+            if job is None:
+                break
+            worker = threading.Thread(target=work, args=(job,))
+            worker.start()
+            workers.append(worker)
+        work(own)
+    finally:
+        for worker in workers:
+            worker.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
 def _cmd_curvature(p: dict, cfg: dict, out: Path, threads: int) -> int:
     """sweep closed-form curvature planes through both routes"""
-    from concurrent.futures import ThreadPoolExecutor  # curvature alone runs a pool
-
     k_range = p["k_range"]
     tol = p["tolerances"]["two_route"]
     digest = config_digest(cfg)
     cases = [(i, j1, j2) for i in p["basis"] for j1 in k_range for j2 in k_range]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        rows = list(pool.map(lambda c: _curvature_case(p["grid"], *c), cases))
+    rows = _sweep(lambda c: _curvature_case(p["grid"], *c), cases, threads)
     write_curvature_csv(out / "curvature.csv", rows, digest)
     max_gap = max((abs(r["S_formula"] - r["S_direct"]) for r in rows), default=0.0)
     summary = {
@@ -624,7 +671,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=None,
                         help="override the config's random seed")
         sp.add_argument("--threads", type=int, default=1,
-                        help="worker threads for sweeps, the run's only parallelism")
+                        help="threads that compute the curvature sweep, the caller among them; "
+                             "the run's only parallelism")
     return parser
 
 

@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 import operator
 import threading
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -108,9 +108,10 @@ class TorusGrid:
 
     nx: int
     ny: int
+    names: InitVar[tuple[str, str]] = ("nx", "ny")  # what errors call nx and ny
 
-    def __post_init__(self):
-        for name, n in (("nx", self.nx), ("ny", self.ny)):
+    def __post_init__(self, names):
+        for n, name in zip((self.nx, self.ny), names):
             if n < 4 or n % 2 != 0:
                 raise ValueError(f"{name}={n}: grid dimensions must be even and >= 4")
 
@@ -195,9 +196,9 @@ def _integral(value, name: str) -> int:
     return int(value)
 
 
-def make_grid(nx: int, ny: int) -> TorusGrid:
-    """Build a TorusGrid; rejects fractional, odd or undersized dimensions."""
-    return TorusGrid(_integral(nx, "nx"), _integral(ny, "ny"))
+def make_grid(nx: int, ny: int, names: tuple[str, str] = ("nx", "ny")) -> TorusGrid:
+    """Build a TorusGrid; rejects fractional, odd or undersized dimensions, calling them names."""
+    return TorusGrid(_integral(nx, names[0]), _integral(ny, names[1]), names)
 
 
 def _read_only(array: np.ndarray, shape: tuple[int, int]) -> np.ndarray:

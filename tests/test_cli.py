@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -89,53 +90,61 @@ class TestConfigHandling:
         cfg = write_config(tmp_path, {"initial_condition": {"type": "vortex"}})
         assert run("simulate", "--config", cfg, "--out", str(tmp_path / "out")) == 1
 
-    @pytest.mark.parametrize("command, config, extra", [
-        ("simulate", dict(FAST_SIM, pad_factor=1.7), []),
-        ("simulate", dict(FAST_SIM, pad_factor=1), []),
-        ("simulate", dict(FAST_SIM, grid=[16.5, 16]), []),
-        ("simulate", dict(FAST_SIM, b=True), []),
-        ("simulate", dict(FAST_SIM, dt="0.001"), []),
+    @pytest.mark.parametrize("command, config, extra, message", [
+        ("simulate", dict(FAST_SIM, pad_factor=1.7), [], "pad_factor must be an integer"),
+        ("simulate", dict(FAST_SIM, pad_factor=1), [], "pad_factor must be >= 2"),
+        ("simulate", dict(FAST_SIM, grid=[16.5, 16]), [], "grid[0] must be an integer"),
+        ("simulate", dict(FAST_SIM, b=True), [], "b must be a finite number"),
+        ("simulate", dict(FAST_SIM, dt="0.001"), [], "dt must be a finite number"),
         ("simulate", dict(FAST_SIM, initial_condition={
-            "type": "random", "seed": 0, "kmax": -1, "amplitude": 0.02}), []),
+            "type": "random", "seed": 0, "kmax": -1, "amplitude": 0.02}), [], "initial_condition.kmax must be >= 0"),
         ("simulate", dict(FAST_SIM, initial_condition={
-            "type": "random", "seed": 0, "kmax": 2, "amplitude": float("nan")}), []),
-        ("simulate", dict(FAST_SIM, snapshots=True, t_end=0.0105), []),
-        ("simulate", dict(FAST_SIM, snapshots="false"), []),
-        ("simulate", dict(FAST_SIM, blowup_factor=-1), []),
-        ("simulate", dict(FAST_SIM, tolerances={"hamiltonian_drift": -1}), []),
-        ("simulate", dict(FAST_SIM, b=10**400), []),
-        ("verify", {"grid": [16, 16], "mode_list": [[1, 2, 3]]}, []),
-        ("verify", {"grid": [16, 16], "mode_list": [[0, 0]]}, []),
-        ("verify", {"grid": [16, 16], "mode_list": [[1, 0], [8, 1]]}, []),
-        ("curvature", {"grid": [16, 16], "pairing": "bogus"}, []),
-        ("curvature", {"grid": [16, 16], "pairing": "plain"}, []),
-        ("simulate", FAST_SIM, ["--threads", "0"]),
-        ("simulate", FAST_SIM, ["--threads", "-3"]),
-        ("curvature", {"grid": [16, 16], "k_range": [1]}, ["--threads", "0"]),
-        ("curvature", {"grid": [16, 16], "k_range": [1]}, ["--threads", "-3"]),
-        ("reduce1d", {"n": 16, "kmax": 12}, []),
-        ("curvature", {"grid": [16, 16], "k_range": [1]}, ["--seed", "7"]),
-        ("simulate", dict(FAST_SIM, initial_condition=MODES_IC), ["--seed", "7"]),
-        ("geodesic", dict(FAST_GEO, initial_condition=MODES_IC), ["--seed", "7"]),
-        ("simulate", dict(FAST_SIM, grid=[10**400, 16]), []),
-        ("geodesic", dict(FAST_GEO, grid=[16, 10**400]), []),
-        ("verify", {"grid": [10**400, 16]}, []),
-        ("reduce1d", {"n": 10**400}, []),
-        ("curvature", {"grid": [16, 16], "k_range": [10**400]}, []),
+            "type": "random", "seed": 0, "kmax": 2, "amplitude": float("nan")}), [],
+         "initial_condition.amplitude must be a finite number"),
+        ("simulate", dict(FAST_SIM, snapshots=True, t_end=0.0105), [], "t_end=0.0105 is not a whole number of steps"),
+        ("simulate", dict(FAST_SIM, snapshots="false"), [], "snapshots must be true or false"),
+        ("simulate", dict(FAST_SIM, blowup_factor=-1), [], "blowup_factor must be > 0"),
+        ("simulate", dict(FAST_SIM, tolerances={"hamiltonian_drift": -1}), [],
+         "tolerances.hamiltonian_drift must be >= 0"),
+        ("simulate", dict(FAST_SIM, b=10**400), [], "b must be a finite number"),
+        ("verify", {"grid": [16, 16], "mode_list": [[1, 2, 3]]}, [], "mode_list[0] must be a list of 2 entries"),
+        ("verify", {"grid": [16, 16], "mode_list": [[0, 0]]}, [], "the zero mode is excluded"),
+        ("verify", {"grid": [16, 16], "mode_list": [[1, 0], [8, 1]]}, [], "mode (8, 1) is not resolvable"),
+        ("curvature", {"grid": [16, 16], "pairing": "bogus"}, [], "pairing must be one of metric"),
+        ("curvature", {"grid": [16, 16], "pairing": "plain"}, [], "pairing must be one of metric"),
+        ("simulate", FAST_SIM, ["--threads", "0"], "--threads must be >= 1"),
+        ("simulate", FAST_SIM, ["--threads", "-3"], "--threads must be >= 1"),
+        ("curvature", {"grid": [16, 16], "k_range": [1]}, ["--threads", "0"], "--threads must be >= 1"),
+        ("curvature", {"grid": [16, 16], "k_range": [1]}, ["--threads", "-3"], "--threads must be >= 1"),
+        ("reduce1d", {"n": 16, "kmax": 12}, [], "kmax=12 too large"),
+        ("curvature", {"grid": [16, 16], "k_range": [1]}, ["--seed", "7"], "--seed has no seed to set"),
+        ("simulate", dict(FAST_SIM, initial_condition=MODES_IC), ["--seed", "7"], "--seed has no seed to set"),
+        ("geodesic", dict(FAST_GEO, initial_condition=MODES_IC), ["--seed", "7"], "--seed has no seed to set"),
+        ("simulate", dict(FAST_SIM, grid=[10**400, 16]), [], "grid[0] is too large"),
+        ("geodesic", dict(FAST_GEO, grid=[16, 10**400]), [], "grid[1] is too large"),
+        ("verify", {"grid": [10**400, 16]}, [], "grid[0] is too large"),
+        ("reduce1d", {"n": 10**400}, [], "n is too large"),
+        ("curvature", {"grid": [16, 16], "k_range": [10**400]}, [], "is too large"),
         ("simulate", dict(FAST_SIM, initial_condition={
-            "type": "modes", "modes": [{"j1": 10**400, "j2": 0, "amplitude": 0.1}]}), []),
+            "type": "modes", "modes": [{"j1": 10**400, "j2": 0, "amplitude": 0.1}]}), [], "j1 is too large"),
+        ("simulate", dict(FAST_SIM, grid=[15, 16]), [], "grid[0]=15: grid dimensions must be even and >= 4"),
+        ("curvature", {"grid": [16, 2]}, [], "grid[1]=2: grid dimensions must be even and >= 4"),
+        ("reduce1d", {"n": 15}, [], "n=15: grid dimensions must be even and >= 4"),
+        ("reduce1d", {"ny": 3}, [], "ny=3: grid dimensions must be even and >= 4"),
     ], ids=["fractional-pad", "aliased-pad", "fractional-grid", "bool-b", "string-dt", "negative-kmax",
             "nan-amplitude", "partial-step-with-snapshots", "string-snapshots",
             "negative-blowup-factor", "negative-tolerance", "int-past-float-range", "mode-triple",
             "zero-mode", "unresolvable-verify-mode", "unknown-pairing", "plain-pairing", "zero-threads-simulate", "negative-threads-simulate",
             "zero-threads-curvature", "negative-threads-curvature", "reduce1d-unresolvable-kmax",
             "seed-curvature", "seed-modes-simulate", "seed-modes-geodesic", "huge-grid-simulate",
-            "huge-grid-geodesic", "huge-grid-verify", "huge-n-reduce1d", "huge-k-range", "huge-mode"])
-    def test_bad_values_rejected_before_compute(self, tmp_path, capsys, command, config, extra):
+            "huge-grid-geodesic", "huge-grid-verify", "huge-n-reduce1d", "huge-k-range", "huge-mode",
+            "odd-grid-simulate", "small-grid-curvature", "odd-n-reduce1d", "odd-ny-reduce1d"])
+    def test_bad_values_rejected_before_compute(self, tmp_path, capsys, command, config, extra, message):
         cfg = write_config(tmp_path, config)
         assert run(command, "--config", cfg, "--out", str(tmp_path / "out"), *extra) == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("config error: ")
+        assert message in lines[0]
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("under", [False, True], ids=["existing-file", "path-under-a-file"])
@@ -408,6 +417,9 @@ class TestGeodesic:
         assert (out / "diffeo_final.csv").read_bytes() == (tmp_path / "full" / "diffeo_final.csv").read_bytes()
 
 
+EIGHT_PLANES = {"grid": [32, 32], "k_range": [1, 2], "basis": [1, 2]}
+
+
 class TestCurvature:
     def test_sweep_positive_and_consistent(self, tmp_path):
         cfg = write_config(tmp_path, {"grid": [32, 32], "k_range": [1, 2]})
@@ -429,11 +441,113 @@ class TestCurvature:
         assert len(lines) == 3
 
     def test_thread_count_does_not_change_bytes(self, tmp_path):
-        cfg = write_config(tmp_path, {"grid": [32, 32], "k_range": [1, 2], "basis": [1, 2]})
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert run("curvature", "--config", cfg, "--out", str(out1), "--threads", "1") == 0
-        assert run("curvature", "--config", cfg, "--out", str(out2), "--threads", "4") == 0
-        assert (out1 / "curvature.csv").read_bytes() == (out2 / "curvature.csv").read_bytes()
+        # 3 threads split the 8 planes unevenly.
+        cfg = write_config(tmp_path, EIGHT_PLANES)
+        outputs = []
+        for threads in ("1", "2", "3", "4"):
+            out = tmp_path / threads
+            assert run("curvature", "--config", cfg, "--out", str(out), "--threads", threads) == 0
+            outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+        assert len(outputs[0]) == 2 and all(o == outputs[0] for o in outputs)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_planes_run_on_the_caller_and_at_most_threads_minus_one_workers(self, tmp_path, monkeypatch, threads):
+        original, seen = cli.sectional_formula, []
+        baseline = threading.active_count()
+
+        def spy(*args):
+            seen.append((threading.get_ident(), threading.active_count()))
+            return original(*args)
+
+        monkeypatch.setattr(cli, "sectional_formula", spy)
+        if threads == 1:
+            monkeypatch.setattr(threading.Thread, "start", lambda self: pytest.fail("a thread started"))
+        cfg = write_config(tmp_path, EIGHT_PLANES)
+        assert run("curvature", "--config", cfg, "--out", str(tmp_path / "out"), "--threads", str(threads)) == 0
+        idents = {ident for ident, _ in seen}
+        assert len(seen) == 8
+        assert threading.get_ident() in idents and len(idents) <= threads
+        assert max(active for _, active in seen) <= baseline + threads - 1
+        assert threading.active_count() == baseline
+
+    def test_no_worker_starts_without_a_plane(self, tmp_path, monkeypatch):
+        started, start = [], threading.Thread.start
+
+        def count(self):
+            started.append(self)
+            start(self)
+
+        monkeypatch.setattr(threading.Thread, "start", count)
+        # The caller runs the first of two planes alone and then holds the second.
+        cfg = write_config(tmp_path, {"grid": [16, 16], "k_range": [1], "basis": [1, 2]})
+        assert run("curvature", "--config", cfg, "--out", str(tmp_path / "out"), "--threads", "8") == 0
+        assert started == []
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_first_plane_runs_alone(self, tmp_path, monkeypatch, threads):
+        # One thread makes the first solver call: no other plane starts before it returns.
+        original, events, lock = cli.sectional_formula, [], threading.Lock()
+        baseline = threading.active_count()
+
+        def spy(*args):
+            with lock:
+                events.append(("enter", threading.active_count()))
+            try:
+                return original(*args)
+            finally:
+                with lock:
+                    events.append(("exit", None))
+
+        monkeypatch.setattr(cli, "sectional_formula", spy)
+        cfg = write_config(tmp_path, EIGHT_PLANES)
+        assert run("curvature", "--config", cfg, "--out", str(tmp_path / "out"), "--threads", str(threads)) == 0
+        assert events[:2] == [("enter", baseline), ("exit", None)]
+        assert len(events) == 16
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_plane_error_propagates_after_every_worker_stops(self, tmp_path, monkeypatch, threads):
+        original, calls, lock = cli.sectional_formula, [], threading.Lock()
+        before = set(threading.enumerate())
+
+        def failing(*args):
+            with lock:
+                calls.append(None)
+                third = len(calls) == 3
+            if third:
+                raise ValueError("boom")
+            return original(*args)
+
+        monkeypatch.setattr(cli, "sectional_formula", failing)
+        cfg = write_config(tmp_path, EIGHT_PLANES)
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="boom"):
+            run("curvature", "--config", cfg, "--out", str(out), "--threads", str(threads))
+        assert set(threading.enumerate()) == before
+        assert list(out.iterdir()) == []
+        # No thread takes a plane after the error: each other thread finishes at most the one it holds.
+        assert len(calls) <= 3 + threads - 1
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_earliest_failing_plane_is_reported(self, tmp_path, monkeypatch, threads):
+        # Planes 1 and 2 raise.  With a worker, plane 2 raises first in time,
+        # yet a serial loop would meet plane 1 first.
+        original, plane_2_raised = cli._curvature_case, threading.Event()
+        cases = [(i, j1, j2) for i in (1, 2) for j1 in (1, 2) for j2 in (1, 2)]
+
+        def failing(grid, *case):
+            k = cases.index(case)
+            if k == 2:
+                plane_2_raised.set()
+            elif k == 1 and threads > 1 and not plane_2_raised.wait(timeout=60):
+                raise RuntimeError("plane 2 never ran")
+            if k in (1, 2):
+                raise ValueError(f"plane {k}")
+            return original(grid, *case)
+
+        monkeypatch.setattr(cli, "_curvature_case", failing)
+        cfg = write_config(tmp_path, EIGHT_PLANES)
+        with pytest.raises(ValueError, match="plane 1"):
+            run("curvature", "--config", cfg, "--out", str(tmp_path / "out"), "--threads", str(threads))
 
     def test_unattainable_gate_exits_3(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -574,6 +688,16 @@ class TestImportPath:
             f"assert entry(['simulate', '--config', {cfg!r}, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
             "print(*(name in sys.modules for name in ('torusflow.uniqueness', 'concurrent.futures')))\n")
         assert out.split() == ["False", "False"]
+
+    def test_curvature_loads_no_executor(self, tmp_path):
+        cfg = write_config(tmp_path, {"grid": [16, 16], "k_range": [1], "basis": [1, 2]})
+        out = fresh_python(
+            "import sys\n"
+            "from torusflow.cli import entry\n"
+            f"assert entry(['curvature', '--config', {cfg!r}, '--out', {str(tmp_path / 'out')!r}, "
+            "'--threads', '2']) == 0\n"
+            "print('concurrent.futures' in sys.modules)\n")
+        assert out.split() == ["False"]
 
     @pytest.mark.skipif(not sys.platform.startswith("linux") or CPUS < 2,
                         reason="needs /proc/self/task and at least 2 CPUs for OpenBLAS to start a worker")
