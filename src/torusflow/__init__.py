@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "spectral": ("Field", "TorusGrid", "VectorField", "h1_inner", "helmholtz", "helmholtz_inverse",
                  "l2_inner", "make_grid", "random_bandlimited"),
-    "dynamics": ("B_CAMASSA_HOLM", "BlowupError", "EulerState", "Trajectory", "b_operator", "christoffel",
+    "dynamics": ("B_CAMASSA_HOLM", "BlowupError", "EulerState", "Trajectory", "christoffel",
                  "conservation_report", "euler_rhs", "hamiltonian", "integrate"),
     "flow": ("DiffeoMap", "GeodesicState", "InversionError", "OrientationError", "adjoint", "body_momentum",
              "body_velocity", "coadjoint", "eulerian_velocity", "exp_map", "geodesic_integrate", "invert"),

@@ -93,11 +93,13 @@ class ConfigError(Exception):
 
 
 def _int(minimum: int | None = None):
-    """Ints and integral floats pass, bools, strings and fractions do not."""
+    """Ints and integral floats within float range pass, bools, strings and fractions do not."""
     def check(value, name: str) -> int:
         integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
         if isinstance(value, bool) or not integral:
             raise ConfigError(f"{name} must be an integer, not {value!r}")
+        if not abs(value) <= sys.float_info.max:
+            raise ConfigError(f"{name} is too large")
         if minimum is not None and value < minimum:
             raise ConfigError(f"{name} must be >= {minimum}, not {value!r}")
         return int(value)
@@ -365,24 +367,24 @@ def _cmd_simulate(p: dict, cfg: dict, out: Path, threads: int) -> int:
     digest = config_digest(cfg)
     if p["snapshots"]:
         write_field_csv(out / "field_initial.csv", u0, digest)
-    newest = u0
+    rows, newest = [], u0
 
-    def record(t: float, u) -> tuple:
-        # A row of scalars; of the fields only the newest is kept.
+    def record(t: float, u) -> None:
+        # A row of scalars per record; of the fields only the newest is kept.
         nonlocal newest
         newest = u
-        return conservation_row(t, u)
+        rows.append(conservation_row(t, u))
 
     try:
-        traj = integrate(u0, b, p["t_end"], p["dt"], record_stride=p["record_stride"],
-                         blowup_factor=p["blowup_factor"], state=record)
+        integrate(u0, b, p["t_end"], p["dt"], record_stride=p["record_stride"],
+                  blowup_factor=p["blowup_factor"], state=record)
     except BlowupError as err:
-        report = ConservationReport.from_rows(err.partial.states)
+        report = ConservationReport.from_rows(rows)
         write_trajectory_csv(out / "trajectory.csv", report, digest)
         _write_aborted(out / "conservation.json", err, digest,
                        b=b, dt=cfg["dt"], recorded_until=report.times[-1])
         raise
-    report = ConservationReport.from_rows(traj.states)
+    report = ConservationReport.from_rows(rows)
     write_trajectory_csv(out / "trajectory.csv", report, digest)
     write_json(out / "conservation.json", {
         "aborted": False,

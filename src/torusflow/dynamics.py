@@ -48,7 +48,6 @@ __all__ = [
     "conservation_row",
     "validate_b",
     "momentum_transport",
-    "b_operator",
     "christoffel",
     "euler_rhs",
     "euler_rhs_geometric",
@@ -99,10 +98,11 @@ class EulerState:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded states of one march, in time order, and their times.
+    """Recorded states of one completed march, in time order, and their times.
 
     integrate records EulerStates and flow.geodesic_integrate GeodesicStates
     unless given another state; flow.flow_from_velocity records DiffeoMaps.
+    An aborted march returns none: its records went only to its state.
     """
 
     dt: float
@@ -193,11 +193,6 @@ def momentum_transport(m: Field, v: Field, b: float) -> Field:
     return _dealiased(m, v, lambda lm, lv: _transport(m, lm, v, lv, b, _zeroed("acc", lm.shape)))
 
 
-def b_operator(u: Field, v: Field, b) -> Field:
-    """Quadratic operator B(u, v) = -A^{-1}(grad(Au).v + (grad v)^T Au + (b-1) Au div v)."""
-    return -helmholtz_inverse(momentum_transport(helmholtz(u), v, validate_b(b)))
-
-
 def christoffel(u: Field, v: Field, b) -> Field:
     """Connection bilinear form Gamma(u, v), symmetric in its arguments.
 
@@ -224,8 +219,8 @@ def christoffel(u: Field, v: Field, b) -> Field:
 
 
 def euler_rhs(u: Field, b) -> Field:
-    """du/dt in the direct momentum form, i.e. B(u, u)."""
-    return b_operator(u, u, b)
+    """du/dt in the direct momentum form, i.e. B(u, u) = -ad*_u u."""
+    return -ad_star(u, u, b)
 
 
 def euler_rhs_geometric(u: Field, b) -> Field:
@@ -259,8 +254,9 @@ def commutator(u: Field, v: Field) -> Field:
 def ad_star(u: Field, w: Field, b=B_CAMASSA_HOLM) -> Field:
     """Coadjoint action ad*_u w = A^{-1}((grad u)^T Aw + grad(Aw).u + (b-1) (div u) Aw).
 
-    With the default b = 2 this is minus the right-hand side when w = u,
-    which is what makes that case a geodesic flow.
+    The quadratic operator of the module docstring is B(u, v) = -ad_star(v, u, b),
+    so euler_rhs is -ad_star(u, u, b) for every b; at the default b = 2 this
+    is the coadjoint action of the metric, which makes that case a geodesic flow.
     """
     return helmholtz_inverse(momentum_transport(helmholtz(w), u, validate_b(b)))
 
@@ -313,7 +309,10 @@ def _step_count(t_end: float, dt: float) -> int:
         raise ValueError("dt must be positive")
     if t_end < 0.0:
         raise ValueError("t_end must be nonnegative")
-    n = int(round(t_end / dt))
+    steps = t_end / dt
+    if not np.isfinite(steps):
+        raise ValueError(f"t_end={t_end} is not a finite number of steps of dt={dt}")
+    n = int(round(steps))
     if abs(n * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
         raise ValueError(f"t_end={t_end} is not a whole number of steps of dt={dt}")
     return n
@@ -327,8 +326,9 @@ def march(rhs, y0, t_end: float, dt: float, record_stride: int, guard, state) ->
     Only what state returns is kept, so a state that drops y keeps the
     march's memory independent of its step count.  guard(t, y) raises to
     reject a new state.  A RuntimeError from a step or its guard aborts the
-    march; it leaves with err.partial, the Trajectory of the records extended
-    by the last accepted state, so callers can emit partial output.
+    march: the last accepted state goes to state too, unless the stride took
+    it already, and the error is re-raised unchanged.  So state is the one
+    channel through which an aborted march hands out its records.
     """
     n_steps = _step_count(t_end, dt)
     if record_stride < 1:
@@ -336,26 +336,20 @@ def march(rhs, y0, t_end: float, dt: float, record_stride: int, guard, state) ->
     t, y = 0.0, y0
     times, states = [t], [state(t, y)]
     recorded = 0  # step index of the newest record
-
-    def trajectory() -> Trajectory:
-        return Trajectory(dt=float(dt), times=np.array(times), states=tuple(states))
-
     for i in range(1, n_steps + 1):
         try:
             y_next = rk4(rhs, t, y, dt)
             guard(i * dt, y_next)
-        except RuntimeError as err:
+        except RuntimeError:
             if recorded != i - 1:
-                times.append(t)
-                states.append(state(t, y))
-            err.partial = trajectory()
+                state(t, y)
             raise
         t, y = i * dt, y_next
         if i % record_stride == 0 or i == n_steps:
             times.append(t)
             states.append(state(t, y))
             recorded = i
-    return trajectory()
+    return Trajectory(dt=float(dt), times=np.array(times), states=tuple(states))
 
 
 def integrate(
@@ -372,8 +366,8 @@ def integrate(
     Each record is state(t, u), an EulerState unless another is given; the
     march keeps nothing else of u.  Aborts with BlowupError when the
     velocity goes non-finite or its sup norm exceeds blowup_factor times the
-    initial one; the final state is always recorded, and on abort
-    err.partial holds the trajectory up to the last accepted state.
+    initial one.  The final state is always recorded, and on abort so is
+    the last accepted one: state has then seen every record.
     """
     b = validate_b(b)
     sup0 = u0.sup_norm()

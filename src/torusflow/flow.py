@@ -252,8 +252,8 @@ def geodesic_integrate(
     as state(t, phi, phi_t), a GeodesicState unless another is given; the
     march keeps nothing else of the map or its velocity.  Each accepted
     step is guarded by the orientation floor.  On abort (BlowupError for a
-    non-finite velocity, OrientationError, or InversionError) err.partial
-    holds the trajectory up to the last accepted state.
+    non-finite velocity, OrientationError, or InversionError) the last
+    accepted state goes to state too, if the stride had not taken it.
     """
     b = validate_b(b)
 

@@ -124,9 +124,19 @@ class TestConfigHandling:
         ("geodesic", dict(FAST_GEO, grid=[16, 10**400]), [], "grid[1] is too large"),
         ("verify", {"grid": [10**400, 16]}, [], "grid[0] is too large"),
         ("reduce1d", {"n": 10**400}, [], "n is too large"),
-        ("curvature", {"grid": [16, 16], "k_range": [10**400]}, [], "is too large"),
+        ("curvature", {"grid": [16, 16], "k_range": [10**400]}, [], "k_range[0] is too large"),
         ("simulate", dict(FAST_SIM, initial_condition={
-            "type": "modes", "modes": [{"j1": 10**400, "j2": 0, "amplitude": 0.1}]}), [], "j1 is too large"),
+            "type": "modes", "modes": [{"j1": 10**400, "j2": 0, "amplitude": 0.1}]}), [],
+         "initial_condition.modes[0].j1 is too large"),
+        ("verify", {"grid": [16, 16], "mode_list": [[10**400, 0]]}, [], "mode_list[0][0] is too large"),
+        ("verify", {"grid": [16, 16], "kmax": 10**400}, [], "kmax is too large"),
+        ("reduce1d", {"n": 16, "mch2_steps": 10**400}, [], "mch2_steps is too large"),
+        ("simulate", dict(FAST_SIM, initial_condition={"type": "random", "seed": 10**400}), [],
+         "initial_condition.seed is too large"),
+        ("simulate", dict(FAST_SIM, dt=5e-324), [], "t_end=0.01 is not a finite number of steps"),
+        ("geodesic", dict(FAST_GEO, dt=5e-324), [], "t_end=0.02 is not a finite number of steps"),
+        ("reduce1d", {"n": 16, "dt": 5e-324}, [], "t_end=0.05 is not a finite number of steps"),
+        ("simulate", dict(FAST_SIM, t_end=1e308, dt=1e-10), [], "t_end=1e+308 is not a finite number of steps"),
         ("simulate", dict(FAST_SIM, grid=[15, 16]), [], "grid[0]=15: grid dimensions must be even and >= 4"),
         ("curvature", {"grid": [16, 2]}, [], "grid[1]=2: grid dimensions must be even and >= 4"),
         ("reduce1d", {"n": 15}, [], "n=15: grid dimensions must be even and >= 4"),
@@ -138,6 +148,8 @@ class TestConfigHandling:
             "zero-threads-curvature", "negative-threads-curvature", "reduce1d-unresolvable-kmax",
             "seed-curvature", "seed-modes-simulate", "seed-modes-geodesic", "huge-grid-simulate",
             "huge-grid-geodesic", "huge-grid-verify", "huge-n-reduce1d", "huge-k-range", "huge-mode",
+            "huge-mode-list", "huge-kmax", "huge-mch2-steps", "huge-seed", "tiny-dt-simulate",
+            "tiny-dt-geodesic", "tiny-dt-reduce1d", "huge-t-end",
             "odd-grid-simulate", "small-grid-curvature", "odd-n-reduce1d", "odd-ny-reduce1d"])
     def test_bad_values_rejected_before_compute(self, tmp_path, capsys, command, config, extra, message):
         cfg = write_config(tmp_path, config)
@@ -255,7 +267,7 @@ class TestSimulate:
         assert first == last
 
     def test_blowup_aborts_with_partial_outputs(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, dict(FAST_SIM, t_end=0.05, initial_condition={
+        cfg = write_config(tmp_path, dict(FAST_SIM, t_end=0.05, record_stride=3, initial_condition={
             "type": "random", "seed": 1, "kmax": 2, "amplitude": 50.0,
         }))
         out = tmp_path / "out"
@@ -263,7 +275,13 @@ class TestSimulate:
         assert "runtime abort" in capsys.readouterr().err
         body = json.loads((out / "conservation.json").read_text())
         assert body["aborted"] is True
-        assert (out / "trajectory.csv").exists()
+        times = [float(line.split(",")[0]) for line in (out / "trajectory.csv").read_text().splitlines()[3:]]
+        # The stride's records, then step 7: the last one accepted before the blow-up at step 8.
+        assert [round(t / 1e-3) for t in times] == [0, 3, 6, 7]
+        assert body["recorded_until"] == times[-1]
+        assert run("simulate", "--config", cfg, "--out", str(tmp_path / "again")) == 2
+        for name in ("conservation.json", "trajectory.csv"):
+            assert (out / name).read_bytes() == (tmp_path / "again" / name).read_bytes()
 
     def test_peak_memory_does_not_grow_with_steps(self, tmp_path):
         # The run keeps a row of scalars per record and only the newest field.
@@ -637,7 +655,7 @@ class TestReduce1d:
 PACKAGE_NAMES = (
     "Field", "TorusGrid", "VectorField", "h1_inner", "helmholtz", "helmholtz_inverse", "l2_inner",
     "make_grid", "random_bandlimited",
-    "B_CAMASSA_HOLM", "BlowupError", "EulerState", "Trajectory", "b_operator", "christoffel",
+    "B_CAMASSA_HOLM", "BlowupError", "EulerState", "Trajectory", "christoffel",
     "conservation_report", "euler_rhs", "hamiltonian", "integrate",
     "DiffeoMap", "GeodesicState", "InversionError", "OrientationError", "adjoint", "body_momentum",
     "body_velocity", "coadjoint", "eulerian_velocity", "exp_map", "geodesic_integrate", "invert",
