@@ -305,6 +305,10 @@ def _verify_rules(p: dict) -> None:
 def _reduce1d_rules(p: dict) -> None:
     p["grid"] = make_grid(p["n"], p["ny"], names=("n", "ny"))
     _step_count(p["t_end"], p["dt"])
+    try:
+        _step_count(p["mch2_steps"] * p["dt"], p["dt"])
+    except ValueError:
+        raise ValueError(f"mch2_steps is too large for dt={p['dt']}") from None
     profile_1d(p["n"], p["seed"], p["kmax"], p["amplitude"])
 
 

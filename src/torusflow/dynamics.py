@@ -25,9 +25,11 @@ import numpy as np
 
 from .spectral import (
     Field,
+    _block_scratch,
     _dealiased,
     _lift,
-    _pair_sum,
+    _padded_half,
+    _row_blocks,
     _scratch_array,
     dot,
     gradient,
@@ -163,28 +165,38 @@ def _transport(m: Field, lm: np.ndarray, v: Field, lv: np.ndarray, b: float, acc
     """Adds to acc the padded samples of grad(m).v + (grad v)^T m + (b-1) m div v,
     from m and v lifted, and returns acc.
 
-    The rows of grad m and grad v are lifted one at a time, straight from the
-    spectra, and div v is summed from the diagonal of grad v; given sym and w
-    lifted, grad(v).w is added to sym from the same rows.  Every product is
-    formed in three one-plane temporaries of this thread's scratch, in the
-    order of acc[i] += g[0] v[0] + g[1] v[1] and
-    acc[j] += g[j] m[i] + ((b-1) g[i]) m[j].
+    The rows of grad m and grad v never exist as whole padded planes: each
+    pair of them is taken over x once, then over y one row block at a time
+    (_row_blocks), and every product of the block is formed in its spent
+    gradient rows and two block-sized temporaries of this thread's scratch.
+    div v is summed from the diagonal of grad v; given sym and w lifted,
+    grad(v).w is added to sym from the same rows.  Each accumulator adds its
+    terms in the order of acc[i] += g[0] v[0] + g[1] v[1],
+    acc[j] += g[j] m[i] + ((b-1) g[i]) m[j] and sym[i] += g[0] w[0] + g[1] w[1].
     """
     symbol = m.grid.grad_symbol
-    plane = lm.shape[1:]
-    t = _scratch_array("tmp_a", (2,) + plane)
-    s = _scratch_array("tmp_b", plane)
+    px, py = lm.shape[1:]
+    blocks = _row_blocks(px, py)
+    scratch = _block_scratch((4, blocks[0].stop, py))
     for i in range(2):
-        lg = _lift(m[i], "lift_grad", symbol)
-        acc[i] += _pair_sum(lg[0], lv[0], lg[1], lv[1], t[0], t[1])
-        lg = _lift(v[i], "lift_grad", symbol)
-        np.multiply(lg[i], b - 1.0, out=s)
-        for j in range(2):
-            np.multiply(lg[j], lm[i], out=t[0])
-            np.multiply(s, lm[j], out=t[1])
-            acc[j] += np.add(t[0], t[1], out=t[0])
-        if sym is not None:
-            sym[i] += _pair_sum(lg[0], lw[0], lg[1], lw[1], t[0], t[1])
+        half = _padded_half(m[i], symbol)
+        for rows in blocks:
+            g = scratch[:2, :rows.stop - rows.start]
+            np.fft.irfft(half[:, rows], n=py, norm="forward", out=g)
+            np.multiply(g, lv[:, rows], out=g)
+            acc[i, rows] += np.add(g[0], g[1], out=g[0])
+        half = _padded_half(v[i], symbol)
+        for rows in blocks:
+            g, t = scratch[:2, :rows.stop - rows.start], scratch[2:, :rows.stop - rows.start]
+            np.fft.irfft(half[:, rows], n=py, norm="forward", out=g)
+            if sym is not None:
+                np.multiply(g, lw[:, rows], out=t)
+                sym[i, rows] += np.add(t[0], t[1], out=t[0])
+            s = np.multiply(g[i], b - 1.0, out=t[1])
+            np.multiply(s, lm[0, rows], out=t[0])
+            np.multiply(s, lm[1, rows], out=t[1])
+            np.multiply(g, lm[i, rows], out=g)
+            acc[:, rows] += np.add(g, t, out=g)
     return acc
 
 

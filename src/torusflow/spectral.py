@@ -25,10 +25,14 @@ Conventions
   truncated once, reading each Nyquist row and column back as the mean of
   the padded -n/2 and +n/2 ones.  The lifts, padded half spectra and
   products live in per-thread scratch that grows to the largest call and
-  is reused; only the truncated half spectrum is fresh.  After euler_rhs,
-  christoffel, dot, tdot and pointwise_product on an n-by-n grid padded to
-  M-by-M, each thread keeps 184 M^2 + 64 M bytes, 0.46 MB at 32^2, 1.85 MB
-  at 64^2 and 7.37 MB at 128^2.
+  is reused; only the truncated half spectrum is fresh.  Gradient rows and
+  the truncation's row transforms run in row blocks of r rows, each within
+  _BLOCK_BYTES of a plane: r = M up to 64^2, M/4 at 128^2.  After
+  euler_rhs, christoffel, dot, tdot and pointwise_product on an n-by-n grid
+  padded to M-by-M, each thread keeps 128 M^2 + 32 M (n + 2) + 32 r (M + 2)
+  bytes, 0.46 MB at 32^2, 1.82 MB at 64^2 and 6.28 MB at 128^2; after
+  euler_rhs alone 48 M^2 + 16 M (n + 2) + 32 M r bytes, 0.23, 0.91 and
+  2.66 MB.
 * eval_spectra sums off-grid on real cos/sin bases, one real matmul per
   field over x, in per-thread scratch that grows to the largest call and is
   reused: for values and gradients at all n^2 points of an n-by-n grid
@@ -165,6 +169,10 @@ class TorusGrid:
     @cached_property
     def helmholtz_symbol(self) -> np.ndarray:
         return 1.0 + self.ksq
+
+    @cached_property
+    def helmholtz_inverse_symbol(self) -> np.ndarray:
+        return 1.0 / self.helmholtz_symbol
 
     @cached_property
     def padded_shape(self) -> tuple[int, int]:
@@ -351,7 +359,7 @@ def helmholtz(u: Field) -> Field:
 
 def helmholtz_inverse(m: Field) -> Field:
     """Velocity u with (1 - Laplacian) u = m, applied componentwise."""
-    return _multiply_symbol(m, 1.0 / m.grid.helmholtz_symbol)
+    return _multiply_symbol(m, m.grid.helmholtz_inverse_symbol)
 
 
 def _parseval_sum(f: Field, g: Field, weight) -> float:
@@ -371,21 +379,19 @@ def h1_inner(u: Field, v: Field) -> float:
     return _parseval_sum(u, v, u.grid.helmholtz_symbol)
 
 
-def _lift(f: Field, name: str, symbol=None) -> np.ndarray:
-    """Samples of f, or of its image under the Fourier multiplier symbol, on the
-    grid's padded_shape, in this thread's scratch array `name`.
+def _padded_half(f: Field, symbol=None) -> np.ndarray:
+    """Padded half spectrum of f, or of its image under the Fourier multiplier
+    symbol, transformed over x: the x-pass of irfft2, in this thread's
+    complex scratch.
 
     The Nyquist row and column are split evenly between -n/2 and +n/2, so
-    the corner goes four ways.  The padded half spectrum is built in scratch
-    too, the symbol multiplied straight into it, and taken through the two
-    passes of irfft2: over x in place, then over y into the samples.
+    the corner goes four ways.  Only the columns up to +n/2 are kept: irfft
+    pads the rest with zeros and mirrors column +n/2 onto -n/2.
     """
     s = f.spectrum
-    lead = s.shape[:-2] if symbol is None else np.broadcast_shapes(s.shape, symbol.shape)[:-2]
+    lead = (s.shape if symbol is None else np.broadcast(s, symbol).shape)[:-2]
     hx, hy = f.grid.nx // 2, f.grid.ny // 2
-    px, py = f.grid.padded_shape
-    # Columns past +n/2 of the padded half spectrum are zero; irfft pads them,
-    # and mirrors column +n/2 onto -n/2.
+    px = f.grid.padded_shape[0]
     half = _scratch_array("spectrum", lead + (px, hy + 1), np.complex128)
     # Rows 0..n/2-1, then -n/2 at +n/2; and rows -n/2..-1 at the end.
     for to, take in ((slice(0, hx + 1), slice(0, hx + 1)), (slice(px - hx, px), slice(hx, None))):
@@ -395,25 +401,59 @@ def _lift(f: Field, name: str, symbol=None) -> np.ndarray:
             np.multiply(s[..., take, :], symbol[..., take, :], out=half[..., to, :])
     half[..., hx + 1:px - hx, :] = 0.0
     half[..., :, hy] *= 0.5
-    half[..., hx, :] *= 0.5
-    half[..., px - hx, :] *= 0.5
-    np.fft.ifft(half, axis=-2, norm="forward", out=half)
-    return np.fft.irfft(half, n=py, norm="forward", out=_scratch_array(name, lead + (px, py)))
+    half[..., hx::px - 2 * hx, :] *= 0.5  # rows +n/2 and -n/2
+    return np.fft.ifft(half, axis=-2, norm="forward", out=half)
+
+
+def _lift(f: Field, name: str) -> np.ndarray:
+    """Samples of f on the grid's padded_shape, in this thread's scratch array
+    `name`: the y-pass of irfft2 after _padded_half."""
+    half = _padded_half(f)
+    py = f.grid.padded_shape[1]
+    return np.fft.irfft(half, n=py, norm="forward", out=_scratch_array(name, half.shape[:-1] + (py,)))
+
+
+# Bytes of one padded plane's samples that a row block may hold: a whole
+# plane up to 64^2 (a 100 by 100 plane), a quarter of one at 128^2.
+_BLOCK_BYTES = 96 * 1024
+
+
+def _row_blocks(px: int, py: int) -> list[slice]:
+    """The fewest even row blocks of a padded (px, py) plane that each hold at
+    most _BLOCK_BYTES of samples, a row at least; the last may be shorter."""
+    count = min(px, -(-px * py * 8 // _BLOCK_BYTES))
+    step = -(-px // count)
+    return [slice(r, min(r + step, px)) for r in range(0, px, step)]
+
+
+def _block_scratch(shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+    """This thread's row-block scratch as shape: the transports' gradient rows
+    and products and the truncation's row transforms share it in turn."""
+    words = math.prod(shape) * np.dtype(dtype).itemsize // 8
+    return _scratch_array("block", (words,)).view(dtype).reshape(shape)
 
 
 def _truncate(grid: TorusGrid, samples: np.ndarray) -> Field:
     """Field of the modes of grid in samples on its padded_shape.
 
     The Nyquist row and column are the means of the padded -n/2 and +n/2
-    ones, so the corner is the mean of the four padded corners.  The
-    transforms run in this thread's scratch; only the half spectrum of the
-    result is fresh.
+    ones, so the corner is the mean of the four padded corners.  The rows
+    are transformed over y in row blocks, and only the kept columns over x:
+    in place when a plane is one block, else gathered block by block in
+    this thread's complex scratch.  Only the half spectrum of the result is
+    fresh.
     """
-    hx, hy, px = grid.nx // 2, grid.ny // 2, grid.padded_shape[0]
-    rows = _scratch_array("spectrum", samples.shape[:-1] + (samples.shape[-1] // 2 + 1,), np.complex128)
-    np.fft.rfft(samples, norm="forward", out=rows)
-    # Only the kept columns are transformed along x.
-    r = rows[..., :hy + 1]
+    hx, hy = grid.nx // 2, grid.ny // 2
+    lead, (px, py) = samples.shape[:-2], samples.shape[-2:]
+    blocks = _row_blocks(px, py)
+    rows = _block_scratch(lead + (blocks[0].stop, py // 2 + 1), np.complex128)
+    if len(blocks) == 1:
+        r = np.fft.rfft(samples, norm="forward", out=rows)[..., :hy + 1]
+    else:
+        r = _scratch_array("spectrum", lead + (px, hy + 1), np.complex128)
+        for block in blocks:
+            out = rows[..., :block.stop - block.start, :]
+            r[..., block, :] = np.fft.rfft(samples[..., block, :], norm="forward", out=out)[..., :hy + 1]
     np.fft.fft(r, axis=-2, norm="forward", out=r)
     half = np.concatenate([r[..., :hx, :], r[..., px - hx:, :]], axis=-2)
     half[..., hx, :] = 0.5 * (half[..., hx, :] + r[..., hx, :])
@@ -581,8 +621,7 @@ def cosine_mode(grid: TorusGrid, j1: int, j2: int, amplitude: float = 1.0,
     j1, j2 = _integral(j1, "j1"), _integral(j2, "j2")
     if abs(j1) >= grid.nx // 2 or abs(j2) >= grid.ny // 2:
         raise ValueError(f"mode ({j1}, {j2}) is not resolvable on grid {grid.shape}")
-    X, Y = grid.mesh
-    wave = amplitude * np.cos(TWO_PI * (j1 * X + j2 * Y))
+    wave = amplitude * np.cos(TWO_PI * (j1 * grid.x[:, None] + j2 * grid.y[None, :]))
     return Field(grid, np.multiply.outer(np.asarray(direction, dtype=np.float64), wave))
 
 

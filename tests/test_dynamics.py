@@ -1,5 +1,6 @@
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from torusflow.dynamics import (
     rk4,
     validate_b,
 )
+from torusflow import spectral
 from torusflow.spectral import (
     Field,
     VectorField,
@@ -168,29 +170,34 @@ class TestEulerRhs:
 class TestTransformBudget:
     """The fused kernels at 16^2: no complex FFT on the padded grid, no
     complex 2D transform on any grid, and at most a fixed number of padded
-    real transforms, counted in 2D planes.
+    real transforms, counted in 2D planes; a row block counts as its share
+    of a plane.
 
-    euler_rhs lifts m, u and the four rows of grad m and grad u (12 planes)
-    and truncates one vector (2); christoffel lifts u, v, Au, Av and the eight
-    rows of their gradients (24) and truncates two vectors (4); christoffel
-    of u with itself runs one transport, lifting u once, Au and the four
-    rows of grad u and grad Au (12), and truncates two vectors (4).
+    euler_rhs lifts m, u and the four rows of grad m and grad u, each pair
+    of rows over y in row blocks (12 planes), and truncates one vector (2);
+    christoffel lifts u, v, Au, Av and the eight rows of their gradients
+    (24) and truncates two vectors (4); christoffel of u with itself runs one
+    transport, lifting u once, Au and the four rows of grad u and grad Au
+    (12), and truncates two vectors (4).  Cutting the planes into more row
+    blocks adds no transform.
     """
 
     PADDED = make_grid(16, 16).padded_shape
 
     def count(self, monkeypatch, call):
-        complex_padded, complex_2d, real_planes = [], [], 0
+        complex_padded, complex_2d, real_planes = [], [], Fraction(0)
 
         def spy(name, original):
             def wrapped(a, *args, **kwargs):
                 nonlocal real_planes
                 out = original(a, *args, **kwargs)
                 padded = self.PADDED in (np.shape(a)[-2:], np.shape(out)[-2:])
+                samples = np.shape(a if name.startswith("rfft") else out)
                 if name in ("fft2", "ifft2", "fftn", "ifftn"):
                     complex_2d.append(name)
-                if padded and name.startswith(("rfft", "irfft")):
-                    real_planes += int(np.prod(np.shape(a)[:-2]))
+                if name.startswith(("rfft", "irfft")):
+                    if samples[-1] == self.PADDED[1] and samples[-2] <= self.PADDED[0]:
+                        real_planes += Fraction(int(np.prod(samples[:-1])), self.PADDED[0])
                 elif padded:
                     complex_padded.append(name)
                 return out
@@ -202,16 +209,58 @@ class TestTransformBudget:
         call()
         return complex_padded, complex_2d, real_planes
 
+    CALLS = {"euler_rhs": lambda u, v: euler_rhs(u, 2.0), "christoffel": lambda u, v: christoffel(u, v, 2.0),
+             "christoffel_self": lambda u, v: christoffel(u, u, 2.0)}
+
     @pytest.mark.parametrize("name, ceiling", [("euler_rhs", 14), ("christoffel", 28), ("christoffel_self", 16)])
     def test_padded_transforms(self, monkeypatch, name, ceiling):
         grid = make_grid(16, 16)
         u, v = random_bandlimited(grid, 1, 3, 0.5), random_bandlimited(grid, 2, 3, 0.5)
-        calls = {"euler_rhs": lambda: euler_rhs(u, 2.0), "christoffel": lambda: christoffel(u, v, 2.0),
-                 "christoffel_self": lambda: christoffel(u, u, 2.0)}
-        complex_padded, complex_2d, real_planes = self.count(monkeypatch, calls[name])
+        complex_padded, complex_2d, real_planes = self.count(monkeypatch, lambda: self.CALLS[name](u, v))
         assert complex_padded == []
         assert complex_2d == []
         assert 0 < real_planes <= ceiling
+
+    @pytest.mark.parametrize("name", CALLS)
+    def test_row_blocks_add_no_transform(self, monkeypatch, name):
+        grid = make_grid(16, 16)
+        u, v = random_bandlimited(grid, 1, 3, 0.5), random_bandlimited(grid, 2, 3, 0.5)
+        with monkeypatch.context() as patch:
+            whole = self.count(patch, lambda: self.CALLS[name](u, v))
+        with monkeypatch.context() as patch:
+            patch.setattr(spectral, "_BLOCK_BYTES", 4 * 8 * self.PADDED[1])
+            assert len(spectral._row_blocks(*self.PADDED)) > 1
+            assert self.count(patch, lambda: self.CALLS[name](u, v)) == whole
+
+
+class TestRowBlocks:
+    """The transports and truncations cut the padded planes into row blocks
+    once a plane exceeds spectral._BLOCK_BYTES; every output bit is the
+    same as from whole planes."""
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_uneven_blocks_change_no_bit(self, monkeypatch, n):
+        grid = make_grid(n, n)
+        u, v = random_bandlimited(grid, 5, 3, 0.5), random_bandlimited(grid, 6, 3, 0.5)
+        J = gradient(u)
+        calls = [
+            lambda: euler_rhs(u, 2.0),
+            lambda: euler_rhs(u, 2.5),
+            lambda: christoffel(u, v, 2.0),
+            lambda: christoffel(u, v, 3.0),
+            lambda: christoffel(u, u, 2.0),
+            lambda: christoffel(u, u, 3.0),
+            lambda: dot(J, v),
+            lambda: tdot(J, v),
+            lambda: pointwise_product(J, u[1]),
+        ]
+        px, py = grid.padded_shape
+        assert len(spectral._row_blocks(px, py)) == 1
+        whole = [call().spectrum.tobytes() for call in calls]
+        monkeypatch.setattr(spectral, "_BLOCK_BYTES", 4 * 8 * py)  # 4 rows a block
+        sizes = {block.stop - block.start for block in spectral._row_blocks(px, py)}
+        assert len(sizes) == 2 and max(sizes) == 4  # the last block is shorter
+        assert [call().spectrum.tobytes() for call in calls] == whole
 
 
 def on_fresh_thread(call):
@@ -245,6 +294,39 @@ class TestScratch:
             if not tracing:
                 tracemalloc.stop()
         assert peak <= self.FRESH_PEAK[name] / 3
+
+    # n -> padded size M and rows r of a row block, as the spectral docstring gives them.
+    PADDED_ROWS = {32: (50, 50), 64: (100, 100), 128: (200, 50)}
+
+    @staticmethod
+    def kept_bytes(calls) -> int:
+        """Scratch bytes a fresh thread keeps after running calls."""
+        def run():
+            for call in calls:
+                call()
+            return sum(a.nbytes for a in vars(spectral._scratch).values())
+        return on_fresh_thread(run)
+
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    def test_euler_rhs_keeps_the_documented_bytes(self, n):
+        grid = make_grid(n, n)
+        M, r = self.PADDED_ROWS[n]
+        assert grid.padded_shape == (M, M) and spectral._row_blocks(M, M)[0].stop == r
+        u = random_bandlimited(grid, 1, 3, 0.5)
+        kept = self.kept_bytes([lambda: euler_rhs(u, 2.0)])
+        assert kept == 48 * M * M + 16 * M * (n + 2) + 32 * M * r
+        assert kept <= 3.0e6
+
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    def test_every_product_keeps_the_documented_bytes(self, n):
+        grid = make_grid(n, n)
+        M, r = self.PADDED_ROWS[n]
+        u, v = random_bandlimited(grid, 1, 3, 0.5), random_bandlimited(grid, 2, 3, 0.5)
+        J = gradient(u)
+        kept = self.kept_bytes([lambda: euler_rhs(u, 2.0), lambda: christoffel(u, v, 2.0),
+                                lambda: christoffel(u, u, 2.0), lambda: dot(J, v), lambda: tdot(J, v),
+                                lambda: pointwise_product(J, u[1])])
+        assert kept == 128 * M * M + 32 * M * (n + 2) + 32 * r * (M + 2)
 
     def test_interleaved_grids_match_a_fresh_thread(self):
         calls = []

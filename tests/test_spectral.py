@@ -216,6 +216,11 @@ class TestHelmholtz:
         u = helmholtz_inverse(stack([f, f * 0.0]))
         assert_allclose(u[0].values, f.values / (1.0 + 8.0 * np.pi**2), atol=1e-13)
 
+    def test_inverse_symbol_is_the_reciprocal(self):
+        grid = make_grid(16, 24)
+        assert grid.helmholtz_inverse_symbol is grid.helmholtz_inverse_symbol
+        assert grid.helmholtz_inverse_symbol.tobytes() == (1.0 / grid.helmholtz_symbol).tobytes()
+
     def test_inverse_fixes_constants(self, grid32):
         u = helmholtz_inverse(VectorField.constant(grid32, 2.5, -1.0))
         assert_allclose(u[0].values, 2.5)
@@ -678,6 +683,14 @@ class TestCosineMode:
 
     def test_integral_floats_are_the_same_mode(self, grid16):
         assert np.array_equal(cosine_mode(grid16, 3.0, -2.0).values, cosine_mode(grid16, 3, -2).values)
+
+    def test_broadcast_wave_leaves_the_mesh_unbuilt(self):
+        grid = make_grid(16, 24)
+        u = cosine_mode(grid, 3, -2, 0.7, (1.0, -0.5))
+        assert "mesh" not in vars(grid)
+        X, Y = grid.mesh
+        wave = 0.7 * np.cos(TWO_PI * (3 * X + -2 * Y))
+        assert u.values.tobytes() == np.stack([wave, -0.5 * wave]).tobytes()
 
 
 class TestRandomBandlimited:
