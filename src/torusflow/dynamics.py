@@ -324,6 +324,8 @@ def _step_count(t_end: float, dt: float) -> int:
     steps = t_end / dt
     if not np.isfinite(steps):
         raise ValueError(f"t_end={t_end} is not a finite number of steps of dt={dt}")
+    if steps > 2.0**53:  # past 2**53 the step times i*dt can repeat
+        raise ValueError(f"t_end={t_end} is more than 2**53 steps of dt={dt}")
     n = int(round(steps))
     if abs(n * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
         raise ValueError(f"t_end={t_end} is not a whole number of steps of dt={dt}")

@@ -4,9 +4,10 @@ A map is stored through its periodic displacement, phi(z) = z + d(z) mod 1,
 so composition, inversion and differentiation all stay inside the spectral
 toolbox: compositions evaluate band-limited fields at displaced points,
 inverses come from Newton's method on the displacement, started from e = -d
-on every call and evaluating d and grad d together off-grid, and the
-Jacobian is I + grad(d).  `invert` is the one way to get phi^{-1}; no
-inverse is passed between functions.
+on every call and evaluating d and grad d together off-grid.  `invert` is
+the one way to get phi^{-1}; no inverse is passed between functions.  The
+one map frame is `_checked_det`, the only source of grad d and det(I + grad d)
+on the grid: every map quantity needs det > 0, the march guards det_floor.
 
 The evolution itself is carried here as the second-order label equation
 
@@ -31,7 +32,6 @@ from .spectral import (
     Field,
     TorusGrid,
     VectorField,
-    det,
     dot,
     eval_spectra,
     gradient,
@@ -48,7 +48,6 @@ __all__ = [
     "apply",
     "compose",
     "invert",
-    "jacobian",
     "compose_field",
     "flow_from_velocity",
     "trajectory_velocity",
@@ -93,11 +92,6 @@ class DiffeoMap:
     @classmethod
     def translation(cls, grid: TorusGrid, a1: float, a2: float) -> "DiffeoMap":
         return cls(VectorField.constant(grid, a1, a2))
-
-
-def jacobian(phi: DiffeoMap) -> Field:
-    """Full Jacobian grad(phi) = I + grad(d), entry [i, j] = d phi_i / d x_j."""
-    return Field(phi.grid, np.eye(2)[:, :, None, None] + gradient(phi.displacement).values)
 
 
 def _checked_det(phi: DiffeoMap, det_floor: float, where: str = "on the grid") -> tuple[np.ndarray, np.ndarray]:
@@ -283,7 +277,8 @@ def exp_map(u0: Field, b=2.0, dt: float = 5e-3) -> DiffeoMap:
 
 
 def adjoint(phi: DiffeoMap, v: Field) -> Field:
-    """Inner automorphism Ad_phi v = (grad(phi) . v) o phi^{-1}."""
+    """Inner automorphism Ad_phi v = (grad(phi) . v) o phi^{-1}; the product is
+    dealiased, since unlike coadjoint's w o phi both factors are band-limited."""
     if v.grid != phi.grid:
         raise ValueError("field and map live on different grids")
     pushed = v + dot(gradient(phi.displacement), v)
@@ -291,21 +286,21 @@ def adjoint(phi: DiffeoMap, v: Field) -> Field:
 
 
 def coadjoint(phi: DiffeoMap, w: Field) -> Field:
-    """Dual action Ad*_phi w = (grad phi)^T (w o phi) det(grad phi).
+    """Dual action Ad*_phi w = (grad phi)^T (w o phi) det(grad phi); OrientationError unless det > 0.
 
     No inversion is needed.  The products are plain products of samples, not
     dealiased ones, since the composed factor w o phi is not band-limited.
     """
     if w.grid != phi.grid:
         raise ValueError("field and map live on different grids")
-    j = jacobian(phi)
-    jv, wv = j.values, compose_field(w, phi).values
-    return Field(phi.grid, (jv[0] * wv[0] + jv[1] * wv[1]) * det(j).values)
+    g, jdet = _checked_det(phi, 0.0)
+    jv, wv = np.eye(2)[:, :, None, None] + g, compose_field(w, phi).values
+    return Field(phi.grid, (jv[0] * wv[0] + jv[1] * wv[1]) * jdet)
 
 
-def body_velocity(state: GeodesicState, det_floor: float = DET_FLOOR) -> Field:
+def body_velocity(state: GeodesicState) -> Field:
     """Body velocity U = (grad phi)^{-1} phi_t, solved pointwise."""
-    g, _ = _checked_det(state.phi, det_floor)
+    g, _ = _checked_det(state.phi, 0.0)
     return Field(state.phi.grid, _solve(g, state.phi_t.values))
 
 

@@ -18,15 +18,16 @@ Conventions
 * One Nyquist rule: in each axis the unpaired -n/2 coefficient is a cosine,
   split evenly between -n/2 and +n/2, so the corner goes four ways.  First
   derivatives zero it; the Helmholtz symbol 1 + |k|^2 keeps every mode.
-* pointwise_product, dot and tdot are always dealiased (det alone multiplies
-  samples): each factor is lifted once to real samples on the grid's
-  padded_shape, the smallest grid on which a quadratic product is exact
-  (Orszag's rule), the products of a term are summed there and the sum is
-  truncated once, reading each Nyquist row and column back as the mean of
-  the padded -n/2 and +n/2 ones.  The lifts, padded half spectra and
-  products live in per-thread scratch that grows to the largest call and
-  is reused; only the truncated half spectrum is fresh.  Gradient rows and
-  the truncation's row transforms run in row blocks of r rows, each within
+* pointwise_product, dot and tdot are always dealiased (only flow's map
+  quantities, in the one map frame of flow._checked_det, multiply samples):
+  each factor is lifted once to real samples on the grid's padded_shape,
+  the smallest grid on which a quadratic product is exact (Orszag's rule),
+  the products of a term are summed there and the sum is truncated once,
+  reading each Nyquist row and column back as the mean of the padded -n/2
+  and +n/2 ones.  The lifts, padded half spectra and products live in
+  per-thread scratch that grows to the largest call and is reused; only
+  the truncated half spectrum is fresh.  Gradient rows and the
+  truncation's row transforms run in row blocks of r rows, each within
   _BLOCK_BYTES of a plane: r = M up to 64^2, M/4 at 128^2.  After
   euler_rhs, christoffel, dot, tdot and pointwise_product on an n-by-n grid
   padded to M-by-M, each thread keeps 128 M^2 + 32 M (n + 2) + 32 r (M + 2)
@@ -69,7 +70,6 @@ __all__ = [
     "pointwise_product",
     "dot",
     "tdot",
-    "det",
     "eval_spectra",
     "cosine_mode",
     "random_bandlimited",
@@ -475,17 +475,13 @@ def _dealiased(f: Field, g: Field, combine) -> Field:
     return _truncate(f.grid, combine(lf, lf if g is f else _lift(g, "lift_g")))
 
 
-def _pair_sum(a0, b0, a1, b1, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """out = a0 b0 + a1 b1, elementwise, with tmp of out's shape as scratch."""
-    np.multiply(a0, b0, out=out)
-    np.multiply(a1, b1, out=tmp)
-    return np.add(out, tmp, out=out)
-
-
 def _scratch_pair_sum(a0, b0, a1, b1) -> np.ndarray:
-    """a0 b0 + a1 b1 in this thread's scratch."""
+    """a0 b0 + a1 b1, elementwise, in this thread's scratch."""
     shape = np.broadcast_shapes(a0.shape, b0.shape)
-    return _pair_sum(a0, b0, a1, b1, _scratch_array("acc", shape), _scratch_array("tmp_a", shape))
+    acc, tmp = _scratch_array("acc", shape), _scratch_array("tmp_a", shape)
+    np.multiply(a0, b0, out=acc)
+    np.multiply(a1, b1, out=tmp)
+    return np.add(acc, tmp, out=acc)
 
 
 def pointwise_product(f: Field, g: Field) -> Field:
@@ -506,12 +502,6 @@ def dot(J: Field, v: Field) -> Field:
 def tdot(J: Field, w: Field) -> Field:
     """Transposed product (J^T w)_i = sum_j J_ji w_j with dealiased products."""
     return _dealiased(J, w, lambda j, w: _scratch_pair_sum(j[0], w[0], j[1], w[1]))
-
-
-def det(J: Field) -> Field:
-    """Pointwise determinant of a 2x2 matrix field."""
-    v = J.values
-    return _owned(J.grid, v[0, 0] * v[1, 1] - v[0, 1] * v[1, 0])
 
 
 def _powers(t: np.ndarray, out: np.ndarray) -> np.ndarray:

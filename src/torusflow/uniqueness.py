@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import ad_star, validate_b
-from .spectral import TWO_PI, Field, TorusGrid, cosine_mode
+from .spectral import TWO_PI, Field, TorusGrid, _integral, cosine_mode
 
 __all__ = [
     "ModeIndex",
@@ -46,8 +46,7 @@ class ModeIndex:
     n2: int
 
     def __post_init__(self):
-        if self.n1 != int(self.n1) or self.n2 != int(self.n2):
-            raise ValueError("mode indices must be integers")
+        _integral(self.n1, "n1"), _integral(self.n2, "n2")
         if self.n1 == 0 and self.n2 == 0:
             raise ValueError("the zero mode is excluded")
 

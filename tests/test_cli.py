@@ -138,6 +138,12 @@ class TestConfigHandling:
         ("reduce1d", {"n": 16, "dt": 5e-324}, [], "t_end=0.05 is not a finite number of steps"),
         ("simulate", dict(FAST_SIM, t_end=1e308, dt=1e-10), [], "t_end=1e+308 is not a finite number of steps"),
         ("reduce1d", {"n": 16, "mch2_steps": 1e308, "dt": 10, "t_end": 0}, [], "mch2_steps is too large for dt=10.0"),
+        ("simulate", {"grid": [16, 16], "t_end": 1e300, "dt": 1}, [],
+         "t_end=1e+300 is more than 2**53 steps of dt=1.0"),
+        ("geodesic", {"grid": [16, 16], "t_end": 1e300, "dt": 1}, [],
+         "t_end=1e+300 is more than 2**53 steps of dt=1.0"),
+        ("reduce1d", {"n": 16, "mch2_steps": 10**16, "dt": 1e-3, "t_end": 0}, [],
+         "mch2_steps is too large for dt=0.001"),
         ("simulate", dict(FAST_SIM, grid=[15, 16]), [], "grid[0]=15: grid dimensions must be even and >= 4"),
         ("curvature", {"grid": [16, 2]}, [], "grid[1]=2: grid dimensions must be even and >= 4"),
         ("reduce1d", {"n": 15}, [], "n=15: grid dimensions must be even and >= 4"),
@@ -151,6 +157,7 @@ class TestConfigHandling:
             "huge-grid-geodesic", "huge-grid-verify", "huge-n-reduce1d", "huge-k-range", "huge-mode",
             "huge-mode-list", "huge-kmax", "huge-mch2-steps", "huge-seed", "tiny-dt-simulate",
             "tiny-dt-geodesic", "tiny-dt-reduce1d", "huge-t-end", "infinite-mch2-run",
+            "endless-simulate", "endless-geodesic", "endless-mch2-run",
             "odd-grid-simulate", "small-grid-curvature", "odd-n-reduce1d", "odd-ny-reduce1d"])
     def test_bad_values_rejected_before_compute(self, tmp_path, capsys, command, config, extra, message):
         cfg = write_config(tmp_path, config)

@@ -30,7 +30,6 @@ from torusflow.flow import (
     flow_from_velocity,
     geodesic_integrate,
     invert,
-    jacobian,
     metric_at,
     trajectory_velocity,
 )
@@ -38,7 +37,6 @@ from torusflow.dynamics import christoffel
 from torusflow.spectral import (
     Field,
     VectorField,
-    det,
     eval_spectra,
     gradient,
     h1_inner,
@@ -93,22 +91,22 @@ class TestDiffeoMap:
         assert tau.displacement[1].values[0, 0] == pytest.approx(-0.1)
 
     def test_identity_jacobian(self, grid32):
-        j = jacobian(DiffeoMap.identity(grid32))
-        assert_allclose(j[0, 0].values, 1.0)
-        assert_allclose(j[1, 1].values, 1.0)
-        assert j[0, 1].sup_norm() == 0.0
-        assert_allclose(det(j).values, 1.0)
+        g, jdet = flow._checked_det(DiffeoMap.identity(grid32), 0.0)
+        assert_allclose(1.0 + g[0, 0], 1.0)
+        assert_allclose(1.0 + g[1, 1], 1.0)
+        assert np.max(np.abs(g[0, 1])) == 0.0
+        assert_allclose(jdet, 1.0)
 
     def test_shear_is_volume_preserving(self, grid32):
         d = sample_vector(grid32, lambda x, y: 0.1 * np.sin(TWO_PI * y), lambda x, y: 0.0 * x)
-        jdet = det(jacobian(DiffeoMap(d)))
-        assert_allclose(jdet.values, 1.0, atol=1e-14)
+        _, jdet = flow._checked_det(DiffeoMap(d), 0.0)
+        assert_allclose(jdet, 1.0, atol=1e-14)
 
     def test_compressive_determinant(self, grid32):
         d = sample_vector(grid32, lambda x, y: 0.1 * np.sin(TWO_PI * x), lambda x, y: 0.0 * x)
-        jdet = det(jacobian(DiffeoMap(d)))
+        _, jdet = flow._checked_det(DiffeoMap(d), 0.0)
         X, _ = grid32.mesh
-        assert_allclose(jdet.values, 1.0 + 0.2 * np.pi * np.cos(TWO_PI * X), atol=1e-13)
+        assert_allclose(jdet, 1.0 + 0.2 * np.pi * np.cos(TWO_PI * X), atol=1e-13)
 
 
 class TestComposition:
@@ -248,8 +246,21 @@ class TestCramerSolve:
                           (-2, -1), (0, 1))
         pulled_u, pulled_v = (np.einsum("ik...,kl...->il...", gradient(f).values, inv) for f in (U, V))
         integrand = np.sum(U.values * V.values, axis=0) + np.sum(pulled_u * pulled_v, axis=(0, 1))
-        want = float(np.mean(integrand * det(jacobian(phi)).values))
+        jdet = np.linalg.det(np.moveaxis(np.eye(2)[:, :, None, None] + g, (0, 1), (-2, -1)))
+        want = float(np.mean(integrand * jdet))
         assert metric_at(phi, U, V) == pytest.approx(want, rel=1e-13)
+
+    def test_body_velocity_on_a_map_near_the_floor(self, grid32):
+        # min det(grad phi) = 1 - 2 pi a = 5e-4: under the march floor DET_FLOOR,
+        # still a diffeomorphism, so the body velocity is the plain solve.
+        a = (1.0 - 5e-4) / TWO_PI
+        d = sample_vector(grid32, lambda x, y: a * np.sin(TWO_PI * x), lambda x, y: 0.0 * x)
+        phi = DiffeoMap(d)
+        g, jdet = flow._checked_det(phi, 0.0)
+        assert 0.0 < np.min(jdet) <= flow.DET_FLOOR
+        U = random_bandlimited(grid32, seed=13, kmax=3, amplitude=0.5)
+        got = body_velocity(GeodesicState(0.0, phi, U)).values
+        assert np.array_equal(got, flow._solve(g, U.values))
 
 
 class TestThreadedEvaluation:
@@ -482,6 +493,15 @@ class TestAdjointCoadjoint:
         rhs = l2_inner(w, adjoint(phi, v))
         assert abs(lhs - rhs) < 1e-9
 
+    def test_coadjoint_matches_lapack(self, grid32):
+        phi = small_map(grid32, seed=14, amplitude=0.05)
+        w = random_bandlimited(grid32, seed=15, kmax=3, amplitude=0.5)
+        mats = np.moveaxis(np.eye(2)[:, :, None, None] + gradient(phi.displacement).values, (0, 1), (-2, -1))
+        w_phi = np.moveaxis(compose_field(w, phi).values, 0, -1)[..., None]
+        ref = np.moveaxis((np.swapaxes(mats, -2, -1) @ w_phi)[..., 0] * np.linalg.det(mats)[..., None], -1, 0)
+        got = coadjoint(phi, w).values
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
     def test_composition_action(self, grid64):
         phi = small_map(grid64, seed=24, amplitude=0.01)
         psi = small_map(grid64, seed=25, amplitude=0.01)
@@ -517,6 +537,19 @@ class TestBodyFrame:
         state = GeodesicState(0.0, DiffeoMap(d), VectorField.zero(grid32))
         with pytest.raises(OrientationError):
             body_velocity(state)
+
+    @pytest.mark.parametrize("quantity", [
+        lambda phi, v: coadjoint(phi, v),
+        lambda phi, v: body_velocity(GeodesicState(0.0, phi, v)),
+        lambda phi, v: metric_at(phi, v, v),
+        lambda phi, v: invert(phi),
+    ], ids=["coadjoint", "body_velocity", "metric_at", "invert"])
+    def test_every_map_quantity_rejects_a_folded_map(self, grid32, quantity):
+        # min det(grad phi) = 1 - pi < 0: phi folds, so no map quantity is defined.
+        d = sample_vector(grid32, lambda x, y: 0.5 * np.sin(TWO_PI * x), lambda x, y: 0.0 * x)
+        v = random_bandlimited(grid32, seed=16, kmax=3, amplitude=0.5)
+        with pytest.raises(OrientationError, match="<= 0 on the grid"):
+            quantity(DiffeoMap(d), v)
 
 
 class TestMetricAt:

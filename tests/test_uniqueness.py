@@ -45,6 +45,14 @@ class TestModeIndex:
         with pytest.raises(ValueError):
             ModeIndex(1.5, 0)
 
+    @pytest.mark.parametrize("value", [1.5, float("inf"), float("nan"), 10**400])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_non_integral_or_huge_index_is_a_value_error(self, value, axis):
+        # The rule of spectral._integral: no OverflowError, and nothing past float range.
+        pair = (value, 1) if axis == 0 else (1, value)
+        with pytest.raises(ValueError, match=("n1", "n2")[axis]):
+            ModeIndex(*pair)
+
 
 class TestBuildDiagonals:
     def test_beta_reference_values(self):
