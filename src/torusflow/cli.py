@@ -62,6 +62,7 @@ from .reports import (
 )
 from .spectral import (
     TWO_PI,
+    Field,
     VectorField,
     cosine_mode,
     helmholtz,
@@ -179,7 +180,21 @@ def _check_object(schema: dict, value, name: str = "") -> tuple[dict, dict]:
     return typed, echo
 
 
-GRID = _list(_int(), length=2)
+# Points per grid side at most, so an absurd grid such as [2**40, 16] is a
+# config error before anything is allocated.  4096 is already past any run
+# this library can finish: on 4096^2 each thread's product scratch alone is
+# about 5 GB (128 M^2 bytes, padded side M = 6250).
+MAX_SIDE = 4096
+
+
+def _side(value, name: str) -> int:
+    n = _int()(value, name)
+    if n > MAX_SIDE:
+        raise ConfigError(f"{name} must be <= {MAX_SIDE} points, not {value!r}")
+    return n
+
+
+GRID = _list(_side, length=2)
 GRID_KEYS = ("grid[0]", "grid[1]")  # the names grid errors give its entries
 FLOATS = _list(_float())
 COUNT = _int(minimum=0)
@@ -253,8 +268,8 @@ VERIFY = {
 }
 
 REDUCE1D = {
-    "n": (64, _int()),
-    "ny": (8, _int()),
+    "n": (64, _side),
+    "ny": (8, _side),
     "b_list": ([2.0, 3.0], FLOATS),
     "dt": (1e-3, _float()),
     "t_end": (0.05, _float()),
@@ -275,8 +290,9 @@ REDUCE1D = {
 def _build_initial(grid, ic: dict):
     if ic["type"] == "random":
         return random_bandlimited(grid, ic["seed"], ic["kmax"], ic["amplitude"])
-    return sum((cosine_mode(grid, m["j1"], m["j2"], m["amplitude"], MODE_DIRECTIONS[m["component"]])
-                for m in ic["modes"]), VectorField.zero(grid))
+    modes = (cosine_mode(grid, m["j1"], m["j2"], m["amplitude"], MODE_DIRECTIONS[m["component"]])
+             for m in ic["modes"])
+    return Field(grid, sum(mode.values for mode in modes))  # one field, so only the sum is transformed
 
 
 def _march_rules(p: dict) -> None:
@@ -617,9 +633,13 @@ def _cmd_reduce1d(p: dict, cfg: dict, out: Path, threads: int) -> int:
     u_embed = VectorField.from_values(grid, _lift(grid, g0), _lift(grid, w0))
 
     def mch2_gap(t: float, u) -> float:  # planar momentum rate against the coupled 1D system's
-        v, w = u.values[:, :, 0]
+        # Both rates start from the same samples: a state's spectrum and the
+        # transform of its samples differ by roundoff that m_t's third
+        # derivatives would amplify.
+        samples = u.values
+        v, w = samples[:, :, 0]
         q_t, rho_t = mch2_rhs(v, helmholtz_1d(w))
-        m_t = helmholtz(euler_rhs(u, 2.0)).values[:, :, 0]
+        m_t = helmholtz(euler_rhs(Field(grid, samples), 2.0)).values[:, :, 0]
         return float(np.max(np.abs(m_t - np.stack([q_t, rho_t]))))
 
     try:

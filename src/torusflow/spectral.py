@@ -14,7 +14,9 @@ Conventions
   rows j1 in FFT order, columns j2 = 0..ny/2, where each of 1..ny/2-1 also
   stands for its mirror -j2.  It computes whichever form it lacks on first
   use.  Every operator acts on the last two axes and broadcasts over the
-  component axes.
+  component axes.  Fourier multipliers, sums, differences, real multiples
+  and stack all act on the half spectrum, so linear algebra on fields
+  never synthesizes samples.
 * One Nyquist rule: in each axis the unpaired -n/2 coefficient is a cosine,
   split evenly between -n/2 and +n/2, so the corner goes four ways.  First
   derivatives zero it; the Helmholtz symbol 1 + |k|^2 keeps every mode.
@@ -232,8 +234,10 @@ class Field:
 
     Built from samples, Field(grid, values), or from a half spectrum,
     Field.from_spectrum(grid, spectrum); the other form is computed once, on
-    first use, and both are read-only.  Sums, differences and real multiples
-    act on the samples of the whole stack.  Indexing selects components:
+    first use, and both are read-only.  Sums, differences, real multiples
+    and stack act on the half spectrum of the whole stack, whichever forms
+    the operands hold, so a field built from samples is transformed the
+    first time it is combined, and only then.  Indexing selects components:
     u[0] is u1 and J[0, 1] is d u1 / dy.
     """
 
@@ -281,7 +285,7 @@ class Field:
             return NotImplemented
         if self.grid != other.grid:
             raise ValueError("fields live on different grids")
-        return _owned(self.grid, op(self.values, other.values))
+        return _owned(self.grid, spectrum=op(self.spectrum, other.spectrum))
 
     def __add__(self, other: "Field") -> "Field":
         return self._combine(other, operator.add)
@@ -290,7 +294,7 @@ class Field:
         return self._combine(other, operator.sub)
 
     def __mul__(self, c) -> "Field":
-        return _owned(self.grid, self.values * float(c))
+        return _owned(self.grid, spectrum=self.spectrum * float(c))
 
     __rmul__ = __mul__
 
@@ -303,7 +307,7 @@ def stack(fields) -> Field:
     grid = fields[0].grid
     if any(f.grid != grid for f in fields):
         raise ValueError("fields live on different grids")
-    return _owned(grid, np.stack([f.values for f in fields]))
+    return _owned(grid, spectrum=np.stack([f.spectrum for f in fields]))
 
 
 class VectorField:

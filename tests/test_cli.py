@@ -148,6 +148,12 @@ class TestConfigHandling:
         ("curvature", {"grid": [16, 2]}, [], "grid[1]=2: grid dimensions must be even and >= 4"),
         ("reduce1d", {"n": 15}, [], "n=15: grid dimensions must be even and >= 4"),
         ("reduce1d", {"ny": 3}, [], "ny=3: grid dimensions must be even and >= 4"),
+        ("simulate", dict(FAST_SIM, grid=[2**40, 16]), [], "grid[0] must be <= 4096 points"),
+        ("geodesic", dict(FAST_GEO, grid=[16, 4098]), [], "grid[1] must be <= 4096 points"),
+        ("curvature", {"grid": [2**40, 16]}, [], "grid[0] must be <= 4096 points"),
+        ("verify", {"grid": [16, 2**40]}, [], "grid[1] must be <= 4096 points"),
+        ("reduce1d", {"n": 2**40}, [], "n must be <= 4096 points"),
+        ("reduce1d", {"ny": 2**40}, [], "ny must be <= 4096 points"),
     ], ids=["fractional-pad", "aliased-pad", "fractional-grid", "bool-b", "string-dt", "negative-kmax",
             "nan-amplitude", "partial-step-with-snapshots", "string-snapshots",
             "negative-blowup-factor", "negative-tolerance", "int-past-float-range", "mode-triple",
@@ -158,7 +164,9 @@ class TestConfigHandling:
             "huge-mode-list", "huge-kmax", "huge-mch2-steps", "huge-seed", "tiny-dt-simulate",
             "tiny-dt-geodesic", "tiny-dt-reduce1d", "huge-t-end", "infinite-mch2-run",
             "endless-simulate", "endless-geodesic", "endless-mch2-run",
-            "odd-grid-simulate", "small-grid-curvature", "odd-n-reduce1d", "odd-ny-reduce1d"])
+            "odd-grid-simulate", "small-grid-curvature", "odd-n-reduce1d", "odd-ny-reduce1d",
+            "absurd-grid-simulate", "absurd-grid-geodesic", "absurd-grid-curvature", "absurd-grid-verify",
+            "absurd-n-reduce1d", "absurd-ny-reduce1d"])
     def test_bad_values_rejected_before_compute(self, tmp_path, capsys, command, config, extra, message):
         cfg = write_config(tmp_path, config)
         assert run(command, "--config", cfg, "--out", str(tmp_path / "out"), *extra) == 1

@@ -233,6 +233,53 @@ class TestTransformBudget:
             assert self.count(patch, lambda: self.CALLS[name](u, v)) == whole
 
 
+class TestSpectralAlgebra:
+    """Sums, differences, real multiples and stacks act on half spectra, so
+    an RK4 step transforms on the padded grid only, beside the guard's one
+    synthesis of samples."""
+
+    FULL = ("rfft2", "irfft2")  # the unpadded transforms: Field's two forms
+
+    @staticmethod
+    def transforms(monkeypatch, call) -> list[tuple[str, tuple, tuple]]:
+        """(name, input shape, output shape) of every numpy.fft call made by call()."""
+        calls = []
+
+        def spy(name, original):
+            def wrapped(a, *args, **kwargs):
+                out = original(a, *args, **kwargs)
+                calls.append((name, np.shape(a), np.shape(out)))
+                return out
+            return wrapped
+
+        with monkeypatch.context() as patch:
+            for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn",
+                         "rfft", "irfft", "rfft2", "irfft2", "rfftn", "irfftn"):
+                patch.setattr(np.fft, name, spy(name, getattr(np.fft, name)))
+            call()
+        return calls
+
+    def test_one_step_transforms_its_stages_and_the_guard(self, monkeypatch, grid16):
+        u0 = random_bandlimited(grid16, 1, 3, 0.5)
+        u0.values, u0.spectrum  # both forms, so the initial sup norm transforms nothing
+        stage = self.transforms(monkeypatch, lambda: euler_rhs(u0, 2.0))
+        step = self.transforms(monkeypatch, lambda: integrate(u0, 2.0, 1e-3, 1e-3))
+        px, py = grid16.padded_shape
+        assert stage and all({px, py} & {*a[-2:], *b[-2:]} for _, a, b in stage)
+        assert [c for c in step if c[0] not in self.FULL] == 4 * stage
+        assert [c for c in step if c[0] in self.FULL] == [("irfft2", (2,) + grid16.half_shape, (2,) + grid16.shape)]
+
+    def test_combinations_of_spectra_transform_nothing(self, monkeypatch, grid16):
+        u = Field.from_spectrum(grid16, random_bandlimited(grid16, 2, 3, 0.5).spectrum)
+        v = Field.from_spectrum(grid16, random_bandlimited(grid16, 3, 3, 0.5).spectrum)
+        results = []
+        assert self.transforms(monkeypatch, lambda: results.append(
+            stack([u + v, u - v, 2.5 * u, v * -0.5, -u]).spectrum)) == []
+        expected = [u.spectrum + v.spectrum, u.spectrum - v.spectrum, u.spectrum * 2.5,
+                    v.spectrum * -0.5, u.spectrum * -1.0]
+        assert np.array_equal(results[0], np.stack(expected))
+
+
 class TestRowBlocks:
     """The transports and truncations cut the padded planes into row blocks
     once a plane exceeds spectral._BLOCK_BYTES; every output bit is the

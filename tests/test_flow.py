@@ -391,7 +391,7 @@ class TestChristoffelConjugated:
     def test_equal_arguments_compose_once(self, grid32, monkeypatch):
         phi = small_map(grid32, seed=16, amplitude=0.03)
         U = random_bandlimited(grid32, seed=17, kmax=3, amplitude=0.3)
-        copy = Field(U.grid, U.values)
+        copy = Field.from_spectrum(U.grid, U.spectrum)  # U is born from its spectrum
         shapes = []
 
         def recorded(grid, spectra, *args, **kwargs):
