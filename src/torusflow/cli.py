@@ -201,8 +201,6 @@ COUNT = _int(minimum=0)
 TOLERANCE = _float(minimum=0.0)
 GATE = _float(minimum=0.0, nullable=True)  # a tolerance that null switches off
 B = (2.0, _float())
-# Every pad factor is the one exact padded grid; the key is kept so old configs still run.
-PAD_FACTOR = (2, _int(minimum=2))
 RECORD_STRIDE = (1, _int(minimum=1))
 SNAPSHOTS = (False, _bool)
 MODE = {
@@ -223,7 +221,6 @@ SIMULATE = {
     "dt": (1e-3, _float()),
     "t_end": (0.1, _float()),
     "record_stride": RECORD_STRIDE,
-    "pad_factor": PAD_FACTOR,
     "blowup_factor": (1e3, _float(minimum=0.0, strict=True)),
     "snapshots": SNAPSHOTS,
     "tolerances": {"hamiltonian_drift": (None, GATE)},
@@ -236,7 +233,6 @@ GEODESIC = {
     "dt": (5e-3, _float()),
     "t_end": (0.2, _float()),
     "record_stride": RECORD_STRIDE,
-    "pad_factor": PAD_FACTOR,
     "det_floor": (1e-3, _float()),
     "snapshots": SNAPSHOTS,
     "tolerances": {"body_momentum_drift": (None, GATE)},
@@ -246,8 +242,6 @@ CURVATURE = {
     "grid": ([64, 64], GRID),
     "k_range": ([1, 2, 3], _list(_int())),
     "basis": ([1], _list(_int())),
-    "pairing": ("metric", _choice("metric")),  # the one pairing; kept so old configs still run
-    "pad_factor": PAD_FACTOR,
     "tolerances": {"two_route": (1e-7, GATE)},
 }
 
@@ -259,7 +253,6 @@ VERIFY = {
     "kmax": (3, COUNT),
     "amplitude": (0.5, _float()),
     "seed": (0, COUNT),
-    "pad_factor": PAD_FACTOR,
     "tolerances": {
         "identity": (1e-10, TOLERANCE),
         "uniqueness_zero": (1e-11, TOLERANCE),
@@ -277,7 +270,6 @@ REDUCE1D = {
     "seed": (0, COUNT),
     "kmax": (3, COUNT),
     "amplitude": (0.1, _float()),
-    "pad_factor": PAD_FACTOR,
     "tolerances": {"reduction": (1e-9, TOLERANCE), "mch2": (1e-10, TOLERANCE)},
 }
 
@@ -412,7 +404,6 @@ def _cmd_simulate(p: dict, cfg: dict, out: Path, threads: int) -> int:
         "dt": cfg["dt"],
         "t_end": cfg["t_end"],
         "hamiltonian_drift": report.hamiltonian_drift,
-        "h1_drift": report.h1_drift,
         "final_sup_u": report.sup_u[-1],
     }, digest)
     if p["snapshots"]:
@@ -436,7 +427,7 @@ def _cmd_geodesic(p: dict, cfg: dict, out: Path, threads: int) -> int:
     def take(m) -> None:
         nonlocal first, worst
         first = m if first is None else first
-        gap = (m - first).sup_norm()
+        gap = float(np.max(np.abs(m.values - first.values)))
         worst = gap if worst is None else max(worst, gap)
 
     def record(t: float, phi, phi_t) -> None:

@@ -98,9 +98,9 @@ def write_field_csv(path, u: Field, digest: str) -> None:
 
 
 def write_trajectory_csv(path, report, digest: str) -> None:
-    """Conservation time series as t,hamiltonian,h1_energy,sup_u rows."""
-    rows = zip(report.times, report.hamiltonian, report.h1_energy, report.sup_u)
-    write_csv(path, ("t", "hamiltonian", "h1_energy", "sup_u"), rows, digest)
+    """Conservation time series as t,hamiltonian,sup_u rows."""
+    rows = zip(report.times, report.hamiltonian, report.sup_u)
+    write_csv(path, ("t", "hamiltonian", "sup_u"), rows, digest)
 
 
 def write_diffeo_csv(path, phi: DiffeoMap, digest: str) -> None:

@@ -20,7 +20,7 @@ Conventions
 * One Nyquist rule: in each axis the unpaired -n/2 coefficient is a cosine,
   split evenly between -n/2 and +n/2, so the corner goes four ways.  First
   derivatives zero it; the Helmholtz symbol 1 + |k|^2 keeps every mode.
-* pointwise_product, dot and tdot are always dealiased (only flow's map
+* pointwise_product and dot are always dealiased (only flow's map
   quantities, in the one map frame of flow._checked_det, multiply samples):
   each factor is lifted once to real samples on the grid's padded_shape,
   the smallest grid on which a quadratic product is exact (Orszag's rule),
@@ -31,7 +31,7 @@ Conventions
   the truncated half spectrum is fresh.  Gradient rows and the
   truncation's row transforms run in row blocks of r rows, each within
   _BLOCK_BYTES of a plane: r = M up to 64^2, M/4 at 128^2.  After
-  euler_rhs, christoffel, dot, tdot and pointwise_product on an n-by-n grid
+  euler_rhs, christoffel, dot and pointwise_product on an n-by-n grid
   padded to M-by-M, each thread keeps 128 M^2 + 32 M (n + 2) + 32 r (M + 2)
   bytes, 0.46 MB at 32^2, 1.82 MB at 64^2 and 6.28 MB at 128^2; after
   euler_rhs alone 48 M^2 + 16 M (n + 2) + 32 M r bytes, 0.23, 0.91 and
@@ -71,7 +71,6 @@ __all__ = [
     "h1_inner",
     "pointwise_product",
     "dot",
-    "tdot",
     "eval_spectra",
     "cosine_mode",
     "random_bandlimited",
@@ -501,11 +500,6 @@ def pointwise_product(f: Field, g: Field) -> Field:
 def dot(J: Field, v: Field) -> Field:
     """Matrix-vector product (J v)_i = sum_j J_ij v_j with dealiased products."""
     return _dealiased(J, v, lambda j, v: _scratch_pair_sum(j[:, 0], v[0], j[:, 1], v[1]))
-
-
-def tdot(J: Field, w: Field) -> Field:
-    """Transposed product (J^T w)_i = sum_j J_ji w_j with dealiased products."""
-    return _dealiased(J, w, lambda j, w: _scratch_pair_sum(j[0], w[0], j[1], w[1]))
 
 
 def _powers(t: np.ndarray, out: np.ndarray) -> np.ndarray:

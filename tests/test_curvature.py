@@ -107,6 +107,55 @@ class TestCurvatureTensor:
         assert (got - definition).sup_norm() <= 1e-12 * definition.sup_norm()
 
 
+class TestRiemannSymmetries:
+    """A symmetric Gamma is torsion-free at every b, so the first Bianchi
+    identity R(u,v)w + R(v,w)u + R(w,u)v = 0 always holds.  Metric
+    compatibility, which only b = 2 has, adds antisymmetry in the last pair,
+    <R(u,v)w, z> = -<R(u,v)z, w>, and pair symmetry,
+    <R(u,v)w, z> = <R(w,z)u, v>.  At b = 2.5 and 3 those two miss by about
+    0.6, so the roundoff bound and the order-one bound sit orders apart.
+    """
+
+    ROUNDOFF = 1e-12  # relative; the identities hold to about 5e-15 at 32^2
+    ORDER_ONE = 0.1
+
+    @staticmethod
+    def relative(a: float, b: float) -> float:
+        """|a - b| against the larger of |a| and |b|."""
+        return abs(a - b) / max(abs(a), abs(b))
+
+    @pytest.fixture(scope="class")
+    def fields(self, grid32):
+        return tuple(rand(grid32, seed, kmax=2, amplitude=1.0) for seed in (11, 12, 13, 14))
+
+    def metric_defects(self, fields, b: float) -> tuple[float, float]:
+        """Relative defects of last-pair antisymmetry and of pair symmetry."""
+        u, v, w, z = fields
+        ruvwz = h1_inner(curvature_tensor(u, v, w, b), z)
+        last_pair = self.relative(ruvwz, -h1_inner(curvature_tensor(u, v, z, b), w))
+        pair = self.relative(ruvwz, h1_inner(curvature_tensor(w, z, u, b), v))
+        return last_pair, pair
+
+    def test_metric_identities_hold_at_b2(self, fields):
+        last_pair, pair = self.metric_defects(fields, 2.0)
+        assert last_pair <= self.ROUNDOFF
+        assert pair <= self.ROUNDOFF
+
+    @pytest.mark.parametrize("b", [2.5, 3.0])
+    def test_metric_identities_fail_off_b2(self, fields, b):
+        last_pair, pair = self.metric_defects(fields, b)
+        assert last_pair > self.ORDER_ONE
+        assert pair > self.ORDER_ONE
+
+    @pytest.mark.parametrize("b", [0.0, 2.0, 2.5, 3.0])
+    def test_first_bianchi_identity_at_every_b(self, fields, b):
+        u, v, w, _ = fields
+        terms = (curvature_tensor(u, v, w, b), curvature_tensor(v, w, u, b), curvature_tensor(w, u, v, b))
+        scale = max(t.sup_norm() for t in terms)
+        assert scale > self.ORDER_ONE
+        assert (terms[0] + terms[1] + terms[2]).sup_norm() <= self.ROUNDOFF * scale
+
+
 class TestConnectionBudget:
     """Connection evaluations per call: the tensor route computes Gamma(w,u)
     and Gamma(w,v) once each (5), and a sectional_formula plane adds the

@@ -102,13 +102,12 @@ class TestFieldWriters:
         report = SimpleNamespace(
             times=[0.0, 0.1],
             hamiltonian=[1.0, 1.0 + 1e-12],
-            h1_energy=[2.0, 2.0],
             sup_u=[0.5, 0.5],
         )
         path = tmp_path / "traj.csv"
         write_trajectory_csv(path, report, digest="0" * 64)
         lines = path.read_text().splitlines()
-        assert lines[2] == "t,hamiltonian,h1_energy,sup_u"
+        assert lines[2] == "t,hamiltonian,sup_u"
         assert float(lines[4].split(",")[1]) == 1.0 + 1e-12
 
     def test_curvature_csv_preserves_row_order(self, tmp_path):

@@ -29,7 +29,6 @@ from torusflow.spectral import (
     pointwise_product,
     random_bandlimited,
     stack,
-    tdot,
 )
 
 from conftest import TWO_PI, sample_scalar, sample_vector
@@ -468,7 +467,6 @@ class TestDenseOracle:
         self.check(pointwise_product(self.field(f), self.field(g)), self.dense(f) * self.dense(g))
         self.check(pointwise_product(self.field(J), self.field(f)), dJ * self.dense(f))
         self.check(dot(self.field(J), self.field(v)), dJ[:, 0] * dv[0] + dJ[:, 1] * dv[1])
-        self.check(tdot(self.field(J), self.field(v)), dJ[0] * dv[0] + dJ[1] * dv[1])
 
     @pytest.mark.parametrize("b", [2.0, 3.0])
     def test_momentum_transport(self, b):
