@@ -9,15 +9,19 @@ Two independent routes to the same number:
   R(u,v)w = Gamma(Gamma(w,v) - grad w.v, u) + Gamma(grad w.u - Gamma(w,u), v)
             - Gamma([u,v], w) + grad(Gamma(w,u)).v - grad(Gamma(w,v)).u,
   which evaluates Gamma(w,u) and Gamma(w,v) once each: five connection
-  evaluations where the definition takes ten,
+  evaluations where the definition takes ten, and four for R(u,v)v, whose
+  bracket term folds into the second group,
 * the formula route evaluates S(u,v) = <Gamma(u,v),Gamma(u,v)>
   - <Gamma(u,u),Gamma(v,v)> + R(u,v), where R(u,v) is a fixed twelve-term
-  expression in gradients of u and v.
+  expression in gradients of u and v (eleven pairings), and Gamma(u,v)
+  comes by polarization from three diagonal evaluations.
 
-Their agreement on random band-limited data is the main correctness oracle;
-closed-form positive values on span{e_i, sin(k1 x) sin(k2 y) (1,1)}, with
-k = 2*pi*j for a positive integer mode j, pin the absolute normalization.
-Every pairing is the metric (A-weighted) inner product h1_inner.
+A plane costs seven connection evaluations and ten transports, and the two
+routes share no computed value: their agreement on random band-limited data
+is the main correctness oracle; closed-form positive values on
+span{e_i, sin(k1 x) sin(k2 y) (1,1)}, with k = 2*pi*j for a positive
+integer mode j, pin the absolute normalization.  Every pairing is the metric
+(A-weighted) inner product h1_inner.
 """
 
 from __future__ import annotations
@@ -99,19 +103,26 @@ def curvature_tensor(u: Field, v: Field, w: Field, b=2.0) -> Field:
         R(u,v)w = Gamma(Gamma(w,v) - grad w.v, u) + Gamma(grad w.u - Gamma(w,u), v)
                   - Gamma([u,v], w) + grad(Gamma(w,u)).v - grad(Gamma(w,v)).u
 
-    The two grouped arguments are exact negatives when u == v, so
-    R(u,u)w is exactly zero.
+    Five connection evaluations, ten transports for distinct u, v and w.
+    When w is v the bracket term is -Gamma([u,v], v) and folds into the
+    second group by linearity in the first slot, with [u,v] = grad u.v - grad v.u:
+
+        Gamma(2 grad v.u - grad u.v - Gamma(v,u), v)
+
+    so R(u,v)v takes four evaluations (seven transports) and reuses grad v.u.
+    The fold needs only w = v and linearity, so it holds at every b.  The
+    two grouped arguments are exact negatives when u == v, so R(u,u)w is
+    exactly zero.
     """
     b = validate_b(b)
     jw = gradient(w)
     gwu, gwv = christoffel(w, u, b), christoffel(w, v, b)
-    return (
-        christoffel(gwv - dot(jw, v), u, b)
-        + christoffel(dot(jw, u) - gwu, v, b)
-        - christoffel(commutator(u, v), w, b)
-        + dot(gradient(gwu), v)
-        - dot(gradient(gwv), u)
-    )
+    r = christoffel(gwv - dot(jw, v), u, b)
+    if w is v:
+        r = r + christoffel(2.0 * dot(jw, u) - dot(gradient(u), v) - gwu, v, b)
+    else:
+        r = r + christoffel(dot(jw, u) - gwu, v, b) - christoffel(commutator(u, v), w, b)
+    return r + dot(gradient(gwu), v) - dot(gradient(gwv), u)
 
 
 def sectional_direct(u: Field, v: Field, b=2.0) -> float:
@@ -120,13 +131,27 @@ def sectional_direct(u: Field, v: Field, b=2.0) -> float:
 
 
 def gamma_terms(u: Field, v: Field, b=2.0) -> float:
-    """<Gamma(u,v), Gamma(u,v)> - <Gamma(u,u), Gamma(v,v)>."""
-    guv = christoffel(u, v, b)
-    return h1_inner(guv, guv) - h1_inner(christoffel(u, u, b), christoffel(v, v, b))
+    """<Gamma(u,v), Gamma(u,v)> - <Gamma(u,u), Gamma(v,v)>.
+
+    Gamma is symmetric and bilinear at every b, so polarization gives
+    Gamma(u,v) = (Gamma(u+v, u+v) - Gamma(u,u) - Gamma(v,v)) / 2: three
+    evaluations of one transport each, where Gamma(u,v) itself takes two.
+    """
+    guu = christoffel(u, u, b)
+    s = u + v
+    twice = christoffel(s, s, b) - guu  # 2 Gamma(u,v) + Gamma(v,v)
+    del s
+    gvv = christoffel(v, v, b)
+    twice = twice - gvv
+    return 0.25 * h1_inner(twice, twice) - h1_inner(guu, gvv)
 
 
 def r_term(u: Field, v: Field) -> float:
     """The twelve-term residual part of the curvature formula.
+
+    The terms -<grad(grad u.v).v, u> and <grad(grad v.u).v, u> share their
+    pairing and are summed as <grad(grad v.u - grad u.v).v, u>, so eleven
+    pairings are made; that is linearity of grad and dot alone.
 
     Vanishes identically when either argument is a constant field, but not
     in general: on random band-limited planes it is negative and outweighs
@@ -134,15 +159,18 @@ def r_term(u: Field, v: Field) -> float:
     -1288 against 596), so there the sectional curvature is negative.
     """
     ju, jv = gradient(u), gradient(v)
-    uu, uv, vu, vv = dot(ju, u), dot(ju, v), dot(jv, u), dot(jv, v)
+    uv, vu = dot(ju, v), dot(jv, u)
+    # Paired before uu and vv exist, so this call holds no more fields at
+    # once than the pairings below do.
+    merged = h1_inner(dot(gradient(vu - uv), v), u)
+    uu, vv = dot(ju, u), dot(jv, v)
     return (
         h1_inner(uu, vv)
         - h1_inner(uv, uv)
         + h1_inner(vu, uv)
         - h1_inner(vu, vu)
         + h1_inner(dot(gradient(uu), v), v)
-        - h1_inner(dot(gradient(uv), v), u)
-        + h1_inner(dot(gradient(vu), v), u)
+        + merged
         - h1_inner(dot(gradient(vu), u), v)
         - h1_inner(dot(jv, uu), v)
         - h1_inner(dot(ju, vv), u)

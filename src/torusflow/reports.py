@@ -17,6 +17,8 @@ import tempfile
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 # CPython's built-in sha256: hashlib would also load OpenSSL's libcrypto.
 try:
     from _sha2 import sha256  # CPython >= 3.12
@@ -69,14 +71,24 @@ def _atomic_write_text(path: Path, text: str) -> None:
         raise
 
 
-def write_csv(path, header: Sequence[str], rows: Iterable[Sequence], digest: str) -> None:
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence] | np.ndarray, digest: str) -> None:
+    """CSV with the provenance comments, then header, then rows.
+
+    rows is an iterable of rows, whose cells are formatted by type, or a 2D
+    float array, formatted in one pass over the whole table.
+    """
     lines = [
         f"# tool: torusflow {__version__}",
         f"# config_sha256: {digest}",
         ",".join(header),
     ]
-    for row in rows:
-        lines.append(",".join(_format_cell(v) for v in row))
+    if isinstance(rows, np.ndarray):
+        if len(rows):
+            row = ",".join([FLOAT_FORMAT] * rows.shape[1])
+            lines.append("\n".join([row] * len(rows)) % tuple(rows.ravel().tolist()))
+    else:
+        for row in rows:
+            lines.append(",".join(_format_cell(v) for v in row))
     _atomic_write_text(Path(path), "\n".join(lines) + "\n")
 
 
@@ -87,9 +99,8 @@ def write_json(path, payload: dict, digest: str) -> None:
 
 
 def _write_vector_csv(path, u: Field, names: tuple[str, str], digest: str) -> None:
-    pts = u.grid.points
-    rows = zip(pts[:, 0], pts[:, 1], *u.values.reshape(2, -1))
-    write_csv(path, ("x", "y") + names, rows, digest)
+    table = np.column_stack((u.grid.points, u.values.reshape(2, -1).T))
+    write_csv(path, ("x", "y") + names, table, digest)
 
 
 def write_field_csv(path, u: Field, digest: str) -> None:

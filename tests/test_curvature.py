@@ -17,9 +17,12 @@ from torusflow.curvature import (
     sectional_formula,
 )
 from torusflow.dynamics import christoffel
-from torusflow.spectral import VectorField, h1_inner, make_grid, random_bandlimited
+from torusflow.spectral import Field, VectorField, h1_inner, make_grid, random_bandlimited
+
+from conftest import count_transforms
 
 TWO_PI = 2.0 * np.pi
+ROUNDOFF = 1e-12  # relative to the largest term; about 4500 ulps
 
 
 def rand(grid, seed, kmax=3, amplitude=0.5):
@@ -94,17 +97,27 @@ class TestCurvatureTensor:
     @pytest.mark.parametrize("b", [2.0, 3.0])
     def test_matches_definition(self, n, b):
         # The grouped form against D1Gamma(w,u)v - D1Gamma(w,v)u
-        # + Gamma(Gamma(w,v),u) - Gamma(Gamma(w,u),v), on full-band data.
+        # + Gamma(Gamma(w,v),u) - Gamma(Gamma(w,u),v), on full-band data,
+        # for a distinct w and for w = v, which folds the bracket in.
         grid = make_grid(n, n)
-        u, v, w = (rand(grid, seed, kmax=n // 2 - 1, amplitude=1.0) for seed in (40, 41, 42))
-        definition = (
-            d1_gamma(w, u, v, b)
-            - d1_gamma(w, v, u, b)
-            + christoffel(christoffel(w, v, b), u, b)
-            - christoffel(christoffel(w, u, b), v, b)
-        )
-        got = curvature_tensor(u, v, w, b)
-        assert (got - definition).sup_norm() <= 1e-12 * definition.sup_norm()
+        u, v, z = (rand(grid, seed, kmax=n // 2 - 1, amplitude=1.0) for seed in (40, 41, 42))
+        for w in (z, v):
+            definition = (
+                d1_gamma(w, u, v, b)
+                - d1_gamma(w, v, u, b)
+                + christoffel(christoffel(w, v, b), u, b)
+                - christoffel(christoffel(w, u, b), v, b)
+            )
+            got = curvature_tensor(u, v, w, b)
+            assert (got - definition).sup_norm() <= 1e-12 * definition.sup_norm()
+
+    @pytest.mark.parametrize("b", [2.0, 3.0])
+    def test_folded_bracket_matches_five_evaluations(self, grid32, b):
+        # A copy of v is not v, so it takes the five-evaluation grouping.
+        u, v = rand(grid32, 46, kmax=2, amplitude=1.0), rand(grid32, 47, kmax=2, amplitude=1.0)
+        five = curvature_tensor(u, v, Field.from_spectrum(v.grid, v.spectrum), b)
+        assert five.sup_norm() > 1.0
+        assert (curvature_tensor(u, v, v, b) - five).sup_norm() <= ROUNDOFF * five.sup_norm()
 
 
 class TestRiemannSymmetries:
@@ -157,30 +170,48 @@ class TestRiemannSymmetries:
 
 
 class TestConnectionBudget:
-    """Connection evaluations per call: the tensor route computes Gamma(w,u)
-    and Gamma(w,v) once each (5), and a sectional_formula plane adds the
-    three of gamma_terms (8).
+    """Connection evaluations and transports per call: christoffel(u, v)
+    runs two transports and christoffel(u, u) one.  The tensor route
+    computes Gamma(w,u) and Gamma(w,v) once each: five evaluations and ten
+    transports for a distinct w, four and seven for w = v, where the bracket
+    term folds into the second group.  A sectional_formula plane adds the
+    three one-transport evaluations of gamma_terms: seven and ten.
     """
 
     @staticmethod
     def count(monkeypatch, call):
-        calls = []
+        transports = []
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return christoffel(*args, **kwargs)
+        def counted(u, v, *args, **kwargs):
+            transports.append(1 if v is u else 2)
+            return christoffel(u, v, *args, **kwargs)
 
         monkeypatch.setattr(curvature, "christoffel", counted)
         call()
-        return len(calls)
+        return len(transports), sum(transports)
 
     def test_curvature_tensor(self, grid32, monkeypatch):
         u, v, w = (rand(grid32, seed, kmax=2) for seed in (43, 44, 45))
-        assert self.count(monkeypatch, lambda: curvature_tensor(u, v, w)) == 5
+        assert self.count(monkeypatch, lambda: curvature_tensor(u, v, w)) == (5, 10)
+
+    def test_curvature_tensor_in_its_direction(self, grid32, monkeypatch):
+        u, v = (rand(grid32, seed, kmax=2) for seed in (43, 44))
+        assert self.count(monkeypatch, lambda: curvature_tensor(u, v, v)) == (4, 7)
 
     def test_sectional_formula_plane(self, grid32, monkeypatch):
         e, v = basis_field(grid32, 1), mode_field(grid32, 1, 1)
-        assert self.count(monkeypatch, lambda: sectional_formula(e, v)) == 8
+        assert self.count(monkeypatch, lambda: sectional_formula(e, v)) == (7, 10)
+
+    def test_padded_transforms_of_a_plane(self, grid32, monkeypatch):
+        # In padded real planes (see test_dynamics.TestTransformBudget): a
+        # christoffel of two fields takes 28, of one field 16, and a dot 8
+        # (the four rows of J and two of v lifted, one vector truncated).
+        # gamma_terms makes 3 x 16; the tensor 3 x 28 + 16 and 5 dots; r_term 11 dots.
+        e, v = basis_field(grid32, 1), mode_field(grid32, 1, 1)
+        complex_padded, complex_2d, real_planes = count_transforms(
+            monkeypatch, lambda: sectional_formula(e, v), grid32.padded_shape)
+        assert complex_padded == [] and complex_2d == []
+        assert real_planes == 3 * 16 + (3 * 28 + 16) + 16 * 8
 
 
 class TestSectional:
@@ -312,3 +343,18 @@ class TestGammaTerms:
         norm_sq = h1_inner(gam, gam)
         assert abs(gamma_terms(e1, v) - norm_sq) <= 1e-12
         assert abs(norm_sq - closed_form_S(1, 1, 1)) <= 1e-7
+
+    @pytest.mark.parametrize("b", [2.0, 2.5, 3.0])
+    def test_polarization_matches_christoffel(self, grid32, b):
+        # Gamma is symmetric and bilinear at every b, so the diagonal
+        # evaluations give Gamma(u, v); roundoff scales with the largest.
+        u, v = rand(grid32, 48, kmax=2, amplitude=1.0), rand(grid32, 49, kmax=2, amplitude=1.0)
+        s = u + v
+        gss, guu, gvv = (christoffel(f, f, b) for f in (s, u, v))
+        guv = christoffel(u, v, b)
+        scale = max(g.sup_norm() for g in (gss, guu, gvv))
+        assert (0.5 * (gss - guu - gvv) - guv).sup_norm() <= ROUNDOFF * scale
+        reference = h1_inner(guv, guv) - h1_inner(guu, gvv)
+        assert abs(reference) > 1.0
+        scale = max(h1_inner(g, g) for g in (gss, guu, gvv))
+        assert abs(gamma_terms(u, v, b) - reference) <= ROUNDOFF * scale

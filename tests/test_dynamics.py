@@ -1,6 +1,5 @@
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -48,7 +47,7 @@ from torusflow.spectral import (
     stack,
 )
 
-from conftest import TWO_PI, sample_scalar, sample_vector
+from conftest import TWO_PI, count_transforms, sample_scalar, sample_vector
 
 
 def e1(grid):
@@ -183,31 +182,6 @@ class TestTransformBudget:
 
     PADDED = make_grid(16, 16).padded_shape
 
-    def count(self, monkeypatch, call):
-        complex_padded, complex_2d, real_planes = [], [], Fraction(0)
-
-        def spy(name, original):
-            def wrapped(a, *args, **kwargs):
-                nonlocal real_planes
-                out = original(a, *args, **kwargs)
-                padded = self.PADDED in (np.shape(a)[-2:], np.shape(out)[-2:])
-                samples = np.shape(a if name.startswith("rfft") else out)
-                if name in ("fft2", "ifft2", "fftn", "ifftn"):
-                    complex_2d.append(name)
-                if name.startswith(("rfft", "irfft")):
-                    if samples[-1] == self.PADDED[1] and samples[-2] <= self.PADDED[0]:
-                        real_planes += Fraction(int(np.prod(samples[:-1])), self.PADDED[0])
-                elif padded:
-                    complex_padded.append(name)
-                return out
-            return wrapped
-
-        for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn",
-                     "rfft", "irfft", "rfft2", "irfft2", "rfftn", "irfftn"):
-            monkeypatch.setattr(np.fft, name, spy(name, getattr(np.fft, name)))
-        call()
-        return complex_padded, complex_2d, real_planes
-
     CALLS = {"euler_rhs": lambda u, v: euler_rhs(u, 2.0), "christoffel": lambda u, v: christoffel(u, v, 2.0),
              "christoffel_self": lambda u, v: christoffel(u, u, 2.0)}
 
@@ -215,7 +189,8 @@ class TestTransformBudget:
     def test_padded_transforms(self, monkeypatch, name, ceiling):
         grid = make_grid(16, 16)
         u, v = random_bandlimited(grid, 1, 3, 0.5), random_bandlimited(grid, 2, 3, 0.5)
-        complex_padded, complex_2d, real_planes = self.count(monkeypatch, lambda: self.CALLS[name](u, v))
+        complex_padded, complex_2d, real_planes = count_transforms(
+            monkeypatch, lambda: self.CALLS[name](u, v), self.PADDED)
         assert complex_padded == []
         assert complex_2d == []
         assert 0 < real_planes <= ceiling
@@ -225,11 +200,11 @@ class TestTransformBudget:
         grid = make_grid(16, 16)
         u, v = random_bandlimited(grid, 1, 3, 0.5), random_bandlimited(grid, 2, 3, 0.5)
         with monkeypatch.context() as patch:
-            whole = self.count(patch, lambda: self.CALLS[name](u, v))
+            whole = count_transforms(patch, lambda: self.CALLS[name](u, v), self.PADDED)
         with monkeypatch.context() as patch:
             patch.setattr(spectral, "_BLOCK_BYTES", 4 * 8 * self.PADDED[1])
             assert len(spectral._row_blocks(*self.PADDED)) > 1
-            assert self.count(patch, lambda: self.CALLS[name](u, v)) == whole
+            assert count_transforms(patch, lambda: self.CALLS[name](u, v), self.PADDED) == whole
 
 
 class TestSpectralAlgebra:

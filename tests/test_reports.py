@@ -46,6 +46,16 @@ class TestWriteCsv:
         write_csv(path, ("i", "x"), [[3, 0.5]], digest="0" * 64)
         assert path.read_text().splitlines()[3] == "3,0.5"
 
+    def test_float_table_matches_cell_formatting(self, tmp_path):
+        table = np.array([[0.1 + 0.2, -0.0, 1e-300, -np.pi],
+                          [np.inf, -np.inf, np.nan, 2.0**60],
+                          [1.0, 5e-324, -1.5e308, 1 / 3]])
+        by_table, by_rows = tmp_path / "table.csv", tmp_path / "rows.csv"
+        write_csv(by_table, ("a", "b", "c", "d"), table, digest="0" * 64)
+        write_csv(by_rows, ("a", "b", "c", "d"), table.tolist(), digest="0" * 64)
+        assert by_table.read_bytes() == by_rows.read_bytes()
+        assert by_table.read_text().splitlines()[3] == "0.30000000000000004,-0,1e-300,-3.1415926535897931"
+
     def test_creates_missing_directories(self, tmp_path):
         path = tmp_path / "deep" / "nested" / "t.csv"
         write_csv(path, ("x",), [[1.0]], digest="0" * 64)

@@ -1,25 +1,29 @@
 """Rewrite this numpy version's and machine's entry of tests/golden.json.
 
-    PYTHONPATH=src python tests/update_golden.py
+    PYTHONPATH=src python tests/update_golden.py [--base REF]
 
 Runs every config of test_golden.RUNS once, prints each output file whose
 sha256 or exit code changed, appeared or went, and writes the table.
 
 The run's output files are kept in tests/golden_outputs/, which git
-ignores.  When that directory holds a previous run's files, each file whose
-bytes differ is compared with its previous copy: for every CSV column and
-every JSON number that moved, the largest absolute change and the largest
-relative one, taken against the column's largest previous magnitude or the
-number's previous value.  To see how a commit moves the outputs, run the
-tool at its parent, then at the commit in the same checkout (or with the
-directory copied over).
+ignores.  Each output file whose bytes differ from its previous copy is
+compared with it: for every CSV column and every JSON number that moved,
+the largest absolute change and the largest relative one, taken against
+the column's largest previous magnitude or the number's previous value.
+The previous copies are those kept by the last run, or with --base REF
+those of the commit REF (say HEAD, to see what uncommitted changes move),
+built with REF's own code in a temporary git worktree that is removed
+afterwards.  REF needs its own tests/test_golden.py.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
+import os
 import shutil
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -28,7 +32,18 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from test_golden import KEY, RUNS, TABLE, outputs, read_table  # noqa: E402
 
+ROOT = Path(__file__).resolve().parents[1]
 KEPT = Path(__file__).resolve().parent / "golden_outputs"
+
+# Run in a checkout: its test_golden makes every run's outputs in argv[1].
+BUILD = """
+import sys
+from pathlib import Path
+sys.path.insert(0, "tests")
+from test_golden import RUNS, outputs
+for name in sorted(RUNS):
+    outputs(name, Path(sys.argv[1]) / name)
+"""
 
 
 def numbers(path: Path) -> dict[str, list[float]]:
@@ -77,13 +92,34 @@ def changes(before: Path, after: Path) -> list[str]:
     return lines
 
 
-def main() -> int:
+def base_outputs(ref: str, into: Path) -> None:
+    """Outputs of every run at the commit ref, made in into/<run>/out."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp) / "tree"
+        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet", str(tree), ref],
+                       check=True)
+        try:
+            env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+            subprocess.run([sys.executable, "-c", BUILD, str(into)], cwd=tree, env=env, check=True)
+        finally:
+            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(tree)], check=True)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", metavar="REF",
+                        help="compare with the outputs of the commit REF instead of the kept ones")
+    args = parser.parse_args(argv)
     table = read_table()
     old = table.get(KEY, {})
     new = {}
     with tempfile.TemporaryDirectory() as tmp:
+        made, against = Path(tmp) / "made", KEPT
+        if args.base is not None:
+            against = Path(tmp) / "base"
+            base_outputs(args.base, against)
         for name in sorted(RUNS):
-            new[name] = outputs(name, Path(tmp) / name)
+            new[name] = outputs(name, made / name)
         changed = 0
         for name in sorted(set(old) | set(new)):
             before, after = old.get(name, {"files": {}}), new.get(name, {"files": {}})
@@ -98,13 +134,13 @@ def main() -> int:
                     changed += 1
         for name in sorted(new):
             for file in sorted(new[name]["files"]):
-                previous, current = KEPT / name / "out" / file, Path(tmp) / name / "out" / file
+                previous, current = against / name / "out" / file, made / name / "out" / file
                 if previous.is_file() and previous.read_bytes() != current.read_bytes():
-                    print(f"{name}/{file} against the kept outputs:")
+                    print(f"{name}/{file} against the {args.base or 'kept'} outputs:")
                     for line in changes(previous, current):
                         print(f"  {line}")
         shutil.rmtree(KEPT, ignore_errors=True)
-        shutil.copytree(tmp, KEPT)
+        shutil.copytree(made, KEPT)
     table[KEY] = new
     TABLE.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
     print(f"{KEY}: {changed} change(s), {len(new)} runs written to {TABLE.name}")
