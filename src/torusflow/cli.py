@@ -183,7 +183,7 @@ def _check_object(schema: dict, value, name: str = "") -> tuple[dict, dict]:
 # Points per grid side at most, so an absurd grid such as [2**40, 16] is a
 # config error before anything is allocated.  4096 is already past any run
 # this library can finish: on 4096^2 each thread's product scratch alone is
-# about 5 GB (128 M^2 bytes, padded side M = 6250).
+# about 4.4 GB (112 M^2 bytes, padded side M = 6250).
 MAX_SIDE = 4096
 
 

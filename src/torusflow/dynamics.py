@@ -25,11 +25,9 @@ import numpy as np
 
 from .spectral import (
     Field,
-    _block_scratch,
     _dealiased,
     _lift,
-    _padded_half,
-    _row_blocks,
+    _padded_rows,
     _scratch_array,
     dot,
     gradient,
@@ -160,29 +158,20 @@ def _transport(m: Field, lm: np.ndarray, v: Field, lv: np.ndarray, b: float, acc
     from m and v lifted, and returns acc.
 
     The rows of grad m and grad v never exist as whole padded planes: each
-    pair of them is taken over x once, then over y one row block at a time
-    (_row_blocks), and every product of the block is formed in its spent
-    gradient rows and two block-sized temporaries of this thread's scratch.
-    div v is summed from the diagonal of grad v; given sym and w lifted,
-    grad(v).w is added to sym from the same rows.  Each accumulator adds its
-    terms in the order of acc[i] += g[0] v[0] + g[1] v[1],
-    acc[j] += g[j] m[i] + ((b-1) g[i]) m[j] and sym[i] += g[0] w[0] + g[1] w[1].
+    pair of them is streamed one row block at a time (spectral._padded_rows),
+    and every product of the block is formed in its spent gradient rows and
+    the block's two spare planes.  div v is summed from the diagonal of
+    grad v; given sym and w lifted, grad(v).w is added to sym from the same
+    rows.  Each accumulator adds its terms in the order of
+    acc[i] += g[0] v[0] + g[1] v[1], acc[j] += g[j] m[i] + ((b-1) g[i]) m[j]
+    and sym[i] += g[0] w[0] + g[1] w[1].
     """
     symbol = m.grid.grad_symbol
-    px, py = lm.shape[1:]
-    blocks = _row_blocks(px, py)
-    scratch = _block_scratch((4, blocks[0].stop, py))
     for i in range(2):
-        half = _padded_half(m[i], symbol)
-        for rows in blocks:
-            g = scratch[:2, :rows.stop - rows.start]
-            np.fft.irfft(half[:, rows], n=py, norm="forward", out=g)
+        for rows, g, _ in _padded_rows(m[i], symbol):
             np.multiply(g, lv[:, rows], out=g)
             acc[i, rows] += np.add(g[0], g[1], out=g[0])
-        half = _padded_half(v[i], symbol)
-        for rows in blocks:
-            g, t = scratch[:2, :rows.stop - rows.start], scratch[2:, :rows.stop - rows.start]
-            np.fft.irfft(half[:, rows], n=py, norm="forward", out=g)
+        for rows, g, t in _padded_rows(v[i], symbol):
             if sym is not None:
                 np.multiply(g, lw[:, rows], out=t)
                 sym[i, rows] += np.add(t[0], t[1], out=t[0])

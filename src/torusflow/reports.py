@@ -47,16 +47,6 @@ def config_digest(config: dict) -> str:
     return sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int,)):
-        return str(value)
-    if isinstance(value, float):
-        return FLOAT_FORMAT % value
-    return str(value)
-
-
 def _atomic_write_text(path: Path, text: str) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -71,24 +61,23 @@ def _atomic_write_text(path: Path, text: str) -> None:
         raise
 
 
-def write_csv(path, header: Sequence[str], rows: Iterable[Sequence] | np.ndarray, digest: str) -> None:
-    """CSV with the provenance comments, then header, then rows.
-
-    rows is an iterable of rows, whose cells are formatted by type, or a 2D
-    float array, formatted in one pass over the whole table.
-    """
+def write_csv(path, header: Sequence[str], table, digest: str) -> None:
+    """CSV with the provenance comments, then header, then the rows of a
+    numeric table, one column per header name, in one %.17g pass.  A table
+    of another width or with a non-numeric cell writes nothing: ValueError."""
+    table = np.asarray(table)
+    if table.dtype.kind not in "iuf":
+        raise ValueError(f"a CSV table must be numeric, not of {table.dtype} cells")
+    if table.shape != (0,) and table.shape[1:] != (len(header),):
+        raise ValueError(f"a table of shape {table.shape} does not fit the {len(header)} columns {tuple(header)}")
     lines = [
         f"# tool: torusflow {__version__}",
         f"# config_sha256: {digest}",
         ",".join(header),
     ]
-    if isinstance(rows, np.ndarray):
-        if len(rows):
-            row = ",".join([FLOAT_FORMAT] * rows.shape[1])
-            lines.append("\n".join([row] * len(rows)) % tuple(rows.ravel().tolist()))
-    else:
-        for row in rows:
-            lines.append(",".join(_format_cell(v) for v in row))
+    if len(table):
+        row = ",".join([FLOAT_FORMAT] * len(header))
+        lines.append("\n".join([row] * len(table)) % tuple(table.ravel().tolist()))
     _atomic_write_text(Path(path), "\n".join(lines) + "\n")
 
 
@@ -110,8 +99,8 @@ def write_field_csv(path, u: Field, digest: str) -> None:
 
 def write_trajectory_csv(path, report, digest: str) -> None:
     """Conservation time series as t,hamiltonian,sup_u rows."""
-    rows = zip(report.times, report.hamiltonian, report.sup_u)
-    write_csv(path, ("t", "hamiltonian", "sup_u"), rows, digest)
+    table = np.column_stack((report.times, report.hamiltonian, report.sup_u))
+    write_csv(path, ("t", "hamiltonian", "sup_u"), table, digest)
 
 
 def write_diffeo_csv(path, phi: DiffeoMap, digest: str) -> None:
@@ -123,4 +112,4 @@ def write_curvature_csv(path, rows: Iterable[dict], digest: str) -> None:
     """Curvature sweep rows keyed by wavenumber pair and basis index."""
     header = ("k1", "k2", "i", "S_formula", "S_direct", "S_closed_form",
               "gamma_terms", "r_term")
-    write_csv(path, header, ([row[k] for k in header] for row in rows), digest)
+    write_csv(path, header, [[row[k] for k in header] for row in rows], digest)

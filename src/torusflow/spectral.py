@@ -22,20 +22,23 @@ Conventions
   derivatives zero it; the Helmholtz symbol 1 + |k|^2 keeps every mode.
 * pointwise_product and dot are always dealiased (only flow's map
   quantities, in the one map frame of flow._checked_det, multiply samples):
-  each factor is lifted once to real samples on the grid's padded_shape,
-  the smallest grid on which a quadratic product is exact (Orszag's rule),
-  the products of a term are summed there and the sum is truncated once,
+  each factor is taken to real samples on the grid's padded_shape, the
+  smallest grid on which a quadratic product is exact (Orszag's rule), the
+  products of a term are summed there and the sum is truncated once,
   reading each Nyquist row and column back as the mean of the padded -n/2
-  and +n/2 ones.  The lifts, padded half spectra and products live in
-  per-thread scratch that grows to the largest call and is reused; only
-  the truncated half spectrum is fresh.  Gradient rows and the
-  truncation's row transforms run in row blocks of r rows, each within
-  _BLOCK_BYTES of a plane: r = M up to 64^2, M/4 at 128^2.  After
-  euler_rhs, christoffel, dot and pointwise_product on an n-by-n grid
-  padded to M-by-M, each thread keeps 128 M^2 + 32 M (n + 2) + 32 r (M + 2)
-  bytes, 0.46 MB at 32^2, 1.82 MB at 64^2 and 6.28 MB at 128^2; after
-  euler_rhs alone 48 M^2 + 16 M (n + 2) + 32 M r bytes, 0.23, 0.91 and
-  2.66 MB.
+  and +n/2 ones.  In dot and the momentum transports a matrix or gradient
+  factor is streamed by row blocks (_padded_rows) and the other factor is
+  lifted whole (_lift); pointwise_product lifts both.  The lifts, padded
+  half spectra and products live in per-thread scratch that grows to the
+  largest call and is reused; only the truncated half spectrum is fresh.
+  Streamed rows and the truncation's row transforms run in row blocks of
+  r rows, each within _BLOCK_BYTES of a plane: r = M up to 64^2, M/4 at
+  128^2.  After euler_rhs, christoffel, dot and pointwise_product on an
+  n-by-n grid padded to M-by-M, each thread keeps
+  112 M^2 + 32 M (n + 2) + 32 r (M + 2) bytes, 0.42 MB at 32^2, 1.66 MB at
+  64^2 and 5.64 MB at 128^2; after dot alone 32 M^2 + 32 M (n + 2) + 32 M r
+  bytes, 0.21, 0.85 and 2.43 MB; after euler_rhs alone
+  48 M^2 + 16 M (n + 2) + 32 M r bytes, 0.23, 0.91 and 2.66 MB.
 * eval_spectra sums off-grid on real cos/sin bases, one real matmul per
   field over x, in per-thread scratch that grows to the largest call and is
   reused: for values and gradients at all n^2 points of an n-by-n grid
@@ -430,10 +433,27 @@ def _row_blocks(px: int, py: int) -> list[slice]:
 
 
 def _block_scratch(shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
-    """This thread's row-block scratch as shape: the transports' gradient rows
-    and products and the truncation's row transforms share it in turn."""
+    """This thread's row-block scratch as shape: the streamed rows and their
+    products and the truncation's row transforms share it in turn."""
     words = math.prod(shape) * np.dtype(dtype).itemsize // 8
     return _scratch_array("block", (words,)).view(dtype).reshape(shape)
+
+
+def _padded_rows(f: Field, symbol=None):
+    """Padded samples of a pair or 2x2 stack f, or of its image under the
+    multiplier symbol, one row block at a time: yields (rows, g, spare), g
+    the samples of rows shaped like f's components and spare the rest of
+    this thread's four-plane row-block scratch, which the next block reuses."""
+    half = _padded_half(f, symbol)
+    lead, (px, py) = half.shape[:-2], f.grid.padded_shape
+    blocks = _row_blocks(px, py)
+    scratch = _block_scratch((4, blocks[0].stop, py))
+    k = math.prod(lead)
+    for rows in blocks:
+        block = scratch[:, :rows.stop - rows.start]
+        g = block[:k].reshape(lead + block.shape[1:])
+        np.fft.irfft(half[..., rows, :], n=py, norm="forward", out=g)
+        yield rows, g, block[k:]
 
 
 def _truncate(grid: TorusGrid, samples: np.ndarray) -> Field:
@@ -441,22 +461,18 @@ def _truncate(grid: TorusGrid, samples: np.ndarray) -> Field:
 
     The Nyquist row and column are the means of the padded -n/2 and +n/2
     ones, so the corner is the mean of the four padded corners.  The rows
-    are transformed over y in row blocks, and only the kept columns over x:
-    in place when a plane is one block, else gathered block by block in
-    this thread's complex scratch.  Only the half spectrum of the result is
-    fresh.
+    are transformed over y in row blocks, and their kept columns gathered
+    in this thread's complex scratch of the padded half spectra, then
+    transformed over x.  Only the half spectrum of the result is fresh.
     """
     hx, hy = grid.nx // 2, grid.ny // 2
     lead, (px, py) = samples.shape[:-2], samples.shape[-2:]
     blocks = _row_blocks(px, py)
     rows = _block_scratch(lead + (blocks[0].stop, py // 2 + 1), np.complex128)
-    if len(blocks) == 1:
-        r = np.fft.rfft(samples, norm="forward", out=rows)[..., :hy + 1]
-    else:
-        r = _scratch_array("spectrum", lead + (px, hy + 1), np.complex128)
-        for block in blocks:
-            out = rows[..., :block.stop - block.start, :]
-            r[..., block, :] = np.fft.rfft(samples[..., block, :], norm="forward", out=out)[..., :hy + 1]
+    r = _scratch_array("spectrum", lead + (px, hy + 1), np.complex128)
+    for block in blocks:
+        out = rows[..., :block.stop - block.start, :]
+        r[..., block, :] = np.fft.rfft(samples[..., block, :], norm="forward", out=out)[..., :hy + 1]
     np.fft.fft(r, axis=-2, norm="forward", out=r)
     half = np.concatenate([r[..., :hx, :], r[..., px - hx:, :]], axis=-2)
     half[..., hx, :] = 0.5 * (half[..., hx, :] + r[..., hx, :])
@@ -478,15 +494,6 @@ def _dealiased(f: Field, g: Field, combine) -> Field:
     return _truncate(f.grid, combine(lf, lf if g is f else _lift(g, "lift_g")))
 
 
-def _scratch_pair_sum(a0, b0, a1, b1) -> np.ndarray:
-    """a0 b0 + a1 b1, elementwise, in this thread's scratch."""
-    shape = np.broadcast_shapes(a0.shape, b0.shape)
-    acc, tmp = _scratch_array("acc", shape), _scratch_array("tmp_a", shape)
-    np.multiply(a0, b0, out=acc)
-    np.multiply(a1, b1, out=tmp)
-    return np.add(acc, tmp, out=acc)
-
-
 def pointwise_product(f: Field, g: Field) -> Field:
     """Product fg formed on the grid's padded_shape, then truncated.
 
@@ -498,8 +505,20 @@ def pointwise_product(f: Field, g: Field) -> Field:
 
 
 def dot(J: Field, v: Field) -> Field:
-    """Matrix-vector product (J v)_i = sum_j J_ij v_j with dealiased products."""
-    return _dealiased(J, v, lambda j, v: _scratch_pair_sum(j[:, 0], v[0], j[:, 1], v[1]))
+    """Matrix-vector product (J v)_i = sum_j J_ij v_j of a 2x2 matrix field and
+    a vector field, dealiased: v is lifted whole, J streamed by row blocks."""
+    if J.grid != v.grid:
+        raise ValueError("fields live on different grids")
+    shapes = (J.spectrum.shape[:-2], v.spectrum.shape[:-2])
+    if shapes != ((2, 2), (2,)):
+        raise ValueError(f"dot takes components (2, 2) and (2,), not {shapes[0]} and {shapes[1]}")
+    lv = _lift(v, "lift_g")
+    acc = _scratch_array("acc", lv.shape)
+    for rows, g, _ in _padded_rows(J):
+        np.multiply(g[:, 0], lv[0, rows], out=g[:, 0])
+        np.multiply(g[:, 1], lv[1, rows], out=g[:, 1])
+        np.add(g[:, 0], g[:, 1], out=acc[:, rows])
+    return _truncate(J.grid, acc)
 
 
 def _powers(t: np.ndarray, out: np.ndarray) -> np.ndarray:

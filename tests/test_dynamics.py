@@ -255,9 +255,11 @@ class TestSpectralAlgebra:
 
 
 class TestRowBlocks:
-    """The transports and truncations cut the padded planes into row blocks
-    once a plane exceeds spectral._BLOCK_BYTES; every output bit is the
-    same as from whole planes."""
+    """The transports, dot and the truncations cut the padded planes into
+    row blocks once a plane exceeds spectral._BLOCK_BYTES: the gradient rows
+    of the transports, the rows of dot's matrix J and the rows each
+    truncation transforms.  Every output bit is the same as from whole
+    planes."""
 
     @pytest.mark.parametrize("n", [16, 32])
     def test_uneven_blocks_change_no_bit(self, monkeypatch, n):
@@ -346,7 +348,15 @@ class TestScratch:
         kept = self.kept_bytes([lambda: euler_rhs(u, 2.0), lambda: christoffel(u, v, 2.0),
                                 lambda: christoffel(u, u, 2.0), lambda: dot(J, v),
                                 lambda: pointwise_product(J, u[1])])
-        assert kept == 128 * M * M + 32 * M * (n + 2) + 32 * r * (M + 2)
+        assert kept == 112 * M * M + 32 * M * (n + 2) + 32 * r * (M + 2)
+
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    def test_dot_keeps_no_plane_of_its_matrix(self, n):
+        # v's lift and the sum are whole planes; J's samples live only in row blocks.
+        grid = make_grid(n, n)
+        M, r = self.PADDED_ROWS[n]
+        J, v = gradient(random_bandlimited(grid, 1, 3, 0.5)), random_bandlimited(grid, 2, 3, 0.5)
+        assert self.kept_bytes([lambda: dot(J, v)]) == 32 * M * M + 32 * M * (n + 2) + 32 * M * r
 
     def test_interleaved_grids_match_a_fresh_thread(self):
         calls = []

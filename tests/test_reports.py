@@ -4,6 +4,7 @@ import json
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 from torusflow.flow import DiffeoMap
 from torusflow.reports import (
@@ -55,6 +56,19 @@ class TestWriteCsv:
         write_csv(by_rows, ("a", "b", "c", "d"), table.tolist(), digest="0" * 64)
         assert by_table.read_bytes() == by_rows.read_bytes()
         assert by_table.read_text().splitlines()[3] == "0.30000000000000004,-0,1e-300,-3.1415926535897931"
+
+    @pytest.mark.parametrize("table", [np.zeros((2, 3)), [[1.0, 2.0], [3.0, 4.0, 5.0]], [[1.0, 2.0, 3.0]],
+                                       np.zeros(2), np.zeros((0, 3))])
+    def test_table_of_another_width_writes_nothing(self, tmp_path, table):
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "t.csv", ("a", "b"), table, digest="0" * 64)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("table", [[[1.0, "2"]], [[1.0, None]], [[True, False]], [[1.0, 2j]]])
+    def test_non_numeric_cell_writes_nothing(self, tmp_path, table):
+        with pytest.raises(ValueError, match="numeric"):
+            write_csv(tmp_path / "t.csv", ("a", "b"), table, digest="0" * 64)
+        assert list(tmp_path.iterdir()) == []
 
     def test_creates_missing_directories(self, tmp_path):
         path = tmp_path / "deep" / "nested" / "t.csv"

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from torusflow import spectral
 from torusflow.dynamics import euler_rhs, euler_rhs_geometric, momentum_transport
 from torusflow.spectral import (
     Field,
@@ -270,6 +271,19 @@ class TestInnerProducts:
         u = random_bandlimited(grid32, 0, kmax=2, amplitude=1.0)
         with pytest.raises(ValueError):
             l2_inner(u, other)
+
+
+class TestDot:
+    def test_rejects_misshaped_factors_before_any_lift(self, monkeypatch, grid16):
+        lifts = []
+        monkeypatch.setattr(spectral, "_lift", lambda *args: lifts.append(args))
+        u = random_bandlimited(grid16, 0, kmax=2, amplitude=1.0)
+        J = gradient(u)
+        for matrix, vector, named in [(J, u[0], "(2, 2) and ()"), (stack([J, J]), u, "(2, 2, 2) and (2,)"),
+                                      (u, u, "(2,) and (2,)")]:
+            with pytest.raises(ValueError, match=re.escape(named)):
+                dot(matrix, vector)
+        assert lifts == []
 
 
 class TestPointwiseProduct:
