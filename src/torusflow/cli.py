@@ -30,8 +30,8 @@ import numpy as np  # noqa: E402
 from .curvature import basis_field, closed_form_S, mode_field, sectional_formula
 from .dynamics import (
     DRIFT_FLOOR,
-    BlowupError,
     ConservationReport,
+    RunAbort,
     _step_count,
     check_commuting_identity,
     check_metric_compatibility,
@@ -45,8 +45,6 @@ from .dynamics import (
 )
 from .flow import (
     GeodesicState,
-    InversionError,
-    OrientationError,
     body_momentum,
     coadjoint,
     eulerian_velocity,
@@ -390,7 +388,7 @@ def _cmd_simulate(p: dict, cfg: dict, out: Path, threads: int) -> int:
     try:
         integrate(u0, b, p["t_end"], p["dt"], record_stride=p["record_stride"],
                   blowup_factor=p["blowup_factor"], state=record)
-    except BlowupError as err:
+    except RunAbort as err:
         report = ConservationReport.from_rows(rows)
         write_trajectory_csv(out / "trajectory.csv", report, digest)
         _write_aborted(out / "conservation.json", err, digest,
@@ -441,7 +439,7 @@ def _cmd_geodesic(p: dict, cfg: dict, out: Path, threads: int) -> int:
         traj = geodesic_integrate(p["initial_condition"], b, p["t_end"], p["dt"],
                                   record_stride=p["record_stride"], det_floor=p["det_floor"], state=record)
         u_final = eulerian_velocity(newest)  # the final map's first inversion
-    except (BlowupError, InversionError, OrientationError) as err:
+    except RunAbort as err:
         write_diffeo_csv(out / "diffeo_final.csv", newest.phi, digest)
         _write_aborted(out / "geodesic.json", err, digest, b=b, dt=cfg["dt"], recorded_until=newest.t)
         raise
@@ -641,7 +639,7 @@ def _cmd_reduce1d(p: dict, cfg: dict, out: Path, threads: int) -> int:
             gap = float(np.max(np.abs(traj.final - final_1d)))
             rows.append({"b": b, "reduction_residual": gap, "pass": gap <= tol["reduction"]})
         traj = integrate(u_embed, 2.0, p["mch2_steps"] * dt, dt, record_stride=1, state=mch2_gap)
-    except BlowupError as err:
+    except RunAbort as err:
         _write_aborted(out / "reduction.json", err, digest, rows=rows)
         raise
     mch2_worst = max((0.0, *traj.states))
@@ -710,7 +708,7 @@ def entry(argv=None) -> int:
         return EXIT_CONFIG
     try:
         return handler(params, cfg, out, threads)
-    except (BlowupError, InversionError, OrientationError) as err:
+    except RunAbort as err:
         print(f"runtime abort: {err}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -27,6 +27,7 @@ from .spectral import (
     Field,
     _dealiased,
     _lift,
+    _operands,
     _padded_rows,
     _scratch_array,
     dot,
@@ -41,6 +42,7 @@ from .spectral import (
 
 __all__ = [
     "B_CAMASSA_HOLM",
+    "RunAbort",
     "BlowupError",
     "EulerState",
     "Trajectory",
@@ -72,7 +74,11 @@ B_CAMASSA_HOLM = 2.0
 DRIFT_FLOOR = 1e-14
 
 
-class BlowupError(RuntimeError):
+class RunAbort(RuntimeError):
+    """A march can go no further: the CLI reports it, exits 2 and keeps partial outputs."""
+
+
+class BlowupError(RunAbort):
     """A trajectory left the resolvable regime (blow-up or instability)."""
 
 
@@ -185,6 +191,7 @@ def _transport(m: Field, lm: np.ndarray, v: Field, lv: np.ndarray, b: float, acc
 
 def momentum_transport(m: Field, v: Field, b: float) -> Field:
     """Transport of the momentum m by the velocity v: grad(m).v + (grad v)^T m + (b-1) m div v."""
+    _operands([m, v], (2,))
     return _dealiased(m, v, lambda lm, lv: _transport(m, lm, v, lv, b, _zeroed("acc", lm.shape)))
 
 
@@ -197,6 +204,7 @@ def christoffel(u: Field, v: Field, b) -> Field:
     is computed and doubled; x + x is exact, so the result has the same bits.
     """
     b = validate_b(b)
+    _operands([u, v], (2,))
     mu = helmholtz(u)
 
     def parts(lu, lv):
@@ -432,8 +440,11 @@ def _product_1d(f: np.ndarray, g: np.ndarray) -> np.ndarray:
 def profile_1d(n: int, seed: int, kmax: int, amplitude: float) -> np.ndarray:
     """Reproducible random profile with modes 1..kmax, sup-norm scaled to amplitude.
 
-    Raises ValueError unless kmax < n // 2, so no mode aliases on n points.
+    Raises ValueError unless 0 <= kmax < n // 2, so no mode aliases on n
+    points; kmax = 0 gives the zero profile.
     """
+    if kmax < 0:
+        raise ValueError(f"kmax={kmax} must be >= 0")
     if kmax >= n // 2:
         raise ValueError(f"kmax={kmax} too large for {n} points")
     rng = np.random.default_rng(seed)

@@ -8,6 +8,7 @@ on every call and evaluating d and grad d together off-grid.  `invert` is
 the one way to get phi^{-1}; no inverse is passed between functions.  The
 one map frame is `_checked_det`, the only source of grad d and det(I + grad d)
 on the grid: every map quantity needs det > 0, the march guards det_floor.
+A DiffeoMap checks that its displacement is a vector field when it is built.
 
 The evolution itself is carried here as the second-order label equation
 
@@ -27,11 +28,12 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import BlowupError, Trajectory, _step_count, christoffel, march, validate_b
+from .dynamics import BlowupError, RunAbort, Trajectory, _step_count, christoffel, march, validate_b
 from .spectral import (
     Field,
     TorusGrid,
     VectorField,
+    _operands,
     dot,
     eval_spectra,
     gradient,
@@ -67,19 +69,22 @@ INVERT_TOL = 1e-12
 INVERT_MAX_ITER = 100
 
 
-class InversionError(RuntimeError):
+class InversionError(RunAbort):
     """Newton inversion failed to converge (map too far from identity)."""
 
 
-class OrientationError(RuntimeError):
+class OrientationError(RunAbort):
     """The Jacobian determinant dropped below the orientation guard."""
 
 
 @dataclass(frozen=True)
 class DiffeoMap:
-    """Torus map phi(z) = z + displacement(z), coordinates taken mod 1."""
+    """Torus map phi(z) = z + displacement(z), coordinates taken mod 1; displacement has components (2,)."""
 
     displacement: Field
+
+    def __post_init__(self):
+        _operands([self.displacement], (2,))
 
     @property
     def grid(self) -> TorusGrid:
@@ -120,17 +125,14 @@ def apply(phi: DiffeoMap, points: np.ndarray) -> np.ndarray:
 
 def compose_field(u: Field, phi: DiffeoMap) -> Field:
     """Samples of u o phi, i.e. the interpolant of every component of u at phi(z)."""
-    if u.grid != phi.grid:
-        raise ValueError("field and map live on different grids")
-    X, Y = phi.grid.mesh
+    grid = _operands([u, phi.displacement])
+    X, Y = grid.mesh
     d = phi.displacement.values
-    return Field(phi.grid, eval_spectra(phi.grid, u.spectrum, X + d[0], Y + d[1]))
+    return Field(grid, eval_spectra(grid, u.spectrum, X + d[0], Y + d[1]))
 
 
 def compose(phi: DiffeoMap, psi: DiffeoMap) -> DiffeoMap:
     """Group product phi o psi; displacement d_psi(z) + d_phi(z + d_psi(z))."""
-    if phi.grid != psi.grid:
-        raise ValueError("maps live on different grids")
     shifted = compose_field(phi.displacement, psi)
     return DiffeoMap(psi.displacement + shifted)
 
@@ -191,7 +193,7 @@ def flow_from_velocity(
     trajectory's states are the maps phi(t).  Aborts with OrientationError
     when det(grad phi) falls to det_floor.
     """
-    grid = u_at(0.0).grid
+    grid = _operands([u_at(0.0)], (2,))
 
     def guard(t: float, d: Field) -> None:
         _checked_det(DiffeoMap(d), det_floor, f"at t={t:.6g}")
@@ -211,8 +213,7 @@ def christoffel_conjugated(phi: DiffeoMap, U: Field, V: Field, b) -> Field:
     an n-by-n grid: 1.4 MB at 32^2, 10.7 MB at 64^2 and 85 MB at 128^2.
     """
     b = validate_b(b)
-    if U.grid != phi.grid or V.grid != phi.grid:
-        raise ValueError("fields and map live on different grids")
+    _operands([phi.displacement, U, V], (2,))
     psi = invert(phi)
     if V is U:
         Uc = Vc = compose_field(U, psi)
@@ -266,6 +267,7 @@ def geodesic_integrate(
 
 def eulerian_velocity(state: GeodesicState) -> Field:
     """Readback u = phi_t o phi^{-1} of the velocity field on the torus."""
+    _operands([state.phi.displacement, state.phi_t], (2,))
     return compose_field(state.phi_t, invert(state.phi))
 
 
@@ -279,8 +281,6 @@ def exp_map(u0: Field, b=2.0, dt: float = 5e-3) -> DiffeoMap:
 def adjoint(phi: DiffeoMap, v: Field) -> Field:
     """Inner automorphism Ad_phi v = (grad(phi) . v) o phi^{-1}; the product is
     dealiased, since unlike coadjoint's w o phi both factors are band-limited."""
-    if v.grid != phi.grid:
-        raise ValueError("field and map live on different grids")
     pushed = v + dot(gradient(phi.displacement), v)
     return compose_field(pushed, invert(phi))
 
@@ -291,8 +291,7 @@ def coadjoint(phi: DiffeoMap, w: Field) -> Field:
     No inversion is needed.  The products are plain products of samples, not
     dealiased ones, since the composed factor w o phi is not band-limited.
     """
-    if w.grid != phi.grid:
-        raise ValueError("field and map live on different grids")
+    _operands([phi.displacement, w], (2,))
     g, jdet = _checked_det(phi, 0.0)
     jv, wv = np.eye(2)[:, :, None, None] + g, compose_field(w, phi).values
     return Field(phi.grid, (jv[0] * wv[0] + jv[1] * wv[1]) * jdet)
@@ -300,6 +299,7 @@ def coadjoint(phi: DiffeoMap, w: Field) -> Field:
 
 def body_velocity(state: GeodesicState) -> Field:
     """Body velocity U = (grad phi)^{-1} phi_t, solved pointwise."""
+    _operands([state.phi.displacement, state.phi_t], (2,))
     g, _ = _checked_det(state.phi, 0.0)
     return Field(state.phi.grid, _solve(g, state.phi_t.values))
 
@@ -316,8 +316,7 @@ def metric_at(phi: DiffeoMap, U: Field, V: Field) -> float:
     [grad(V_i) (grad phi)^{-1}] ) det(grad phi) dz, which is the change of
     variables of h1_inner(U o phi^{-1}, V o phi^{-1}).
     """
-    if U.grid != phi.grid or V.grid != phi.grid:
-        raise ValueError("fields and map live on different grids")
+    _operands([phi.displacement, U, V], (2,))
     g, jdet = _checked_det(phi, 0.0)
 
     def pulled(f: Field) -> np.ndarray:

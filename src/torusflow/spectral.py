@@ -17,6 +17,10 @@ Conventions
   component axes.  Fourier multipliers, sums, differences, real multiples
   and stack all act on the half spectrum, so linear algebra on fields
   never synthesizes samples.
+* One operand rule, checked before any transform or lift: the operands of
+  an operation share one grid; those of sums, differences, stack and the
+  pairings have equal components, and the velocities and maps of dynamics
+  and flow have components (2,).  Products broadcast their components.
 * One Nyquist rule: in each axis the unpaired -n/2 coefficient is a cosine,
   split evenly between -n/2 and +n/2, so the corner goes four ways.  First
   derivatives zero it; the Helmholtz symbol 1 + |k|^2 keeps every mode.
@@ -231,6 +235,18 @@ def _owned(grid: TorusGrid, values: np.ndarray | None = None, spectrum: np.ndarr
     return Field.__new__(Field)._set(grid, values, spectrum)
 
 
+def _operands(fields, components=None) -> TorusGrid:
+    """The grid that fields share, each with components if given, or "equal" ones; else one
+    ValueError naming each operand's grid and components, read from whichever form it holds."""
+    shapes = [(f._spectrum if f._values is None else f._values).shape[:-2] for f in fields]
+    want = shapes[0] if components == "equal" and shapes else components
+    if shapes and all(f.grid == fields[0].grid and want in (None, s) for f, s in zip(fields, shapes)):
+        return fields[0].grid
+    need = {None: "", "equal": " and equal components"}.get(components, f" and components {components}")
+    got = ", ".join(f"{f.grid.shape} {s}" for f, s in zip(fields, shapes)) or "none"
+    raise ValueError(f"operands need one grid{need}, not {got}")
+
+
 class Field:
     """Real periodic field of shape (*components, nx, ny) on a TorusGrid.
 
@@ -285,9 +301,7 @@ class Field:
     def _combine(self, other: "Field", op) -> "Field":
         if not isinstance(other, Field):
             return NotImplemented
-        if self.grid != other.grid:
-            raise ValueError("fields live on different grids")
-        return _owned(self.grid, spectrum=op(self.spectrum, other.spectrum))
+        return _owned(_operands([self, other], "equal"), spectrum=op(self.spectrum, other.spectrum))
 
     def __add__(self, other: "Field") -> "Field":
         return self._combine(other, operator.add)
@@ -305,11 +319,8 @@ class Field:
 
 
 def stack(fields) -> Field:
-    """Fields of one grid and one component shape, stacked on a new first axis."""
-    grid = fields[0].grid
-    if any(f.grid != grid for f in fields):
-        raise ValueError("fields live on different grids")
-    return _owned(grid, spectrum=np.stack([f.spectrum for f in fields]))
+    """Fields of one grid and one component shape, at least one, stacked on a new first axis."""
+    return _owned(_operands(fields, "equal"), spectrum=np.stack([f.spectrum for f in fields]))
 
 
 class VectorField:
@@ -370,8 +381,7 @@ def helmholtz_inverse(m: Field) -> Field:
 
 def _parseval_sum(f: Field, g: Field, weight) -> float:
     """Parseval sum of weight * f * conj(g) over the full spectrum, from the half spectra."""
-    if f.grid != g.grid or f.spectrum.shape != g.spectrum.shape:
-        raise ValueError("fields live on different grids or have different components")
+    _operands([f, g], "equal")
     return float(np.sum(f.grid.column_weights * weight * np.real(f.spectrum * np.conj(g.spectrum))))
 
 
@@ -488,10 +498,9 @@ def _dealiased(f: Field, g: Field, combine) -> Field:
     Both lifts are this thread's scratch, and f's serves for g when g is f;
     combine may build its result in scratch too, but never in the lifts.
     """
-    if f.grid != g.grid:
-        raise ValueError("fields live on different grids")
+    grid = _operands([f, g])
     lf = _lift(f, "lift_f")
-    return _truncate(f.grid, combine(lf, lf if g is f else _lift(g, "lift_g")))
+    return _truncate(grid, combine(lf, lf if g is f else _lift(g, "lift_g")))
 
 
 def pointwise_product(f: Field, g: Field) -> Field:
@@ -507,8 +516,7 @@ def pointwise_product(f: Field, g: Field) -> Field:
 def dot(J: Field, v: Field) -> Field:
     """Matrix-vector product (J v)_i = sum_j J_ij v_j of a 2x2 matrix field and
     a vector field, dealiased: v is lifted whole, J streamed by row blocks."""
-    if J.grid != v.grid:
-        raise ValueError("fields live on different grids")
+    grid = _operands([J, v])
     shapes = (J.spectrum.shape[:-2], v.spectrum.shape[:-2])
     if shapes != ((2, 2), (2,)):
         raise ValueError(f"dot takes components (2, 2) and (2,), not {shapes[0]} and {shapes[1]}")
@@ -518,7 +526,7 @@ def dot(J: Field, v: Field) -> Field:
         np.multiply(g[:, 0], lv[0, rows], out=g[:, 0])
         np.multiply(g[:, 1], lv[1, rows], out=g[:, 1])
         np.add(g[:, 0], g[:, 1], out=acc[:, rows])
-    return _truncate(J.grid, acc)
+    return _truncate(grid, acc)
 
 
 def _powers(t: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -626,6 +634,8 @@ def cosine_mode(grid: TorusGrid, j1: int, j2: int, amplitude: float = 1.0,
                 direction=(1.0, 1.0)) -> Field:
     """Vector field amplitude * cos(2*pi*(j1 x + j2 y)) * direction; j1 and j2 are integers."""
     j1, j2 = _integral(j1, "j1"), _integral(j2, "j2")
+    if np.shape(direction) != (2,):
+        raise ValueError(f"direction must be a pair, not {direction!r}")
     if abs(j1) >= grid.nx // 2 or abs(j2) >= grid.ny // 2:
         raise ValueError(f"mode ({j1}, {j2}) is not resolvable on grid {grid.shape}")
     wave = amplitude * np.cos(TWO_PI * (j1 * grid.x[:, None] + j2 * grid.y[None, :]))
@@ -635,8 +645,11 @@ def cosine_mode(grid: TorusGrid, j1: int, j2: int, amplitude: float = 1.0,
 def random_bandlimited(grid: TorusGrid, seed: int, kmax: int, amplitude: float) -> Field:
     """Reproducible random real vector field with modes |j1|, |j2| <= kmax.
 
-    The sup-norm over both components is scaled to `amplitude`.
+    The sup-norm over both components is scaled to `amplitude`; kmax = 0
+    gives a constant field.
     """
+    if kmax < 0:
+        raise ValueError(f"kmax={kmax} must be >= 0")
     if kmax >= min(grid.nx, grid.ny) // 2:
         raise ValueError(f"kmax={kmax} too large for grid {grid.shape}")
     rng = np.random.default_rng(seed)

@@ -12,10 +12,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from torusflow import cli
+from torusflow import cli, dynamics
 from torusflow.cli import entry
+from torusflow.dynamics import BlowupError, RunAbort
 from torusflow.flow import (
     InversionError,
+    OrientationError,
     body_momentum,
     coadjoint,
     eulerian_velocity,
@@ -159,6 +161,9 @@ class TestConfigHandling:
         ("verify", {"grid": [16, 2**40]}, [], "grid[1] must be <= 4096 points"),
         ("reduce1d", {"n": 2**40}, [], "n must be <= 4096 points"),
         ("reduce1d", {"ny": 2**40}, [], "ny must be <= 4096 points"),
+        ("simulate", {"grid": [1099511627776, 16]}, [], "grid[0] must be <= 4096 points"),
+        ("simulate", {"grid": [16, 16], "pad_factor": 2}, [], "unknown config key(s): pad_factor"),
+        ("curvature", {"grid": [16, 16], "pairing": "metric"}, [], "unknown config key(s): pairing"),
     ], ids=["fractional-pad", "aliased-pad", "fractional-grid", "bool-b", "string-dt", "negative-kmax",
             "nan-amplitude", "partial-step-with-snapshots", "string-snapshots",
             "negative-blowup-factor", "negative-tolerance", "int-past-float-range", "mode-triple",
@@ -172,7 +177,8 @@ class TestConfigHandling:
             "endless-simulate", "endless-geodesic", "endless-mch2-run",
             "odd-grid-simulate", "small-grid-curvature", "odd-n-reduce1d", "odd-ny-reduce1d",
             "absurd-grid-simulate", "absurd-grid-geodesic", "absurd-grid-curvature", "absurd-grid-verify",
-            "absurd-n-reduce1d", "absurd-ny-reduce1d"])
+            "absurd-n-reduce1d", "absurd-ny-reduce1d", "absurd-grid-on-defaults", "pad-simulate-on-defaults",
+            "metric-pairing"])
     def test_bad_values_rejected_before_compute(self, tmp_path, capsys, command, config, extra, message):
         cfg = write_config(tmp_path, config)
         assert run(command, "--config", cfg, "--out", str(tmp_path / "out"), *extra) == 1
@@ -210,6 +216,23 @@ class TestConfigHandling:
         cfg = write_config(tmp_path, FAST_SIM)
         with pytest.raises(ValueError, match="boom"):
             run("simulate", "--config", cfg, "--out", str(tmp_path / "out"))
+
+    @pytest.mark.parametrize("error, code", [(RunAbort, 2), (RuntimeError, None)], ids=["run-abort", "other"])
+    def test_the_cli_catches_run_aborts_alone(self, tmp_path, capsys, monkeypatch, error, code):
+        assert all(issubclass(e, RunAbort) for e in (BlowupError, InversionError, OrientationError))
+
+        def stopped(u, b):
+            raise error("stopped")
+
+        monkeypatch.setattr(dynamics, "euler_rhs", stopped)
+        args = ("simulate", "--config", write_config(tmp_path, FAST_SIM), "--out", str(tmp_path / "out"))
+        if code is None:
+            with pytest.raises(RuntimeError, match="stopped"):
+                run(*args)
+        else:
+            assert run(*args) == code
+            assert capsys.readouterr().err == "runtime abort: stopped\n"
+            assert json.loads((tmp_path / "out" / "conservation.json").read_text())["aborted"] is True
 
     # Pinned config_sha256 values: integral floats, filled-in initial-condition
     # defaults and the --seed override must keep digesting to these.

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -26,6 +27,7 @@ from torusflow.dynamics import (
     integrate_1d,
     march,
     mch2_rhs,
+    profile_1d,
     rhs_1d_b,
     rk4,
     validate_b,
@@ -747,6 +749,12 @@ class TestOneDimensional:
     def test_rejects_odd_length(self):
         with pytest.raises(ValueError):
             rhs_1d_b(np.zeros(7), 2.0)
+
+    def test_profile_kmax_must_be_nonnegative(self):
+        # kmax < 0 once gave an all-zero profile; kmax = 0 still does.
+        with pytest.raises(ValueError, match=re.escape("kmax=-1 must be >= 0")):
+            profile_1d(16, 0, -1, 0.5)
+        assert np.array_equal(profile_1d(16, 0, 0, 0.5), np.zeros(16))
 
 
 class TestMCH2:

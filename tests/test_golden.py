@@ -5,8 +5,9 @@ The set is seeds 1 and 2 of the benchmark's three workload configs (built
 by bench/workloads.py), the five subcommands on their schema defaults and
 three runs that abort.  The table in golden.json is keyed by the numpy
 version and the machine, since the FFTs may round differently elsewhere.
-Off the key every run is still made twice and its reruns must be
-byte-identical; the hash comparison is then skipped, naming the key.
+Each run's exit code is pinned here, on the key or off it.  Off the key
+every run is still made twice and its reruns must be byte-identical; the
+hash comparison is then skipped, naming the key.
 
     python tests/update_golden.py    # rewrite this key's table, print what changed
 """
@@ -40,26 +41,26 @@ def load_workloads():
 
 workloads = load_workloads()
 
-# name -> (subcommand, config or None for the schema defaults, --threads)
+# name -> (subcommand, config or None for the schema defaults, --threads, exit code)
 RUNS = {
-    **{f"{case.command}-{case.config['grid'][0]}-seed{seed}": (case.command, case.config, case.threads)
+    **{f"{case.command}-{case.config['grid'][0]}-seed{seed}": (case.command, case.config, case.threads, 0)
        for seed in (1, 2)
        for case in (workloads.simulate_case(seed), workloads.geodesic_case(seed),
                     workloads.curvature_case(seed, threads=2))},
-    **{f"{command}-defaults": (command, None, 1)
+    **{f"{command}-defaults": (command, None, 1, 0)
        for command in ("simulate", "geodesic", "curvature", "verify", "reduce1d")},
     "simulate-abort": ("simulate", {"grid": [16, 16], "t_end": 0.05, "dt": 1e-3, "record_stride": 3,
                                     "initial_condition": {"type": "random", "seed": 1, "kmax": 2,
-                                                          "amplitude": 50.0}}, 1),
+                                                          "amplitude": 50.0}}, 1, 2),
     "geodesic-abort": ("geodesic", {"grid": [16, 16], "t_end": 0.02, "dt": 5e-3, "det_floor": 0.9999,
-                                    "record_stride": 3}, 1),
-    "reduce1d-abort": ("reduce1d", {"n": 32, "ny": 8, "amplitude": 20, "t_end": 0.05}, 1),
+                                    "record_stride": 3}, 1, 2),
+    "reduce1d-abort": ("reduce1d", {"n": 32, "ny": 8, "amplitude": 20, "t_end": 0.05}, 1, 2),
 }
 
 
 def outputs(name: str, work: Path) -> dict:
     """Exit code and sha256 of every output file of the run `name`, made in work."""
-    command, config, threads = RUNS[name]
+    command, config, threads, _ = RUNS[name]
     work.mkdir(parents=True)
     args = [command, "--out", str(work / "out"), "--threads", str(threads)]
     if config is not None:
@@ -78,6 +79,7 @@ def read_table() -> dict:
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_outputs_match_the_table(name, tmp_path):
     got = outputs(name, tmp_path / "first")
+    assert got["exit"] == RUNS[name][3]
     want = read_table().get(KEY)
     if want is None:
         assert outputs(name, tmp_path / "second") == got

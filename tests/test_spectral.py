@@ -693,6 +693,12 @@ class TestCosineMode:
         with pytest.raises(ValueError, match="must be an integer"):
             cosine_mode(grid16, j1, j2)
 
+    @pytest.mark.parametrize("direction", [(1.0, 1.0, 1.0), (1.0,), [[1.0, 0.0]], 1.0])
+    def test_direction_must_be_a_pair(self, grid16, direction):
+        # A three-entry direction once gave a three-component field.
+        with pytest.raises(ValueError, match="direction must be a pair"):
+            cosine_mode(grid16, 1, 0, direction=direction)
+
     def test_integral_floats_are_the_same_mode(self, grid16):
         assert np.array_equal(cosine_mode(grid16, 3.0, -2.0).values, cosine_mode(grid16, 3, -2).values)
 
@@ -732,3 +738,13 @@ class TestRandomBandlimited:
         g = make_grid(8, 8)
         with pytest.raises(ValueError):
             random_bandlimited(g, 0, kmax=4, amplitude=1.0)
+
+    def test_rejects_negative_kmax(self, grid16):
+        # Once an all-zero field.
+        with pytest.raises(ValueError, match=re.escape("kmax=-1 must be >= 0")):
+            random_bandlimited(grid16, 0, kmax=-1, amplitude=1.0)
+
+    def test_kmax_zero_is_a_constant_field(self, grid16):
+        u = random_bandlimited(grid16, 0, kmax=0, amplitude=0.5)
+        assert u.sup_norm() == pytest.approx(0.5, rel=1e-12)
+        assert np.ptp(u.values, axis=(1, 2)) == pytest.approx([0.0, 0.0], abs=1e-15)
