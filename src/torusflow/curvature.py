@@ -16,9 +16,13 @@ Two independent routes to the same number:
   expression in gradients of u and v (eleven pairings), and Gamma(u,v)
   comes by polarization from three diagonal evaluations.
 
-A plane costs seven connection evaluations and ten transports, and the two
-routes share no computed value: their agreement on random band-limited data
-is the main correctness oracle; closed-form positive values on
+A plane costs seven connection evaluations, ten transports and sixteen
+dealiased dots: 276 padded real transforms at 32^2.  On the closed-form
+planes below, e_i is constant: the transports stream no gradient rows of
+it, and seven dots have a zero factor and make no transform (spectral's
+zero rule), so a plane takes 196 transforms, with the same bits.  The two
+routes share no computed value: their agreement on random band-limited
+data is the main correctness oracle; closed-form positive values on
 span{e_i, sin(k1 x) sin(k2 y) (1,1)}, with k = 2*pi*j for a positive
 integer mode j, pin the absolute normalization.  Every pairing is the metric
 (A-weighted) inner product h1_inner.

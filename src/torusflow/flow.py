@@ -117,7 +117,9 @@ def _solve(g: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def apply(phi: DiffeoMap, points: np.ndarray) -> np.ndarray:
-    """Image of (x, y) points under phi, wrapped into [0, 1)."""
+    """Image of (x, y) points, an array whose last axis is 2, under phi, wrapped into [0, 1)."""
+    if np.shape(points)[-1:] != (2,):
+        raise ValueError(f"points need a last axis of 2, not shape {np.shape(points)}")
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
     shift = eval_spectra(phi.grid, phi.displacement.spectrum, pts[:, 0], pts[:, 1])
     return np.mod(pts + shift.T, 1.0).reshape(np.shape(points))

@@ -24,6 +24,11 @@ Conventions
 * One Nyquist rule: in each axis the unpaired -n/2 coefficient is a cosine,
   split evenly between -n/2 and +n/2, so the corner goes four ways.  First
   derivatives zero it; the Helmholtz symbol 1 + |k|^2 keeps every mode.
+* One zero rule, in dot and the momentum transports: a product with an
+  identically zero factor is zero and makes no transform.  dot returns a
+  zero half spectrum before any lift, and a transport streams no gradient
+  rows of a constant factor, whose products are +-0.  _zero tests each
+  operand once per product, in place.
 * pointwise_product and dot are always dealiased (only flow's map
   quantities, in the one map frame of flow._checked_det, multiply samples):
   each factor is taken to real samples on the grid's padded_shape, the
@@ -395,6 +400,20 @@ def h1_inner(u: Field, v: Field) -> float:
     return _parseval_sum(u, v, u.grid.helmholtz_symbol)
 
 
+def _zero(f: Field, mean: bool = True) -> bool:
+    """Whether the half spectrum of f is zero, or with mean=False zero off the
+    mean mode (0, 0), so that every derivative of f is exactly zero.
+
+    A field that is not zero rarely lacks both the (0, 1) and the (1, 0)
+    coefficient of its first component, so those two are read first; only
+    then is the spectrum scanned, with no temporary of its size.
+    """
+    s = f.spectrum
+    if s.flat[1] or s.flat[s.shape[-1]]:
+        return False
+    return not (s[..., 0, 1:].any() or s[..., 1:, :].any() or (mean and s[..., 0, 0].any()))
+
+
 def _padded_half(f: Field, symbol=None) -> np.ndarray:
     """Padded half spectrum of f, or of its image under the Fourier multiplier
     symbol, transformed over x: the x-pass of irfft2, in this thread's
@@ -515,11 +534,14 @@ def pointwise_product(f: Field, g: Field) -> Field:
 
 def dot(J: Field, v: Field) -> Field:
     """Matrix-vector product (J v)_i = sum_j J_ij v_j of a 2x2 matrix field and
-    a vector field, dealiased: v is lifted whole, J streamed by row blocks."""
+    a vector field, dealiased: v is lifted whole, J streamed by row blocks.
+    A zero J or v gives a zero product with no transform."""
     grid = _operands([J, v])
     shapes = (J.spectrum.shape[:-2], v.spectrum.shape[:-2])
     if shapes != ((2, 2), (2,)):
         raise ValueError(f"dot takes components (2, 2) and (2,), not {shapes[0]} and {shapes[1]}")
+    if _zero(J) or _zero(v):
+        return _owned(grid, spectrum=np.zeros(v.spectrum.shape, np.complex128))
     lv = _lift(v, "lift_g")
     acc = _scratch_array("acc", lv.shape)
     for rows, g, _ in _padded_rows(J):

@@ -1,9 +1,11 @@
 """Curvature at the identity: tensor route vs formula route vs closed forms."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from torusflow import curvature
+from torusflow import curvature, dynamics, spectral
 from torusflow.curvature import (
     basis_field,
     closed_form_S,
@@ -175,7 +177,9 @@ class TestConnectionBudget:
     computes Gamma(w,u) and Gamma(w,v) once each: five evaluations and ten
     transports for a distinct w, four and seven for w = v, where the bracket
     term folds into the second group.  A sectional_formula plane adds the
-    three one-transport evaluations of gamma_terms: seven and ten.
+    three one-transport evaluations of gamma_terms: seven and ten.  On a
+    closed-form plane the calls are the same, but the products of the
+    constant field's zero gradient rows make no transform.
     """
 
     @staticmethod
@@ -202,16 +206,71 @@ class TestConnectionBudget:
         e, v = basis_field(grid32, 1), mode_field(grid32, 1, 1)
         assert self.count(monkeypatch, lambda: sectional_formula(e, v)) == (7, 10)
 
+    # In padded real planes (see test_dynamics.TestTransformBudget): a
+    # christoffel of two fields takes 28, of one field 16, and a dot 8 (the
+    # four rows of J and two of v lifted, one vector truncated).  With no
+    # zero factor, gamma_terms makes 3 x 16, the tensor 3 x 28 + 16 and 5
+    # dots, and r_term 11 dots: 276.
+    def test_padded_transforms_of_a_random_plane(self, grid32, monkeypatch):
+        u, v = rand(grid32, 43, kmax=2), rand(grid32, 44, kmax=2)
+        complex_padded, complex_2d, real_planes = count_transforms(
+            monkeypatch, lambda: sectional_formula(u, v), grid32.padded_shape)
+        assert complex_padded == [] and complex_2d == []
+        assert real_planes == 3 * 16 + (3 * 28 + 16) + 16 * 8 == 276
+
     def test_padded_transforms_of_a_plane(self, grid32, monkeypatch):
-        # In padded real planes (see test_dynamics.TestTransformBudget): a
-        # christoffel of two fields takes 28, of one field 16, and a dot 8
-        # (the four rows of J and two of v lifted, one vector truncated).
-        # gamma_terms makes 3 x 16; the tensor 3 x 28 + 16 and 5 dots; r_term 11 dots.
+        # On span{e, v}, e constant, the eight gradient rows of e and A e are
+        # zero and never streamed: Gamma(e, e) takes 8, and the two Gamma of
+        # e and another field 20 each.  A dot with a zero factor takes none:
+        # the tensor's grad e.v and six of r_term's dots.  So gamma_terms
+        # makes 8 + 2 x 16, the tensor 2 x 20 + 16 + 28 and 4 dots, and
+        # r_term 5 dots: 196.
         e, v = basis_field(grid32, 1), mode_field(grid32, 1, 1)
         complex_padded, complex_2d, real_planes = count_transforms(
             monkeypatch, lambda: sectional_formula(e, v), grid32.padded_shape)
         assert complex_padded == [] and complex_2d == []
-        assert real_planes == 3 * 16 + (3 * 28 + 16) + 16 * 8
+        assert real_planes == (8 + 2 * 16) + (2 * 20 + 16 + 28 + 4 * 8) + 5 * 8 == 196
+
+    @pytest.mark.parametrize("n", [24, 40, 96])
+    def test_basis_fields_are_constant_off_powers_of_two(self, n):
+        # So the zero skip fires on radix-3 and radix-5 grids as well.
+        grid = make_grid(n, n)
+        for i in (1, 2):
+            e = basis_field(grid, i)
+            assert np.count_nonzero(e.spectrum) == 1 and e.spectrum[i - 1, 0, 0] == 1.0
+            assert spectral._zero(e, mean=False) and not spectral._zero(e)
+
+
+def _bits(report) -> bytes:
+    return np.array(dataclasses.astuple(report)).tobytes()
+
+
+class TestZeroFactorSkip:
+    """Skipping the products of a zero factor changes no bit: with
+    spectral._zero patched to call every operand nonzero, every product
+    runs in full, and the closed-form planes give the same bits."""
+
+    @staticmethod
+    def unskipped(monkeypatch):
+        for module in (spectral, dynamics):
+            monkeypatch.setattr(module, "_zero", lambda f, mean=True: False)
+
+    @pytest.mark.parametrize("i", [1, 2])
+    @pytest.mark.parametrize("j", [(1, 1), (2, 1)])
+    def test_sectional_formula(self, grid32, monkeypatch, i, j):
+        e, v = basis_field(grid32, i), mode_field(grid32, *j)
+        skipped = sectional_formula(e, v)
+        self.unskipped(monkeypatch)
+        assert _bits(sectional_formula(e, v)) == _bits(skipped)
+
+    @pytest.mark.parametrize("i", [1, 2])
+    @pytest.mark.parametrize("b", [2.0, 3.0])
+    def test_christoffel(self, grid32, monkeypatch, i, b):
+        e, v = basis_field(grid32, i), mode_field(grid32, 1, 1)
+        skipped = [christoffel(e, v, b), christoffel(v, e, b), christoffel(e, e, b)]
+        self.unskipped(monkeypatch)
+        full = [christoffel(e, v, b), christoffel(v, e, b), christoffel(e, e, b)]
+        assert [g.spectrum.tobytes() for g in full] == [g.spectrum.tobytes() for g in skipped]
 
 
 class TestSectional:

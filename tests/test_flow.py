@@ -136,6 +136,25 @@ class TestComposition:
             compose(DiffeoMap.identity(grid32), DiffeoMap.identity(grid64))
 
 
+class TestApply:
+    @pytest.mark.parametrize("points", [[[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]], [0.1, 0.2, 0.3, 0.4], [0.1], 0.5,
+                                        np.zeros((3, 2, 1))])
+    def test_rejects_points_whose_last_axis_is_not_two(self, monkeypatch, grid16, points):
+        def reached(*args, **kwargs):
+            raise AssertionError("eval_spectra ran")
+
+        monkeypatch.setattr(flow, "eval_spectra", reached)
+        with pytest.raises(ValueError, match=re.escape(f"points need a last axis of 2, not shape {np.shape(points)}")):
+            apply(DiffeoMap.translation(grid16, 0.25, 0.0), points)
+
+    @pytest.mark.parametrize("shape", [(2,), (5, 2), (3, 4, 2)])
+    def test_keeps_the_shape_of_points(self, grid16, shape):
+        pts = np.random.default_rng(0).random(shape)
+        got = apply(DiffeoMap.translation(grid16, 0.25, 0.0), pts)
+        assert got.shape == shape
+        assert np.max(circular_distance(got, np.mod(pts + [0.25, 0.0], 1.0))) < 1e-14
+
+
 class TestInvert:
     def test_identity(self, grid32):
         assert invert(DiffeoMap.identity(grid32)).displacement.sup_norm() == 0.0

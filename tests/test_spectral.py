@@ -32,7 +32,7 @@ from torusflow.spectral import (
     stack,
 )
 
-from conftest import TWO_PI, sample_scalar, sample_vector
+from conftest import TWO_PI, count_transforms, sample_scalar, sample_vector
 
 
 class TestGrid:
@@ -284,6 +284,40 @@ class TestDot:
             with pytest.raises(ValueError, match=re.escape(named)):
                 dot(matrix, vector)
         assert lifts == []
+
+
+class TestZeroRule:
+    @pytest.mark.parametrize("zero", ["J", "v"])
+    def test_dot_with_a_zero_factor_makes_no_transform(self, monkeypatch, grid16, zero):
+        u = random_bandlimited(grid16, 0, kmax=2, amplitude=1.0)
+        J = gradient(VectorField.constant(grid16, 1.0, -2.0) if zero == "J" else u)
+        v = VectorField.zero(grid16) if zero == "v" else u
+        J.spectrum, v.spectrum  # computed here, so dot transforms neither
+        got = []
+        with monkeypatch.context() as patch:
+            for kernel in ("_lift", "_padded_rows", "_truncate"):
+                patch.setattr(spectral, kernel, None)
+            assert count_transforms(patch, lambda: got.append(dot(J, v)), grid16.padded_shape) == ([], [], 0)
+        assert got[0].spectrum.shape == (2,) + grid16.half_shape and not got[0].spectrum.any()
+        monkeypatch.setattr(spectral, "_zero", lambda f, mean=True: False)
+        assert np.array_equal(dot(J, v).spectrum, got[0].spectrum)
+
+    def test_dot_with_a_constant_factor_is_not_skipped(self, grid16):
+        v = random_bandlimited(grid16, 0, kmax=2, amplitude=1.0)
+        J = Field(grid16, np.broadcast_to(np.array([[1.0, 2.0], [3.0, 4.0]])[:, :, None, None], (2, 2) + grid16.shape))
+        expected = stack([v[0] + 2.0 * v[1], 3.0 * v[0] + 4.0 * v[1]])
+        assert (dot(J, v) - expected).sup_norm() < 1e-14
+        assert (dot(gradient(v), VectorField.constant(grid16, 1.0, 0.0)) - gradient(v)[:, 0]).sup_norm() < 1e-14
+
+    @pytest.mark.parametrize("component", [0, 1])
+    @pytest.mark.parametrize("mode", [(0, 0), (0, 1), (1, 0), (0, 3), (0, 8), (2, 0), (15, 8)])
+    def test_zero_reads_every_coefficient(self, grid16, component, mode):
+        spectrum = np.zeros((2,) + grid16.half_shape, np.complex128)
+        assert spectral._zero(Field.from_spectrum(grid16, spectrum))
+        spectrum[(component,) + mode] = 1e-300
+        f = Field.from_spectrum(grid16, spectrum)
+        assert not spectral._zero(f)
+        assert spectral._zero(f, mean=False) == (mode == (0, 0))
 
 
 class TestPointwiseProduct:
