@@ -18,9 +18,10 @@ Two independent routes to the same number:
 
 A plane costs seven connection evaluations, ten transports and sixteen
 dealiased dots: 276 padded real transforms at 32^2.  On the closed-form
-planes below, e_i is constant: the transports stream no gradient rows of
-it, and seven dots have a zero factor and make no transform (spectral's
-zero rule), so a plane takes 196 transforms, with the same bits.  The two
+planes below, e_i is constant, and a constant makes no transform
+(spectral's constant rule): e_i and A e_i are lifted as their means, no
+gradient row of them is streamed, and the seven dots with a zero factor
+are skipped, so a plane takes 176 transforms, with the same bits.  The two
 routes share no computed value: their agreement on random band-limited
 data is the main correctness oracle; closed-form positive values on
 span{e_i, sin(k1 x) sin(k2 y) (1,1)}, with k = 2*pi*j for a positive

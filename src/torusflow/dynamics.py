@@ -30,7 +30,6 @@ from .spectral import (
     _operands,
     _padded_rows,
     _scratch_array,
-    _zero,
     dot,
     gradient,
     h1_inner,
@@ -160,8 +159,7 @@ def _zeroed(name: str, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _transport(m: Field, lm: np.ndarray, v: Field, lv: np.ndarray, b: float, acc: np.ndarray,
-               constant: tuple[bool, bool], sym: np.ndarray | None = None,
-               lw: np.ndarray | None = None) -> np.ndarray:
+               sym: np.ndarray | None = None, lw: np.ndarray | None = None) -> np.ndarray:
     """Adds to acc the padded samples of grad(m).v + (grad v)^T m + (b-1) m div v,
     from m and v lifted, and returns acc.
 
@@ -173,19 +171,12 @@ def _transport(m: Field, lm: np.ndarray, v: Field, lv: np.ndarray, b: float, acc
     rows.  Each accumulator adds its terms in the order of
     acc[i] += g[0] v[0] + g[1] v[1], acc[j] += g[j] m[i] + ((b-1) g[i]) m[j]
     and sym[i] += g[0] w[0] + g[1] w[1].
-
-    constant says whether m and v are constant (spectral._zero with
-    mean=False).  The gradient rows of a constant are zero and are not
-    streamed: their products with finite samples are +-0, and adding +-0
-    to an accumulator, which starts at +0 and so never holds -0, changes
-    no bit of it.
     """
-    symbol = m.grid.grad_symbol
     for i in range(2):
-        for rows, g, _ in () if constant[0] else _padded_rows(m[i], symbol):
+        for rows, g, _ in _padded_rows(m[i], gradient=True):
             np.multiply(g, lv[:, rows], out=g)
             acc[i, rows] += np.add(g[0], g[1], out=g[0])
-        for rows, g, t in () if constant[1] else _padded_rows(v[i], symbol):
+        for rows, g, t in _padded_rows(v[i], gradient=True):
             if sym is not None:
                 np.multiply(g, lw[:, rows], out=t)
                 sym[i, rows] += np.add(t[0], t[1], out=t[0])
@@ -200,8 +191,7 @@ def _transport(m: Field, lm: np.ndarray, v: Field, lv: np.ndarray, b: float, acc
 def momentum_transport(m: Field, v: Field, b: float) -> Field:
     """Transport of the momentum m by the velocity v: grad(m).v + (grad v)^T m + (b-1) m div v."""
     _operands([m, v], (2,))
-    constant = (_zero(m, mean=False), _zero(v, mean=False))
-    return _dealiased(m, v, lambda lm, lv: _transport(m, lm, v, lv, b, _zeroed("acc", lm.shape), constant))
+    return _dealiased(m, v, lambda lm, lv: _transport(m, lm, v, lv, b, _zeroed("acc", lm.shape)))
 
 
 def christoffel(u: Field, v: Field, b) -> Field:
@@ -211,24 +201,19 @@ def christoffel(u: Field, v: Field, b) -> Field:
 
     When v is u it is lifted once and the two transports are equal, so one
     is computed and doubled; x + x is exact, so the result has the same bits.
-    A = 1 - Laplacian keeps a field constant or not, so one test of u and
-    one of v tell both transports which gradient rows are zero.
     """
     b = validate_b(b)
     _operands([u, v], (2,))
     mu = helmholtz(u)
-    cu = _zero(u, mean=False)
-    cv = cu if v is u else _zero(v, mean=False)
 
     def parts(lu, lv):
         acc = _zeroed("acc", (2,) + lu.shape)  # the symmetric part and the transport under A^{-1}
-        _transport(mu, _lift(mu, "lift_m"), v, lv, b, acc[1], (cu, cv), acc[0], lu)
+        _transport(mu, _lift(mu, "lift_m"), v, lv, b, acc[1], acc[0], lu)
         if v is u:
             acc *= 2.0
         else:
             mv = helmholtz(v)
-            acc[1] += _transport(mv, _lift(mv, "lift_m"), u, lu, b, _zeroed("acc_v", lu.shape), (cv, cu),
-                                 acc[0], lv)
+            acc[1] += _transport(mv, _lift(mv, "lift_m"), u, lu, b, _zeroed("acc_v", lu.shape), acc[0], lv)
         return acc
 
     p = _dealiased(u, v, parts)

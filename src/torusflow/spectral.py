@@ -24,11 +24,12 @@ Conventions
 * One Nyquist rule: in each axis the unpaired -n/2 coefficient is a cosine,
   split evenly between -n/2 and +n/2, so the corner goes four ways.  First
   derivatives zero it; the Helmholtz symbol 1 + |k|^2 keeps every mode.
-* One zero rule, in dot and the momentum transports: a product with an
-  identically zero factor is zero and makes no transform.  dot returns a
-  zero half spectrum before any lift, and a transport streams no gradient
-  rows of a constant factor, whose products are +-0.  _zero tests each
-  operand once per product, in place.
+* One constant rule: a constant makes no transform.  _lift fills a
+  constant's padded samples with its mean, _padded_rows yields no gradient
+  rows of a constant, whose products are +-0 and, added to an accumulator
+  that starts at +0, change no bit, and dot returns a zero half spectrum
+  before any lift when a factor is zero.  _zero tests each operand in
+  place, reading two coefficients first.
 * pointwise_product and dot are always dealiased (only flow's map
   quantities, in the one map frame of flow._checked_det, multiply samples):
   each factor is taken to real samples on the grid's padded_shape, the
@@ -409,7 +410,7 @@ def _zero(f: Field, mean: bool = True) -> bool:
     then is the spectrum scanned, with no temporary of its size.
     """
     s = f.spectrum
-    if s.flat[1] or s.flat[s.shape[-1]]:
+    if s.item(1) or s.item(s.shape[-1]):
         return False
     return not (s[..., 0, 1:].any() or s[..., 1:, :].any() or (mean and s[..., 0, 0].any()))
 
@@ -442,10 +443,13 @@ def _padded_half(f: Field, symbol=None) -> np.ndarray:
 
 def _lift(f: Field, name: str) -> np.ndarray:
     """Samples of f on the grid's padded_shape, in this thread's scratch array
-    `name`: the y-pass of irfft2 after _padded_half."""
-    half = _padded_half(f)
-    py = f.grid.padded_shape[1]
-    return np.fft.irfft(half, n=py, norm="forward", out=_scratch_array(name, half.shape[:-1] + (py,)))
+    `name`: the y-pass of irfft2 after _padded_half, or for a constant f its
+    mean, filled in with no transform."""
+    out = _scratch_array(name, f.spectrum.shape[:-2] + f.grid.padded_shape)
+    if _zero(f, mean=False):
+        out[...] = f.spectrum[..., :1, :1].real + 0.0  # a -0 mean fills +0, as the transform mostly gives
+        return out
+    return np.fft.irfft(_padded_half(f), n=out.shape[-1], norm="forward", out=out)
 
 
 # Bytes of one padded plane's samples that a row block may hold: a whole
@@ -468,12 +472,16 @@ def _block_scratch(shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
     return _scratch_array("block", (words,)).view(dtype).reshape(shape)
 
 
-def _padded_rows(f: Field, symbol=None):
-    """Padded samples of a pair or 2x2 stack f, or of its image under the
-    multiplier symbol, one row block at a time: yields (rows, g, spare), g
-    the samples of rows shaped like f's components and spare the rest of
-    this thread's four-plane row-block scratch, which the next block reuses."""
-    half = _padded_half(f, symbol)
+def _padded_rows(f: Field, gradient: bool = False):
+    """Padded samples of a pair or 2x2 stack f, or with gradient=True of the
+    gradient of a scalar f, one row block at a time: yields (rows, g, spare),
+    g the samples of rows shaped like f's components (then the gradient's)
+    and spare the rest of this thread's four-plane row-block scratch, which
+    the next block reuses.  The gradient of a constant f is zero, and no
+    row of it is yielded."""
+    if gradient and _zero(f, mean=False):
+        return
+    half = _padded_half(f, f.grid.grad_symbol if gradient else None)
     lead, (px, py) = half.shape[:-2], f.grid.padded_shape
     blocks = _row_blocks(px, py)
     scratch = _block_scratch((4, blocks[0].stop, py))

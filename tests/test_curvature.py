@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from torusflow import curvature, dynamics, spectral
+from torusflow import curvature, spectral
 from torusflow.curvature import (
     basis_field,
     closed_form_S,
@@ -209,7 +209,7 @@ class TestConnectionBudget:
     # In padded real planes (see test_dynamics.TestTransformBudget): a
     # christoffel of two fields takes 28, of one field 16, and a dot 8 (the
     # four rows of J and two of v lifted, one vector truncated).  With no
-    # zero factor, gamma_terms makes 3 x 16, the tensor 3 x 28 + 16 and 5
+    # constant operand, gamma_terms makes 3 x 16, the tensor 3 x 28 + 16 and 5
     # dots, and r_term 11 dots: 276.
     def test_padded_transforms_of_a_random_plane(self, grid32, monkeypatch):
         u, v = rand(grid32, 43, kmax=2), rand(grid32, 44, kmax=2)
@@ -219,17 +219,31 @@ class TestConnectionBudget:
         assert real_planes == 3 * 16 + (3 * 28 + 16) + 16 * 8 == 276
 
     def test_padded_transforms_of_a_plane(self, grid32, monkeypatch):
-        # On span{e, v}, e constant, the eight gradient rows of e and A e are
-        # zero and never streamed: Gamma(e, e) takes 8, and the two Gamma of
-        # e and another field 20 each.  A dot with a zero factor takes none:
-        # the tensor's grad e.v and six of r_term's dots.  So gamma_terms
-        # makes 8 + 2 x 16, the tensor 2 x 20 + 16 + 28 and 4 dots, and
-        # r_term 5 dots: 196.
+        # On span{e, v}, e constant, e and A e are lifted as their means with
+        # no transform, and their eight gradient rows are never streamed:
+        # Gamma(e, e) takes only its truncation, 4, and the two Gamma of e and
+        # another field 28 - 8 - 4 = 16 each.  A dot with a zero factor takes
+        # none (the tensor's grad e.v and six of r_term's dots), and one whose
+        # vector is e takes 6, the rows of J and the truncation: the tensor's
+        # grad v.e and grad(Gamma(v, v)).e, and r_term's grad v.e and
+        # grad(grad v.e).e.  So gamma_terms makes 4 + 2 x 16, the tensor
+        # 2 x 16 + 16 + 28 and dots 2 x 8 + 2 x 6, and r_term dots
+        # 3 x 8 + 2 x 6: 176.
         e, v = basis_field(grid32, 1), mode_field(grid32, 1, 1)
         complex_padded, complex_2d, real_planes = count_transforms(
             monkeypatch, lambda: sectional_formula(e, v), grid32.padded_shape)
         assert complex_padded == [] and complex_2d == []
-        assert real_planes == (8 + 2 * 16) + (2 * 20 + 16 + 28 + 4 * 8) + 5 * 8 == 196
+        assert real_planes == (4 + 2 * 16) + (2 * 16 + 16 + 28 + 2 * 8 + 2 * 6) + (3 * 8 + 2 * 6) == 176
+
+    @pytest.mark.parametrize("i", [1, 2])
+    def test_christoffel_of_a_constant_makes_only_its_truncation(self, grid32, monkeypatch, i):
+        # Both lifts are fills and no gradient row is streamed: what is left
+        # is the truncation of the two vectors, 4 planes.
+        e = basis_field(grid32, i)
+        complex_padded, complex_2d, real_planes = count_transforms(
+            monkeypatch, lambda: christoffel(e, e, 2.0), grid32.padded_shape)
+        assert complex_padded == [] and complex_2d == []
+        assert real_planes == 4
 
     @pytest.mark.parametrize("n", [24, 40, 96])
     def test_basis_fields_are_constant_off_powers_of_two(self, n):
@@ -246,19 +260,26 @@ def _bits(report) -> bytes:
 
 
 class TestZeroFactorSkip:
-    """Skipping the products of a zero factor changes no bit: with
-    spectral._zero patched to call every operand nonzero, every product
-    runs in full, and the closed-form planes give the same bits."""
+    """Skipping the transforms of a constant changes no bit: with
+    spectral._zero patched to call every operand nonconstant, every lift
+    and product runs in full, and the closed-form planes give the same bits."""
 
     @staticmethod
     def unskipped(monkeypatch):
-        for module in (spectral, dynamics):
-            monkeypatch.setattr(module, "_zero", lambda f, mean=True: False)
+        monkeypatch.setattr(spectral, "_zero", lambda f, mean=True: False)
 
     @pytest.mark.parametrize("i", [1, 2])
     @pytest.mark.parametrize("j", [(1, 1), (2, 1)])
     def test_sectional_formula(self, grid32, monkeypatch, i, j):
         e, v = basis_field(grid32, i), mode_field(grid32, *j)
+        skipped = sectional_formula(e, v)
+        self.unskipped(monkeypatch)
+        assert _bits(sectional_formula(e, v)) == _bits(skipped)
+
+    @pytest.mark.parametrize("i", [1, 2])
+    def test_sectional_formula_on_a_radix_3_grid(self, grid16, monkeypatch, i):
+        assert grid16.padded_shape == (30, 30)
+        e, v = basis_field(grid16, i), mode_field(grid16, 1, 1)
         skipped = sectional_formula(e, v)
         self.unskipped(monkeypatch)
         assert _bits(sectional_formula(e, v)) == _bits(skipped)

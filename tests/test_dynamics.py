@@ -27,6 +27,7 @@ from torusflow.dynamics import (
     integrate_1d,
     march,
     mch2_rhs,
+    momentum_transport,
     profile_1d,
     rhs_1d_b,
     rk4,
@@ -196,6 +197,24 @@ class TestTransformBudget:
         assert complex_padded == []
         assert complex_2d == []
         assert 0 < real_planes <= ceiling
+
+    @pytest.mark.parametrize("constant", [0, 1])
+    def test_constant_component_streams_no_gradient_rows(self, monkeypatch, constant):
+        # m and v lifted (4), the rows of grad m (4) and of the other
+        # component of v (2), one vector truncated (2): 12, where streaming
+        # both components' rows takes 14.  The bits are those of the full path.
+        grid = make_grid(16, 16)
+        m, w = random_bandlimited(grid, 1, 3, 0.5), random_bandlimited(grid, 2, 3, 0.5)
+        parts = [w[0], VectorField.constant(grid, 0.5, 0.5)[0]]
+        v = stack(parts[::-1] if constant == 0 else parts)
+        got = []
+        with monkeypatch.context() as patch:
+            complex_padded, complex_2d, real_planes = count_transforms(
+                patch, lambda: got.append(momentum_transport(m, v, 2.0)), self.PADDED)
+        assert complex_padded == [] and complex_2d == []
+        assert real_planes == 4 + 4 + 2 + 2 == 12
+        monkeypatch.setattr(spectral, "_zero", lambda f, mean=True: False)
+        assert momentum_transport(m, v, 2.0).spectrum.tobytes() == got[0].spectrum.tobytes()
 
     @pytest.mark.parametrize("name", CALLS)
     def test_row_blocks_add_no_transform(self, monkeypatch, name):

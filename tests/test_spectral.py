@@ -309,6 +309,23 @@ class TestZeroRule:
         assert (dot(J, v) - expected).sup_norm() < 1e-14
         assert (dot(gradient(v), VectorField.constant(grid16, 1.0, 0.0)) - gradient(v)[:, 0]).sup_norm() < 1e-14
 
+    @pytest.mark.parametrize("n, padded", [(16, 30), (24, 40), (40, 64), (96, 150)])
+    def test_lift_of_a_constant_is_its_mean_with_no_transform(self, monkeypatch, n, padded):
+        grid = make_grid(n, n)
+        assert grid.padded_shape == (padded, padded)
+        mean = np.zeros((2,) + grid.half_shape, np.complex128)
+        mean[:, 0, 0] = (0.7, -2.5)
+        for f in (Field.from_spectrum(grid, mean), VectorField.constant(grid, 0.0, 1.0)):
+            f.spectrum  # computed here, so only the lift could transform
+            got = []
+            with monkeypatch.context() as patch:
+                counted = count_transforms(patch, lambda: got.append(spectral._lift(f, "lift_f").copy()),
+                                           grid.padded_shape)
+            assert counted == ([], [], 0)
+            with monkeypatch.context() as patch:
+                patch.setattr(spectral, "_zero", lambda f, mean=True: False)
+                assert spectral._lift(f, "lift_f").tobytes() == got[0].tobytes()
+
     @pytest.mark.parametrize("component", [0, 1])
     @pytest.mark.parametrize("mode", [(0, 0), (0, 1), (1, 0), (0, 3), (0, 8), (2, 0), (15, 8)])
     def test_zero_reads_every_coefficient(self, grid16, component, mode):
